@@ -203,10 +203,11 @@
 //
 //   - internal/equiv gained a fourth engine: a SAT miter strengthened by
 //     internal-point sweeping (shared random simulation proposes internal
-//     node pairs, each proved inside a retractable clause group under an
-//     explicit half-of-budget cap and asserted as a permanent equality
-//     clause), which decides arithmetic-circuit miters that are hopeless
-//     for a bare CDCL run. The auto layering is exact -> BDD -> SAT ->
+//     node pairs; each is decided on its own lazily encoded fanin cones,
+//     with branching confined to them, under an explicit half-of-budget
+//     cap, and a proven b-node is substituted by its a-literal), which
+//     decides arithmetic-circuit miters that are hopeless for a bare CDCL
+//     run. The auto layering is exact -> BDD -> SAT ->
 //     simulation; mismatches carry the failing input assignment in
 //     Result.Detail, and Result now also reports the conflicts and
 //     restarts the check consumed. For scripted pipeline runs,

@@ -181,7 +181,8 @@ func checkExact(a, b *netlist.Network) (Result, error) {
 
 // checkSAT decides equivalence through a CNF miter (internal/sat). ok is
 // false only when the conflict budget ran out (never with budget 0). A
-// non-nil error is the context's: the solve was interrupted.
+// non-nil error is the context's (the solve was interrupted) or an
+// internal error (see satResult).
 func checkSAT(ctx context.Context, a, b *netlist.Network, budget int64) (Result, bool, error) {
 	res, err := sat.MiterCtx(ctx, a, b, budget)
 	if err != nil {
@@ -192,6 +193,13 @@ func checkSAT(ctx context.Context, a, b *netlist.Network, budget int64) (Result,
 		// op the CNF layer cannot express, so let the caller fall back.
 		return Result{}, false, nil
 	}
+	return satResult(a, b, res)
+}
+
+// satResult turns a miter outcome into a Result. A Sat counterexample is
+// replayed on both networks first: one that distinguishes no output is an
+// internal error of the SAT engine, never a verdict.
+func satResult(a, b *netlist.Network, res sat.MiterResult) (Result, bool, error) {
 	switch res.Status {
 	case sat.Unsat:
 		return Result{
@@ -202,6 +210,10 @@ func checkSAT(ctx context.Context, a, b *netlist.Network, budget int64) (Result,
 			Restarts:   res.Restarts,
 		}, true, nil
 	case sat.Sat:
+		if firstDiff(a, b, res.Inputs) < 0 {
+			return Result{}, false, fmt.Errorf("equiv: internal error: SAT counterexample inputs=%s distinguishes no output",
+				bitString(res.Inputs))
+		}
 		return Result{
 			Equivalent: false,
 			Method:     MethodSAT,
@@ -255,6 +267,16 @@ func simCexDetail(a, b *netlist.Network, pats sim.Patterns, sa, sb [][]uint64) s
 // cexDetail renders a distinguishing input assignment, naming the first
 // output it flips. The bit string lists inputs in declaration order.
 func cexDetail(a, b *netlist.Network, inBits []bool) string {
+	if i := firstDiff(a, b, inBits); i >= 0 {
+		return fmt.Sprintf("output %d (%s) differs; counterexample inputs=%s",
+			i, a.Outputs[i].Name, bitString(inBits))
+	}
+	return "counterexample inputs=" + bitString(inBits)
+}
+
+// firstDiff simulates both networks on one input assignment and returns
+// the first output on which they differ, or -1.
+func firstDiff(a, b *netlist.Network, inBits []bool) int {
 	words := make([]uint64, len(inBits))
 	for i, v := range inBits {
 		if v {
@@ -265,11 +287,10 @@ func cexDetail(a, b *netlist.Network, inBits []bool) string {
 	wb := b.OutputWords(words)
 	for i := range wa {
 		if (wa[i]^wb[i])&1 != 0 {
-			return fmt.Sprintf("output %d (%s) differs; counterexample inputs=%s",
-				i, a.Outputs[i].Name, bitString(inBits))
+			return i
 		}
 	}
-	return "counterexample inputs=" + bitString(inBits)
+	return -1
 }
 
 func bitString(bits []bool) string {

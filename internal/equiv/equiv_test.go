@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/netlist"
+	"repro/internal/sat"
 )
 
 // adder builds an n-bit ripple adder netlist.
@@ -254,4 +255,43 @@ func TestInterfaceMismatch(t *testing.T) {
 	if _, err := Check(a, c, Options{}); err == nil {
 		t.Error("output count mismatch accepted")
 	}
+}
+
+// TestMiterBudgetBound: the miter's conflict budget bounds the whole
+// check, sweep included. A budget of 1 used to halve to 0, which the
+// sweep read as "unlimited".
+func TestMiterBudgetBound(t *testing.T) {
+	a := adder(16, "a")
+	b := adderExpanded(16)
+	for _, budget := range []int64{1, 2, 3, 10, 100} {
+		res, err := sat.Miter(a, b, budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Conflicts > budget {
+			t.Errorf("budget %d: spent %d conflicts (sweep %d, final %d)",
+				budget, res.Conflicts, res.SweepConflicts, res.FinalConflicts)
+		}
+		if res.Status == sat.Sat {
+			t.Errorf("budget %d: equivalent adders refuted", budget)
+		}
+	}
+}
+
+// TestSATReplayGuard: a Sat miter outcome whose assignment distinguishes
+// no output is an internal error, never a verdict; a genuine one passes
+// through with its counterexample.
+func TestSATReplayGuard(t *testing.T) {
+	a := adder(4, "a")
+	b := adderExpanded(4)
+	zeros := sat.MiterResult{Status: sat.Sat, Inputs: make([]bool, a.NumInputs())}
+	if res, ok, err := satResult(a, b, zeros); err == nil {
+		t.Fatalf("non-distinguishing counterexample accepted: %+v (ok=%v)", res, ok)
+	}
+	b.Outputs[0].Sig = b.Outputs[0].Sig.Not()
+	res, ok, err := satResult(a, b, zeros)
+	if err != nil || !ok || res.Equivalent {
+		t.Fatalf("genuine counterexample: %+v ok=%v err=%v", res, ok, err)
+	}
+	verifyCex(t, res.Detail, a, b)
 }

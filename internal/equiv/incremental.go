@@ -64,6 +64,7 @@ type Incremental struct {
 	prevHash []uint64
 	gotHash  []uint64
 	eqMemo   map[uint64]bool
+	cone     sat.ConeScratch
 }
 
 // NewIncremental returns a checker with the given options (the zero
@@ -185,7 +186,7 @@ func (inc *Incremental) coneMiter(ctx context.Context, prev, got *netlist.Networ
 		prevRoots = append(prevRoots, prev.Outputs[o].Sig.Node())
 		gotRoots = append(gotRoots, got.Outputs[o].Sig.Node())
 	}
-	if err := sat.EncodeCone(s, prev, prevRoots, prevLits); err != nil {
+	if err := sat.EncodeCone(s, prev, prevRoots, prevLits, &inc.cone); err != nil {
 		return Result{}, false
 	}
 	// Share the unchanged interior: any got node whose structure matches an
@@ -210,7 +211,7 @@ func (inc *Incremental) coneMiter(ctx context.Context, prev, got *netlist.Networ
 			}
 		}
 	}
-	if err := sat.EncodeCone(s, got, gotRoots, gotLits); err != nil {
+	if err := sat.EncodeCone(s, got, gotRoots, gotLits, &inc.cone); err != nil {
 		return Result{}, false
 	}
 

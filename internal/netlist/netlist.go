@@ -236,10 +236,19 @@ func (n *Network) Validate() error {
 // EvalWord computes one simulation word per node given one word per primary
 // input (64 parallel patterns). The returned slice is indexed by node.
 func (n *Network) EvalWord(inputs []uint64) []uint64 {
+	return n.EvalWordInto(nil, inputs)
+}
+
+// EvalWordInto is EvalWord writing into vals when its capacity suffices
+// (a fresh slice is allocated otherwise) and returning the node values.
+func (n *Network) EvalWordInto(vals, inputs []uint64) []uint64 {
 	if len(inputs) != len(n.Inputs) {
 		panic(fmt.Sprintf("netlist: EvalWord got %d input words, want %d", len(inputs), len(n.Inputs)))
 	}
-	vals := make([]uint64, len(n.Nodes))
+	if cap(vals) < len(n.Nodes) {
+		vals = make([]uint64, len(n.Nodes))
+	}
+	vals = vals[:len(n.Nodes)]
 	inIdx := 0
 	get := func(s Signal) uint64 {
 		v := vals[s.Node()]

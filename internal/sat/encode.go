@@ -17,6 +17,7 @@ import (
 	"sort"
 
 	"repro/internal/netlist"
+	"repro/internal/sweep"
 )
 
 // AddAndGate asserts out <-> AND(ins...).
@@ -78,28 +79,14 @@ func (s *Solver) FalseLit() Lit {
 // EncodeNetwork adds a Tseitin encoding of the network to the solver and
 // returns one literal per primary input (in declaration order) and one per
 // primary output. When inputs is non-nil its literals are used for the
-// primary inputs instead of fresh variables — that is how a miter shares
-// one input space between two networks. Inverters, buffers and complemented
-// edges are free (literal negation); every gate node costs one variable.
+// primary inputs instead of fresh variables — that is how two encodings
+// share one input space. Inverters, buffers and complemented edges are
+// free (literal negation); every gate node costs one variable.
 func EncodeNetwork(s *Solver, n *netlist.Network, inputs []Lit) (in, out []Lit, err error) {
-	in, lits, err := encodeNodes(s, n, inputs)
-	if err != nil {
-		return nil, nil, err
-	}
-	out = make([]Lit, len(n.Outputs))
-	for i, o := range n.Outputs {
-		out[i] = lits[o.Sig.Node()].NotIf(o.Sig.Neg())
-	}
-	return in, out, nil
-}
-
-// encodeNodes is EncodeNetwork returning the literal of every node (needed
-// by the miter sweep to name internal points).
-func encodeNodes(s *Solver, n *netlist.Network, inputs []Lit) (in, lits []Lit, err error) {
 	if inputs != nil && len(inputs) != n.NumInputs() {
 		return nil, nil, fmt.Errorf("sat: EncodeNetwork got %d input literals, want %d", len(inputs), n.NumInputs())
 	}
-	lits = make([]Lit, len(n.Nodes))
+	lits := make([]Lit, len(n.Nodes))
 	var constFalse Lit = LitUndef
 	falseLit := func() Lit {
 		if constFalse == LitUndef {
@@ -123,7 +110,11 @@ func encodeNodes(s *Solver, n *netlist.Network, inputs []Lit) (in, lits []Lit, e
 			return nil, nil, err
 		}
 	}
-	return in, lits, nil
+	out = make([]Lit, len(n.Outputs))
+	for i, o := range n.Outputs {
+		out[i] = lits[o.Sig.Node()].NotIf(o.Sig.Neg())
+	}
+	return in, out, nil
 }
 
 // encodeOne encodes the non-input node i into lits[i]; its fanins must
@@ -178,35 +169,52 @@ func encodeOne(s *Solver, n *netlist.Network, i int, lits []Lit, falseLit func()
 	return nil
 }
 
+// ConeScratch is reusable traversal state for EncodeCone: an
+// epoch-stamped visited set (sweep.Scratch) plus the traversal stacks, so
+// a call costs in proportion to the nodes it encodes, not to the network.
+// After a call, Encoded lists the nodes that call encoded, in topological
+// order. The zero value is ready; not safe for concurrent use.
+type ConeScratch struct {
+	seen  sweep.Scratch[struct{}]
+	stack []int
+	cone  []int
+}
+
+// Encoded returns the nodes the last EncodeCone call encoded, in
+// topological order. The slice is reused by the next call.
+func (c *ConeScratch) Encoded() []int { return c.cone }
+
 // EncodeCone adds a Tseitin encoding of the fanin cones of the given root
 // nodes to the solver. lits is the caller-owned per-node literal table
 // (len(n.Nodes) entries): entries other than LitUndef are treated as
 // already encoded — the traversal prunes there — and newly encoded nodes
 // are filled in place. Primary-input entries must be pre-seeded by the
-// caller; reaching an unseeded input is an error. This is the workhorse of
-// the incremental cone-diff checker: seeding lits with the previous
-// generation's literals for structurally unchanged interior nodes makes the
-// miter span only the actually rewritten region.
-func EncodeCone(s *Solver, n *netlist.Network, roots []int, lits []Lit) error {
+// caller; reaching an unseeded input is an error. Seeding an interior
+// entry with another literal substitutes it: the cone stops there. That
+// is how the incremental cone-diff checker shares the unchanged interior
+// of two generations, and how the miter sweep stops each cone at the
+// proven frontier.
+func EncodeCone(s *Solver, n *netlist.Network, roots []int, lits []Lit, scr *ConeScratch) error {
 	if len(lits) != len(n.Nodes) {
 		return fmt.Errorf("sat: EncodeCone literal table has %d entries, want %d", len(lits), len(n.Nodes))
 	}
-	inCone := make([]bool, len(n.Nodes))
-	var cone []int
-	stack := append([]int(nil), roots...)
+	scr.seen.Reset(len(n.Nodes))
+	cone := scr.cone[:0]
+	stack := append(scr.stack[:0], roots...)
 	for len(stack) > 0 {
 		i := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if inCone[i] || lits[i] != LitUndef {
+		if scr.seen.Seen(i) || lits[i] != LitUndef {
 			continue
 		}
-		inCone[i] = true
+		scr.seen.Set(i, struct{}{})
 		cone = append(cone, i)
 		for _, f := range n.Nodes[i].Fanins {
 			stack = append(stack, f.Node())
 		}
 	}
 	sort.Ints(cone) // nodes are topologically ordered by index
+	scr.cone, scr.stack = cone, stack
 	var constFalse Lit = LitUndef
 	falseLit := func() Lit {
 		if constFalse == LitUndef {

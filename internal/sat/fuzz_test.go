@@ -4,7 +4,9 @@ import "testing"
 
 // FuzzSolver feeds byte-derived CNFs (at most 10 variables, so brute force
 // stays instant) through the solver and cross-checks the verdict against
-// exhaustive enumeration; Sat verdicts must come with genuine models. Run
+// exhaustive enumeration; Sat verdicts must come with genuine models, and
+// a solve confined to a byte-derived variable subset must keep the
+// Confine contract (see checkConfined). Run
 // with: go test -run Fuzz -fuzz=FuzzSolver -fuzztime=10s ./internal/sat
 func FuzzSolver(f *testing.F) {
 	f.Add([]byte{3, 2, 1, 4, 9})
@@ -54,6 +56,15 @@ func FuzzSolver(f *testing.F) {
 		if got == Sat {
 			checkModel(t, s, cnf)
 		}
+		// Confined branching: the subset is the variables whose bit is set
+		// in the first literal byte.
+		var subset []Var
+		for v := 0; v < nv; v++ {
+			if data[0]>>uint(v%8)&1 == 1 {
+				subset = append(subset, Var(v))
+			}
+		}
+		checkConfined(t, solverFor(nv, cnf), nv, cnf, subset, want)
 		// The incremental contract: the solved instance accepts more
 		// clauses and stays correct.
 		if got == Sat {

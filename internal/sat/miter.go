@@ -1,21 +1,37 @@
 package sat
 
-// Miter-based combinational equivalence checking: the two networks are
-// encoded over one shared input space, each output pair feeds an XOR
-// difference literal, and the disjunction of the differences is asserted.
-// UNSAT proves equivalence; a model is a concrete distinguishing input
-// assignment.
+// Miter-based combinational equivalence checking: the two networks share
+// one input space, each output pair feeds an XOR difference literal, and
+// the disjunction of the differences is asserted. UNSAT proves
+// equivalence; a model is a concrete distinguishing input assignment.
 //
 // A bare miter is hopeless on arithmetic circuits (the C6288 effect: the
 // solver has to re-derive every internal correspondence from scratch), so
-// Miter strengthens the CNF by SAT sweeping first — the classic CEC
-// recipe: shared random simulation proposes internal node pairs that look
-// equivalent, each candidate is proved or refuted bottom-up under a small
-// per-query conflict budget, refutation counterexamples refine the
-// remaining candidates, and every proven pair is asserted as an equality
-// clause. After the sweep the output miter is usually trivial, because the
-// corresponding internal points of the two networks are already known
-// equal.
+// Miter sweeps internal points first — the classic CEC recipe (Mishchenko
+// et al., ICCAD 2006): shared random simulation proposes pairs of internal
+// nodes that look equivalent, and each candidate is proved or refuted
+// bottom-up, in b's topological order, under a small per-query conflict
+// budget. Each candidate is decided on its own fanin cones:
+//
+//   - Lazy cones. Nothing is encoded up front. One persistent solver
+//     receives each node's Tseitin clauses the first time a query's cone
+//     reaches it (EncodeCone), so the CNF grows with what the sweep
+//     touches, never with the whole of both networks.
+//   - Substitution. A proven b-node takes its a-literal in b's literal
+//     table, so every later b-cone stops at the proven frontier and
+//     continues in a's cone.
+//   - Confined branching. Each query branches only on the variables of the
+//     pair's substituted cones (Solver.Confine); a refuted query assigns
+//     that cone, not both networks, and a proven one cannot wander off
+//     into unrelated logic.
+//   - Packed patterns. Each refutation's input pattern is stored as one
+//     bit of a 64-pattern simulation word, with the node values of both
+//     networks under it. A later candidate is skipped iff a stored pattern
+//     distinguishes it.
+//
+// The confinement is lifted before the output miter, which encodes only
+// the output cones; outputs whose literals coincide after substitution are
+// discharged without solving.
 
 import (
 	"context"
@@ -60,7 +76,7 @@ type MiterResult struct {
 	FinalConflicts int64
 	// Restarts is the number of solver restarts across the whole check.
 	Restarts int64
-	// ProvedPairs counts internal equivalences the sweep asserted.
+	// ProvedPairs counts internal equivalences the sweep proved.
 	ProvedPairs int
 }
 
@@ -74,10 +90,10 @@ const (
 // Miter decides whether two networks with matching interfaces are
 // functionally equivalent. Inputs are matched positionally. maxConflicts
 // bounds the whole check with an explicit split: the internal sweep may
-// spend at most half, the final output-miter solve gets whatever the sweep
-// left over. A small budget therefore means a fast Unknown (0 = unlimited,
-// always exact; the sweep stays per-query bounded either way), and
-// MiterResult reports how much each phase spent.
+// spend at most half (at least one conflict), the final output-miter solve
+// gets whatever the sweep left over. A small budget therefore means a fast
+// Unknown (0 = unlimited, always exact; the sweep stays per-query bounded
+// either way), and MiterResult reports how much each phase spent.
 func Miter(a, b *netlist.Network, maxConflicts int64) (MiterResult, error) {
 	return MiterCtx(context.Background(), a, b, maxConflicts)
 }
@@ -94,28 +110,21 @@ func MiterCtx(ctx context.Context, a, b *netlist.Network, maxConflicts int64) (M
 	if a.NumOutputs() != b.NumOutputs() {
 		return MiterResult{}, fmt.Errorf("sat: miter output counts differ: %d vs %d", a.NumOutputs(), b.NumOutputs())
 	}
-	s := NewSolver()
+	m := newMiter(a, b)
+	s := m.s
 	s.Stop = StopOn(ctx)
-	ins, litsA, err := encodeNodes(s, a, nil)
-	if err != nil {
-		return MiterResult{}, err
-	}
-	_, litsB, err := encodeNodes(s, b, ins)
-	if err != nil {
-		return MiterResult{}, err
-	}
-	outLit := func(n *netlist.Network, lits []Lit, i int) Lit {
-		o := n.Outputs[i].Sig
-		return lits[o.Node()].NotIf(o.Neg())
-	}
 
-	// Explicit budget split: the sweep may spend at most half the total,
-	// the final output-miter solve gets whatever remains.
+	// Explicit budget split: the sweep may spend at most half the total
+	// (never 0, which would mean unlimited), the final output-miter solve
+	// gets whatever remains.
 	sweepBudget := maxConflicts
 	if maxConflicts > 0 {
-		sweepBudget = maxConflicts / 2
+		sweepBudget = max(maxConflicts/2, 1)
 	}
-	proved := sweepInternalPairs(ctx, s, a, b, ins, litsA, litsB, sweepBudget)
+	proved, err := m.sweep(ctx, sweepBudget)
+	if err != nil {
+		return MiterResult{}, err
+	}
 	sweepSpent := s.Conflicts()
 	done := func(st Status) MiterResult {
 		return MiterResult{
@@ -133,9 +142,16 @@ func MiterCtx(ctx context.Context, a, b *netlist.Network, maxConflicts int64) (M
 
 	var diffs []Lit
 	for i := range a.Outputs {
-		oa, ob := outLit(a, litsA, i), outLit(b, litsB, i)
+		oa, err := m.sigLit(0, a.Outputs[i].Sig)
+		if err != nil {
+			return MiterResult{}, err
+		}
+		ob, err := m.sigLit(1, b.Outputs[i].Sig)
+		if err != nil {
+			return MiterResult{}, err
+		}
 		if oa == ob {
-			continue // structurally identical output
+			continue // identical after substitution: discharged
 		}
 		d := MkLit(s.NewVar(), false)
 		s.AddXorGate(d, oa, ob)
@@ -165,26 +181,133 @@ func MiterCtx(ctx context.Context, a, b *netlist.Network, maxConflicts int64) (M
 		}
 	}
 	if res.Status == Sat {
-		res.Inputs = make([]bool, len(ins))
-		for i, l := range ins {
+		res.Inputs = make([]bool, len(m.ins))
+		for i, l := range m.ins {
 			res.Inputs[i] = s.ValueLit(l)
 		}
 	}
 	return res, nil
 }
 
-// sweepInternalPairs runs simulation-guided SAT sweeping over the two
-// encoded networks, asserting proven internal equivalences as equality
-// clauses in s. Deterministic: fixed simulation seed, candidates processed
-// in b's topological order. maxTotal (0 = unlimited) caps the aggregate
-// conflicts the sweep may spend, so callers with a small overall budget
-// are not stalled by a long candidate list. Returns the number of proven
-// pairs.
-func sweepInternalPairs(ctx context.Context, s *Solver, a, b *netlist.Network, ins []Lit, litsA, litsB []Lit, maxTotal int64) int {
+// gateOf names the network node whose gate output a solver variable is;
+// side -1 marks inputs, constants and gadget variables.
+type gateOf struct {
+	side int8
+	node int32
+}
+
+// miter is the lazily loaded solver state of one check: side 0 is a,
+// side 1 is b.
+type miter struct {
+	s     *Solver
+	nets  [2]*netlist.Network
+	lits  [2][]Lit // per node; LitUndef until a cone reaches the node
+	ins   []Lit    // shared primary-input literals, declaration order
+	gates []gateOf // per variable: the node it encodes, for cone walks
+
+	enc   ConeScratch
+	root  [1]int
+	seen  sweep.Scratch[struct{}] // per variable, for cone walks
+	stack []Var
+	cone  []Var
+}
+
+func newMiter(a, b *netlist.Network) *miter {
+	m := &miter{s: NewSolver(), nets: [2]*netlist.Network{a, b}}
+	m.ins = make([]Lit, a.NumInputs())
+	for i := range m.ins {
+		m.ins[i] = MkLit(m.s.NewVar(), false)
+	}
+	for side, n := range m.nets {
+		lits := make([]Lit, len(n.Nodes))
+		for i := range lits {
+			lits[i] = LitUndef
+		}
+		for k, node := range n.Inputs {
+			lits[node] = m.ins[k]
+		}
+		m.lits[side] = lits
+	}
+	return m
+}
+
+// lit returns the literal of a node, encoding its cone first if needed.
+func (m *miter) lit(side, node int) (Lit, error) {
+	lits := m.lits[side]
+	if l := lits[node]; l != LitUndef {
+		return l, nil
+	}
+	n := m.nets[side]
+	m.root[0] = node
+	if err := EncodeCone(m.s, n, m.root[:], lits, &m.enc); err != nil {
+		return LitUndef, err
+	}
+	for len(m.gates) < m.s.NumVars() {
+		m.gates = append(m.gates, gateOf{side: -1})
+	}
+	for _, i := range m.enc.Encoded() {
+		switch nd := &n.Nodes[i]; nd.Op {
+		case netlist.Const0, netlist.Not, netlist.Buf:
+			continue // no gate variable of its own
+		case netlist.Xor, netlist.Xnor:
+			if len(nd.Fanins) < 2 {
+				continue
+			}
+		}
+		m.gates[lits[i].Var()] = gateOf{side: int8(side), node: int32(i)}
+	}
+	return lits[node], nil
+}
+
+// sigLit is lit for a complemented-edge signal.
+func (m *miter) sigLit(side int, sig netlist.Signal) (Lit, error) {
+	l, err := m.lit(side, sig.Node())
+	return l.NotIf(sig.Neg()), err
+}
+
+// confine restricts branching to the substituted fanin cones of la and lb:
+// the walk follows each gate variable's fanins through the current literal
+// tables, so at a substituted b-node it continues in a's cone. Every input
+// of the cone is included, which is what makes a confined Sat a genuine
+// assignment of the cone (see Solver.Confine).
+func (m *miter) confine(la, lb Lit) {
+	m.seen.Reset(m.s.NumVars())
+	stack := append(m.stack[:0], la.Var(), lb.Var())
+	cone := m.cone[:0]
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if m.seen.Seen(int(v)) {
+			continue
+		}
+		m.seen.Set(int(v), struct{}{})
+		cone = append(cone, v)
+		g := m.gates[v]
+		if g.side < 0 {
+			continue
+		}
+		lits := m.lits[g.side]
+		for _, f := range m.nets[g.side].Nodes[g.node].Fanins {
+			stack = append(stack, lits[f.Node()].Var())
+		}
+	}
+	m.stack, m.cone = stack, cone
+	m.s.Confine(cone)
+}
+
+// sweep runs simulation-guided SAT sweeping over the two networks,
+// substituting every proven b-node by its a-literal. Deterministic: fixed
+// simulation seed, candidates processed in b's topological order. maxTotal
+// (0 = unlimited) caps the aggregate conflicts the sweep may spend, so
+// callers with a small overall budget are not stalled by a long candidate
+// list. Returns the number of proven pairs; an error means a node could
+// not be encoded.
+func (m *miter) sweep(ctx context.Context, maxTotal int64) (int, error) {
+	s, a, b := m.s, m.nets[0], m.nets[1]
 	r := rand.New(rand.NewSource(0x5A753EED))
 	nin := a.NumInputs()
-	sigA := make([][]uint64, 0, sweepWords+1)
-	sigB := make([][]uint64, 0, sweepWords+1)
+	sigA := make([][]uint64, 0, sweepWords)
+	sigB := make([][]uint64, 0, sweepWords)
 	for w := 0; w < sweepWords; w++ {
 		row := make([]uint64, nin)
 		for i := range row {
@@ -203,7 +326,7 @@ func sweepInternalPairs(ctx context.Context, s *Solver, a, b *netlist.Network, i
 	}
 	// Index a's gate nodes by canonical signature (sweep.Canon folds the
 	// complement relation into the phase). Only the seed words key the
-	// index; refinement words added later are checked by refuted below.
+	// index; refutation patterns are checked by pats.distinguishes.
 	type ref struct {
 		node  int
 		phase bool
@@ -220,7 +343,12 @@ func sweepInternalPairs(ctx context.Context, s *Solver, a, b *netlist.Network, i
 		}
 	}
 
-	proved, cexes := 0, 0
+	pats := patterns{a: a, b: b}
+	proved := 0
+	defer func() {
+		s.Unconfine()
+		s.MaxConflicts = 0
+	}()
 	for j := range b.Nodes {
 		if maxTotal > 0 && s.Conflicts() >= maxTotal {
 			break
@@ -237,70 +365,100 @@ func sweepInternalPairs(ctx context.Context, s *Solver, a, b *netlist.Network, i
 			continue
 		}
 		phase := ra.phase != negB // b_j == a_i XOR phase on the seed words
-		la := litsA[ra.node]
-		lb := litsB[j].NotIf(phase)
-		if la == lb || la == lb.Not() {
-			continue // already structurally decided
-		}
-		// Refutation words accumulated since the index was built may
-		// already distinguish the pair.
-		if refuted(sigA, sigB, ra.node, j, phase) {
+		if pats.distinguishes(ra.node, j, phase) {
 			continue
 		}
-		// The XOR gadget lives in a clause group released as soon as the
-		// candidate is decided, so its variables and clauses — and every
-		// learnt clause that depends on them — are recycled instead of
-		// accumulating across thousands of candidates.
+		la, err := m.lit(0, ra.node)
+		if err != nil {
+			return proved, err
+		}
+		for _, f := range b.Nodes[j].Fanins {
+			if _, err := m.lit(1, f.Node()); err != nil {
+				return proved, err
+			}
+		}
+		// b_j's own gate and the XOR gadget live in a clause group
+		// released as soon as the candidate is decided, so their variables
+		// and clauses — and every learnt clause that depends on them — are
+		// recycled instead of accumulating across thousands of candidates.
 		g := s.PushGroup()
+		lb, err := m.lit(1, j)
+		if err != nil {
+			return proved, err
+		}
+		lb = lb.NotIf(phase)
 		d := MkLit(s.NewVar(), false)
 		s.AddXorGate(d, la, lb)
 		s.EndGroup()
+		m.confine(la, lb)
 		s.MaxConflicts = sweepQueryBudget
 		if maxTotal > 0 {
 			if remaining := maxTotal - s.Conflicts(); remaining < sweepQueryBudget {
 				s.MaxConflicts = remaining
 			}
 		}
-		switch s.Solve(s.GroupLit(g), d) {
-		case Unsat:
-			// Proven: assert the equality permanently with two ungated
-			// binary clauses, strengthening every later query and the
-			// final output miter; the XOR gadget itself is dropped.
-			s.ReleaseGroup(g)
-			s.AddClause(la.Not(), lb)
-			s.AddClause(la, lb.Not())
-			proved++
-		case Sat:
-			// Refuted: fold the counterexample back into the signatures so
-			// later candidates inherit the refinement.
-			if cexes < sweepMaxCex {
-				row := make([]uint64, nin)
-				for i, l := range ins {
-					if s.ValueLit(l) {
-						row[i] = ^uint64(0)
-					}
-				}
-				sigA = append(sigA, a.EvalWord(row))
-				sigB = append(sigB, b.EvalWord(row))
-				cexes++
-			}
-			s.ReleaseGroup(g)
-		default:
-			s.ReleaseGroup(g)
+		status := s.Solve(s.GroupLit(g), d)
+		if status == Sat && pats.n < sweepMaxCex {
+			// Refuted: the confined model assigns the pair's cone; inputs
+			// outside it read false, which is as good as any value.
+			pats.add(s, m.ins)
 		}
+		s.ReleaseGroup(g)
+		if status == Unsat {
+			// Proven: b_j takes a_i's literal, so later cones stop here.
+			m.lits[1][j] = la.NotIf(phase)
+			proved++
+			continue
+		}
+		// Not proven: the next cone that reaches b_j encodes it again,
+		// outside any group.
+		m.lits[1][j] = LitUndef
 	}
-	s.MaxConflicts = 0
-	return proved
+	return proved, nil
 }
 
-// refuted reports whether any refinement word distinguishes the pair.
-func refuted(sigA, sigB [][]uint64, i, j int, phase bool) bool {
-	for w := sweepWords; w < len(sigA); w++ {
-		va, vb := sigA[w][i], sigB[w][j]
-		if phase {
-			vb = ^vb
+// patterns stores refutation input patterns packed 64 per simulation word,
+// with both networks' node values under each word.
+type patterns struct {
+	a, b       *netlist.Network
+	n          int        // patterns stored
+	rows       [][]uint64 // per word: one bit-packed word per input
+	sigA, sigB [][]uint64 // per word: node values of a and b
+}
+
+// add stores the input assignment of s's model as the next pattern and
+// re-simulates the word that holds it.
+func (p *patterns) add(s *Solver, ins []Lit) {
+	bit := uint(p.n % 64)
+	if bit == 0 {
+		p.rows = append(p.rows, make([]uint64, len(ins)))
+		p.sigA = append(p.sigA, nil)
+		p.sigB = append(p.sigB, nil)
+	}
+	w := len(p.rows) - 1
+	row := p.rows[w]
+	for i, l := range ins {
+		if s.ValueLit(l) {
+			row[i] |= 1 << bit
 		}
-		if va != vb {
+	}
+	p.sigA[w] = p.a.EvalWordInto(p.sigA[w], row)
+	p.sigB[w] = p.b.EvalWordInto(p.sigB[w], row)
+	p.n++
+}
+
+// distinguishes reports whether a stored pattern tells a_i from
+// b_j XOR phase.
+func (p *patterns) distinguishes(i, j int, phase bool) bool {
+	for w := range p.rows {
+		d := p.sigA[w][i] ^ p.sigB[w][j]
+		if phase {
+			d = ^d
+		}
+		if w == len(p.rows)-1 && p.n%64 != 0 {
+			d &= 1<<uint(p.n%64) - 1
+		}
+		if d != 0 {
 			return true
 		}
 	}

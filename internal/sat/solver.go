@@ -31,8 +31,9 @@ type watcher struct {
 
 // Solver is an incremental CDCL SAT solver.
 type Solver struct {
-	// MaxConflicts bounds one Solve call: when more conflicts occur the
-	// call returns Unknown. 0 means unlimited.
+	// MaxConflicts bounds one Solve call: it counts at most this many
+	// conflicts and returns Unknown instead of going past them. 0 means
+	// unlimited.
 	MaxConflicts int64
 
 	// Stop, when non-nil, is polled every few hundred search steps during
@@ -60,6 +61,13 @@ type Solver struct {
 	polarity []bool // phase saving: last assigned value
 	heap     []Var  // max-heap on activity (ties: lower var first)
 	heapIdx  []int32
+
+	// Branching confinement (Confine): while confined, only variables
+	// whose decision flag is set enter the order heap, so Solve branches
+	// on them alone; decided lists the flagged variables.
+	decision []bool
+	decided  []Var
+	confined bool
 
 	claInc      float64
 	learnts     int
@@ -140,6 +148,7 @@ func (s *Solver) NewVar() Var {
 		s.polarity = append(s.polarity, false)
 		s.seen = append(s.seen, false)
 		s.heapIdx = append(s.heapIdx, -1)
+		s.decision = append(s.decision, false)
 		if cap(s.watches) >= len(s.watches)+2 {
 			// Post-Reset revival: re-expose the retained watch-list slots
 			// so their backing arrays are reused allocation-free.
@@ -296,6 +305,9 @@ func (s *Solver) Reset() {
 	s.polarity = s.polarity[:0]
 	s.heap = s.heap[:0]
 	s.heapIdx = s.heapIdx[:0]
+	s.decision = s.decision[:0]
+	s.decided = s.decided[:0]
+	s.confined = false
 	s.claInc = 1
 	s.learnts = 0
 	s.maxLearnts = 0
@@ -317,6 +329,7 @@ func (s *Solver) freeVar(v Var) {
 	s.reason[v] = -1
 	s.activity[v] = 0
 	s.polarity[v] = false
+	s.decision[v] = false
 	s.heapRemove(v)
 	s.watches[2*int(v)] = s.watches[2*int(v)][:0]
 	s.watches[2*int(v)+1] = s.watches[2*int(v)+1][:0]
@@ -558,6 +571,11 @@ func (s *Solver) Solve(assumps ...Lit) Status {
 		}
 		confl := s.propagate()
 		if confl >= 0 {
+			if budget >= 0 && s.conflicts >= budget {
+				// A conflict chain would run past the budget.
+				s.cancelUntil(0)
+				return Unknown
+			}
 			s.conflicts++
 			if s.decisionLevel() == 0 {
 				s.ok = false
@@ -633,8 +651,73 @@ func (s *Solver) Solve(assumps ...Lit) Status {
 	}
 }
 
+// Confine restricts branching to vars until the next Confine or
+// Unconfine: Solve decides only on these variables (MiniSat's
+// decision-variable flag, set for exactly this set), and every other
+// variable is assigned by propagation or stays unassigned. Unsat stays a
+// proof. Sat means every flagged variable is assigned and propagation
+// reached a fixpoint without conflict, so every clause over flagged
+// variables only is satisfied, and so is every clause with at most one
+// unassigned literal. For a Tseitin-encoded cone whose inputs are all
+// flagged, that covers every clause of the cone. After the first call,
+// Confine costs in proportion to the old and the new set, not to the
+// solver.
+func (s *Solver) Confine(vars []Var) {
+	s.cancelUntil(0)
+	s.confined = true
+	for _, v := range s.decided {
+		s.decision[v] = false
+	}
+	for _, v := range s.heap {
+		s.heapIdx[v] = -1
+	}
+	s.heap = s.heap[:0]
+	s.decided = append(s.decided[:0], vars...)
+	for _, v := range vars {
+		if s.decision[v] {
+			continue // listed twice
+		}
+		s.decision[v] = true
+		if s.assigns[v] == lUndef {
+			s.heapIdx[v] = int32(len(s.heap))
+			s.heap = append(s.heap, v)
+		}
+	}
+	// Bottom-up heapify: the pop order depends only on heapLess, a total
+	// order, so it matches one-by-one insertion.
+	for i := len(s.heap)/2 - 1; i >= 0; i-- {
+		s.heapDown(i)
+	}
+}
+
+// Unconfine lifts Confine: every variable is a branching candidate again,
+// so Sat once more means a full satisfying assignment.
+func (s *Solver) Unconfine() {
+	if !s.confined {
+		return
+	}
+	s.cancelUntil(0)
+	for _, v := range s.decided {
+		s.decision[v] = false
+	}
+	s.decided = s.decided[:0]
+	s.confined = false
+	// Recycled variables wait outside the heap until NewVar hands them out.
+	for _, v := range s.freeVars {
+		s.seen[v] = true
+	}
+	for v := range s.assigns {
+		if s.assigns[v] == lUndef && !s.seen[v] {
+			s.heapInsert(Var(v))
+		}
+	}
+	for _, v := range s.freeVars {
+		s.seen[v] = false
+	}
+}
+
 // Value returns the model value of v after a Sat verdict. Unconstrained
-// variables read false.
+// variables, and variables a confined solve left unassigned, read false.
 func (s *Solver) Value(v Var) bool {
 	if s.model == nil || int(v) >= len(s.model) {
 		return false
@@ -740,7 +823,7 @@ func (s *Solver) heapLess(a, b Var) bool {
 }
 
 func (s *Solver) heapInsert(v Var) {
-	if s.heapIdx[v] >= 0 {
+	if s.heapIdx[v] >= 0 || (s.confined && !s.decision[v]) {
 		return
 	}
 	s.heapIdx[v] = int32(len(s.heap))

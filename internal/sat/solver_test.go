@@ -71,6 +71,53 @@ func checkModel(t *testing.T, s *Solver, cnf [][]Lit) {
 	}
 }
 
+// checkConfined solves cnf on s with branching confined to subset, then
+// again with the confinement lifted. A confined Unsat must be genuine, a
+// confined Sat model must satisfy every clause over subset variables
+// only, and the lifted verdict must match brute force (want). A nil s
+// (clause loading already proved UNSAT) is skipped.
+func checkConfined(t *testing.T, s *Solver, nv int, cnf [][]Lit, subset []Var, want bool) {
+	t.Helper()
+	if s == nil {
+		return
+	}
+	in := make([]bool, nv)
+	for _, v := range subset {
+		in[v] = true
+	}
+	s.Confine(subset)
+	switch s.Solve() {
+	case Unknown:
+		t.Fatal("confined solve: Unknown without a conflict budget")
+	case Unsat:
+		if want {
+			t.Fatalf("confined solve refuted a satisfiable instance (subset %v)", subset)
+		}
+	case Sat:
+	clauses:
+		for _, cl := range cnf {
+			sat := false
+			for _, l := range cl {
+				if !in[l.Var()] {
+					continue clauses
+				}
+				sat = sat || s.ValueLit(l)
+			}
+			if !sat {
+				t.Fatalf("confined model violates clause %v over confined variables %v", cl, subset)
+			}
+		}
+	}
+	s.Unconfine()
+	got := s.Solve()
+	if (got == Sat) != want {
+		t.Fatalf("after Unconfine: solver says %v, brute force says sat=%v", got, want)
+	}
+	if got == Sat {
+		checkModel(t, s, cnf)
+	}
+}
+
 // randomCNF generates a random k-CNF instance.
 func randomCNF(r *rand.Rand, nv, nc int) [][]Lit {
 	cnf := make([][]Lit, nc)
@@ -118,6 +165,16 @@ func TestSolverVsBruteForce(t *testing.T) {
 		} else {
 			unsat++
 		}
+		// The same instance with branching confined to a random subset
+		// (its own seed, so the instance stream above is unchanged).
+		rc := rand.New(rand.NewSource(int64(trial)))
+		var subset []Var
+		for v := 0; v < nv; v++ {
+			if rc.Intn(2) == 0 {
+				subset = append(subset, Var(v))
+			}
+		}
+		checkConfined(t, solverFor(nv, cnf), nv, cnf, subset, want)
 	}
 	// The mix must genuinely exercise both outcomes.
 	if sat < 50 || unsat < 50 {

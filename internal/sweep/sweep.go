@@ -29,9 +29,11 @@ type Scratch[T any] struct {
 }
 
 // Reset prepares the scratch for a graph of n nodes, invalidating all
-// previous entries in O(1) (amortized).
+// previous entries in O(1) (amortized). Growth is geometric, so a slowly
+// growing n (a solver's variable count) reallocates O(log n) times.
 func (s *Scratch[T]) Reset(n int) {
 	if len(s.stamp) < n {
+		n = max(n, 2*len(s.stamp))
 		s.stamp = make([]int32, n)
 		s.val = make([]T, n)
 		s.epoch = 1

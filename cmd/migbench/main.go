@@ -49,7 +49,7 @@
 // with per-pass trace capture and prints a pass-level time profile —
 // total and mean time per pass name, the share of suite wall clock, and
 // the cumulative size/depth deltas — which is how to find where a flow's
-// time goes before reaching for the -debug-addr pprof endpoint of migd.
+// time goes before reaching for a CPU profile (-cpuprofile).
 //
 // -verify selects an equivalence engine (auto|exact|bdd|sim|sat) and checks
 // every optimized result against its input, exiting nonzero on any
@@ -71,6 +71,9 @@
 //
 //	miggen -nodes 100000 -format blif > mesh.blif
 //	migbench -partition 8 -jobs 2 -input mesh.blif -json
+//
+// -cpuprofile writes a runtime/pprof CPU profile of the whole run for `go
+// tool pprof`; it is complete when the run exits without error.
 package main
 
 import (
@@ -78,6 +81,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -114,6 +118,7 @@ func main() {
 	partitionK := flag.Int("partition", 0, "run the partition experiment with k partitions on -input, -nodes or a single -only circuit; output bytes are identical for any -jobs value")
 	inputPath := flag.String("input", "", "circuit file (.blif or .v) for the partition experiment; BLIF decodes through the streaming reader")
 	meshNodes := flag.Int("nodes", 0, "generate the heterogeneous tiled mesh with at least this many gates as the partition-experiment circuit")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 	flag.Parse()
 
 	if *listStrategies {
@@ -170,6 +175,22 @@ func main() {
 	names := bench.Circuits()
 	if *only != "" {
 		names = strings.Split(*only, ",")
+	}
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
+		if err == nil {
+			err = pprof.StartCPUProfile(f)
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				fmt.Fprintln(os.Stderr, "migbench: cpuprofile:", err)
+			}
+		}()
 	}
 
 	if *partitionK > 0 {

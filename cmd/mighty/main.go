@@ -40,6 +40,10 @@
 // partitioner, every window is optimized under both a MIG and an AIG flow
 // in parallel (worker budget from -jobs), and the per-objective winners
 // are stitched back. Output bytes are identical for any -jobs value.
+//
+// -cpuprofile writes a runtime/pprof CPU profile of the run (decode,
+// optimization, verification and encoding) for `go tool pprof`; it is
+// complete when the run exits without error.
 package main
 
 import (
@@ -47,6 +51,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime/pprof"
 
 	"repro/logic"
 	"repro/logic/script"
@@ -66,6 +71,7 @@ func main() {
 	jobs := flag.Int("jobs", 1, "worker budget for parallel passes (window-rewrite, rewrite-npn, fraig); results are identical for any value")
 	partitions := flag.Int("partition", 0, "split the circuit into k partitions and synthesize them in parallel (mixed MIG/AIG per window); 0 = off")
 	timeout := flag.Duration("timeout", 0, "optimization deadline (0 = none), e.g. 30s")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 	flag.Parse()
 
 	if *listPasses {
@@ -80,6 +86,21 @@ func main() {
 		fmt.Fprintln(os.Stderr, "mighty: -in is required")
 		flag.Usage()
 		os.Exit(2)
+	}
+	if *cpuProfile != "" {
+		f, err := os.Create(*cpuProfile)
+		if err != nil {
+			fatal(err)
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			fatal(err)
+		}
+		defer func() {
+			pprof.StopCPUProfile()
+			if err := f.Close(); err != nil {
+				fmt.Fprintln(os.Stderr, "mighty: cpuprofile:", err)
+			}
+		}()
 	}
 	format, err := logic.FormatForPath(*in)
 	if err != nil {

@@ -2,7 +2,8 @@
 // a resyn2-style optimization script (balance, rewrite, refactor). It is the
 // repository's stand-in for the ABC tool used as the baseline in the paper's
 // experiments: the same algorithmic family (DAG-aware AIG rewriting over
-// 4-input cuts, algebraic tree balancing, and cone refactoring).
+// 4-input cuts, algebraic tree balancing, and cone refactoring over the two
+// smallest cuts of up to 10 leaves per node).
 package aig
 
 import (

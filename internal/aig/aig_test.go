@@ -1,6 +1,7 @@
 package aig
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -223,25 +224,33 @@ func TestCutDominance(t *testing.T) {
 }
 
 func TestSynthesizeTT(t *testing.T) {
-	r := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 30; trial++ {
-		n := 2 + r.Intn(4)
-		words := 1
-		w := make([]uint64, words)
-		w[0] = r.Uint64()
-		f := tt.FromWords(n, w)
+	// One memo serves every trial, as it serves every cut of a pass. The
+	// word 0x80 recurs at several arities (AND3 over three variables,
+	// x0·x1·x2·x3' over four, ...), so a memo keyed on the word alone hands
+	// one of them the other's expression.
+	memo := factorMemo{}
+	check := func(name string, f tt.TT) {
+		t.Helper()
 		a := New("t")
-		leaves := make([]Signal, n)
+		leaves := make([]Signal, f.NumVars())
 		for i := range leaves {
 			leaves[i] = a.AddInput("x")
 		}
-		s := SynthesizeTT(a, f, leaves)
-		a.AddOutput("o", s)
-		got := collapse(t, a)[0]
-		if !got.Equal(f) {
-			t.Fatalf("trial %d: synthesized function wrong", trial)
+		a.AddOutput("o", memo.synth(a, f, leaves))
+		if got := collapse(t, a)[0]; !got.Equal(f) {
+			t.Fatalf("%s: synthesized function wrong", name)
 		}
 	}
+	for _, n := range []int{3, 4, 6, 3, 5, 4} {
+		check(fmt.Sprintf("0x80 over %d variables", n), tt.FromWords(n, []uint64{0x80}))
+	}
+	r := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 30; trial++ {
+		n := 2 + r.Intn(4)
+		check(fmt.Sprintf("trial %d", trial), tt.FromWords(n, []uint64{r.Uint64()}))
+	}
+	// Past six variables the table is factored directly, outside the memo.
+	check("7 variables", tt.FromWords(7, []uint64{r.Uint64(), r.Uint64()}))
 }
 
 func TestRewriteEquivalence(t *testing.T) {

@@ -8,10 +8,10 @@ import (
 )
 
 // Optimization passes in the style of ABC's resyn2 script: Balance (depth),
-// Rewrite (size, 4-input cuts) and Refactor (size, larger cones). Every
-// pass is a topological rebuild; candidate structures are probed with
-// checkpoint/rollback and accepted when they improve on the default
-// reconstruction.
+// Rewrite (size, 4-input cuts) and Refactor (size, the two smallest cuts of
+// up to 10 leaves per node). Every pass is a topological rebuild; candidate
+// structures are probed with checkpoint/rollback and accepted when they
+// improve on the default reconstruction.
 
 // checkpoint returns a rollback token.
 func (a *AIG) checkpoint() int { return len(a.nodes) }
@@ -120,10 +120,45 @@ func synthExpr(out *AIG, e *sop.Expr, leaves []Signal) Signal {
 	panic("aig: bad expression kind")
 }
 
-// SynthesizeTT builds f over the leaf signals via minimized, factored SOP.
-func SynthesizeTT(out *AIG, f tt.TT, leaves []Signal) Signal {
-	e, neg := sop.FactorTT(f)
-	return synthExpr(out, e, leaves).NotIf(neg)
+// factorKey identifies a function of at most six variables: the arity
+// and its single truth-table word. The arity is part of the key because
+// one word is a different function at each arity (0x80 is AND3 over three
+// variables but x0·x1·x2·x3' over four).
+type factorKey struct {
+	n    int
+	word uint64
+}
+
+// factored is one sop.FactorTT result: the expression and whether it
+// computes the complement.
+type factored struct {
+	e   *sop.Expr
+	neg bool
+}
+
+// factorMemo caches sop.FactorTT per cut function for one pass. FactorTT
+// is a pure function of the table and synthExpr only reads the tree, so a
+// cached expression builds exactly the structure a fresh one would. Each
+// factoring runs espresso on f and f', and cut functions repeat heavily:
+// over the MCNC circuits, 99% of a resyn2 flow's calls ask for a function
+// the same pass has already factored. Functions of more than six variables
+// are factored directly.
+type factorMemo map[factorKey]factored
+
+// synth builds f over the leaf signals via minimized, factored SOP.
+func (m factorMemo) synth(out *AIG, f tt.TT, leaves []Signal) Signal {
+	var r factored
+	if n := f.NumVars(); n <= 6 {
+		k := factorKey{n, f.Word(0)}
+		var ok bool
+		if r, ok = m[k]; !ok {
+			r.e, r.neg = sop.FactorTT(f)
+			m[k] = r
+		}
+	} else {
+		r.e, r.neg = sop.FactorTT(f)
+	}
+	return synthExpr(out, r.e, leaves).NotIf(r.neg)
 }
 
 // Rewrite performs DAG-aware cut rewriting with 4-input cuts, the analogue
@@ -132,8 +167,11 @@ func (a *AIG) Rewrite() *AIG {
 	return a.cutResynth(4, 6)
 }
 
-// Refactor performs cone refactoring with larger cuts (up to 10 leaves),
-// the analogue of ABC's "refactor".
+// Refactor performs cone refactoring, the analogue of ABC's "refactor".
+// Cuts have up to 10 leaves, but only the two smallest cuts per node are
+// kept, so the factored functions stay small: no function of more than 4
+// variables reached factoring on any MCNC circuit or partitioned mesh
+// window.
 func (a *AIG) Refactor() *AIG {
 	return a.cutResynth(10, 2)
 }
@@ -143,7 +181,8 @@ func (a *AIG) Refactor() *AIG {
 const badSignal = ^Signal(0)
 
 // cutResynth rebuilds the AIG, resynthesizing each node from the best of
-// its k-feasible cuts via minimized factored SOP. A candidate is accepted
+// its k-feasible cuts via minimized factored SOP, factoring each distinct
+// cut function once per pass (factorMemo). A candidate is accepted
 // when it creates fewer nodes than the default reconstruction (exploiting
 // sharing found by structural hashing), or the same number at lower level.
 // Cuts come from the AIG's arena-backed cache; the remap is a dense pooled
@@ -161,6 +200,7 @@ func (a *AIG) cutResynth(k, maxCuts int) *AIG {
 		remap[in] = out.AddInput(a.names[idx])
 	}
 	live := a.LiveMask()
+	memo := factorMemo{}
 	var leafBuf, bestSigs []Signal
 	for i := range a.nodes {
 		nd := &a.nodes[i]
@@ -199,7 +239,7 @@ func (a *AIG) cutResynth(k, maxCuts int) *AIG {
 			}
 			f := a.cutFunc(i, leaves)
 			cp := out.checkpoint()
-			s := SynthesizeTT(out, f, leafBuf)
+			s := memo.synth(out, f, leafBuf)
 			added := len(out.nodes) - cp
 			level := out.Level(s)
 			out.rollback(cp)
@@ -213,7 +253,7 @@ func (a *AIG) cutResynth(k, maxCuts int) *AIG {
 		if !haveBest {
 			remap[i] = out.And(x, y)
 		} else {
-			remap[i] = SynthesizeTT(out, bestF, bestSigs)
+			remap[i] = memo.synth(out, bestF, bestSigs)
 		}
 	}
 	for _, o := range a.Outputs {

@@ -105,7 +105,7 @@ func buildRegistry() *opt.Registry[*AIG] {
 			}
 			return passRewrite(), nil
 		})
-	r.Register("refactor", "", "refactor: cone refactoring through factored SOP (10-input cuts)",
+	r.Register("refactor", "", "refactor: cone refactoring through factored SOP (cuts of up to 10 leaves, the 2 smallest per node)",
 		func(args []int) (opt.Pass[*AIG], error) {
 			if _, err := opt.IntArgs(args); err != nil {
 				return nil, err

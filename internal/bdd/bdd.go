@@ -1,8 +1,25 @@
-// Package bdd implements Reduced Ordered Binary Decision Diagrams with a
-// unique table, an ITE-based apply engine, and a BDS-style decomposition of
-// BDDs back into multi-level logic networks (AND/OR/XOR/MUX extraction at
-// dominator nodes). It is the repository's stand-in for the BDS tool used as
-// the second baseline in the paper's experiments.
+// Package bdd implements Reduced Ordered Binary Decision Diagrams with an
+// ITE-based apply engine, and a BDS-style decomposition of BDDs back into
+// multi-level logic networks (AND/OR/XOR/MUX extraction at dominator
+// nodes). It is the repository's stand-in for the BDS tool used as the
+// second baseline in the paper's experiments, and the BDD engine of the
+// equivalence checker.
+//
+// The manager keeps two array tables, in the style of Brace, Rudell and
+// Bryant ("Efficient implementation of a BDD package", DAC 1990):
+//
+//   - the unique table is a power-of-two array of bucket heads whose chains
+//     run through the nodes themselves. It is exact, and it doubles (with
+//     every chain re-threaded) when the node count passes the bucket count;
+//   - the computed table caches ITE results direct-mapped, as long as the
+//     unique table: a colliding result overwrites the slot, and the table
+//     starts empty again whenever the unique table grows.
+//
+// The lossy computed table changes only the time a build takes. A lost
+// entry makes a later ITE recompute a result whose nodes all exist already,
+// and every mk on that path finds its node in the unique table. So the
+// order in which nodes are allocated, every Ref, NumNodes and the point at
+// which the node limit trips are those an exact cache would give.
 //
 // The manager enforces a node limit; building a BDD past the limit returns
 // ErrLimit, which the experiment harness reports as "N.A." — reproducing the
@@ -12,6 +29,7 @@ package bdd
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"repro/internal/netlist"
 	"repro/internal/tt"
@@ -33,23 +51,26 @@ var ErrLimit = errors.New("bdd: node limit exceeded")
 type bddNode struct {
 	varIdx int32 // variable index; -1 for terminals
 	lo, hi Ref
+	next   Ref // next node in the same unique-table bucket; 0 ends the chain
 }
 
-type nodeKey struct {
-	varIdx int32
-	lo, hi Ref
-}
+// iteEntry is one computed-table slot. f == 0 marks an empty slot: iteRec
+// never caches a constant f.
+type iteEntry struct{ f, g, h, r Ref }
+
+// minTable is the initial length of both tables, small because most
+// managers (one per cone in windowed BDS) hold a handful of nodes.
+const minTable = 64
 
 // Manager owns the node store of a BDD forest.
 type Manager struct {
 	numVars int
 	limit   int
 	nodes   []bddNode
-	unique  map[nodeKey]Ref
-	ite     map[[3]Ref]Ref
-	// varToInput optionally records which circuit input each BDD level
-	// reads (set by BuildNetworkOrdered).
-	varToInput []int
+	// buckets holds the head of each unique-table chain, 0 for an empty
+	// bucket (leaves are never hashed); its length is a power of two.
+	buckets []Ref
+	ite     []iteEntry // computed table, as long as buckets
 }
 
 // NewManager creates a manager for numVars variables with the given node
@@ -65,9 +86,16 @@ func NewManager(numVars, limit int) *Manager {
 			{varIdx: -1}, // False
 			{varIdx: -1}, // True
 		},
-		unique: make(map[nodeKey]Ref),
-		ite:    make(map[[3]Ref]Ref),
+		buckets: make([]Ref, minTable),
+		ite:     make([]iteEntry, minTable),
 	}
+}
+
+// reset empties m for another build, keeping its storage.
+func (m *Manager) reset() {
+	m.nodes = m.nodes[:2]
+	clear(m.buckets)
+	clear(m.ite)
 }
 
 // NumVars returns the number of variables.
@@ -76,25 +104,62 @@ func (m *Manager) NumVars() int { return m.numVars }
 // NumNodes returns the total number of nodes allocated (including leaves).
 func (m *Manager) NumNodes() int { return len(m.nodes) }
 
-// errLimit is the internal panic payload for limit overflow.
+// limitPanic is the internal panic payload for limit overflow.
 type limitPanic struct{}
+
+// catchLimit, deferred, turns the limit panic into ErrLimit.
+func catchLimit(err *error) {
+	if p := recover(); p != nil {
+		if _, ok := p.(limitPanic); ok {
+			*err = ErrLimit
+			return
+		}
+		panic(p)
+	}
+}
+
+// hash3 mixes three 32-bit words; the high half of the 64-bit sum of
+// products depends on every input bit.
+func hash3(a, b, c Ref) uint32 {
+	return uint32((uint64(a)*0x9e3779b97f4a7c15 + uint64(b)*0xc2b2ae3d27d4eb4f + uint64(c)*0x165667b19e3779f9) >> 32)
+}
 
 // mk finds or creates the node (v, lo, hi), applying the reduction rules.
 func (m *Manager) mk(v int32, lo, hi Ref) Ref {
 	if lo == hi {
 		return lo
 	}
-	key := nodeKey{v, lo, hi}
-	if r, ok := m.unique[key]; ok {
-		return r
+	b := hash3(Ref(v), lo, hi) & uint32(len(m.buckets)-1)
+	for r := m.buckets[b]; r != 0; r = m.nodes[r].next {
+		if nd := &m.nodes[r]; nd.varIdx == v && nd.lo == lo && nd.hi == hi {
+			return r
+		}
 	}
 	if len(m.nodes) >= m.limit {
 		panic(limitPanic{})
 	}
 	r := Ref(len(m.nodes))
-	m.nodes = append(m.nodes, bddNode{varIdx: v, lo: lo, hi: hi})
-	m.unique[key] = r
+	m.nodes = append(m.nodes, bddNode{varIdx: v, lo: lo, hi: hi, next: m.buckets[b]})
+	m.buckets[b] = r
+	if len(m.nodes) > len(m.buckets) {
+		m.grow()
+	}
 	return r
+}
+
+// grow doubles the unique table, re-threading every chain, reserves node
+// storage to match, and replaces the computed table with an empty one of
+// the new length.
+func (m *Manager) grow() {
+	m.buckets = make([]Ref, 2*len(m.buckets))
+	m.nodes = slices.Grow(m.nodes, len(m.buckets)-len(m.nodes))
+	m.ite = make([]iteEntry, len(m.buckets))
+	mask := uint32(len(m.buckets) - 1)
+	for r := Ref(2); int(r) < len(m.nodes); r++ {
+		nd := &m.nodes[r]
+		b := hash3(Ref(nd.varIdx), nd.lo, nd.hi) & mask
+		nd.next, m.buckets[b] = m.buckets[b], r
+	}
 }
 
 // Var returns the BDD of variable i.
@@ -137,9 +202,9 @@ func (m *Manager) iteRec(f, g, h Ref) Ref {
 	if g == True && h == False {
 		return f
 	}
-	key := [3]Ref{f, g, h}
-	if r, ok := m.ite[key]; ok {
-		return r
+	key := hash3(f, g, h)
+	if e := &m.ite[key&uint32(len(m.ite)-1)]; e.f == f && e.g == g && e.h == h {
+		return e.r
 	}
 	v := m.topVar(f)
 	if tv := m.topVar(g); tv < v {
@@ -154,21 +219,25 @@ func (m *Manager) iteRec(f, g, h Ref) Ref {
 	lo := m.iteRec(f0, g0, h0)
 	hi := m.iteRec(f1, g1, h1)
 	r := m.mk(v, lo, hi)
-	m.ite[key] = r
+	// The recursion may have grown the table: index it afresh.
+	m.ite[key&uint32(len(m.ite)-1)] = iteEntry{f, g, h, r}
 	return r
+}
+
+func (m *Manager) not(f Ref) Ref { return m.iteRec(f, False, True) }
+
+func (m *Manager) xor(f, g Ref) Ref { return m.iteRec(f, m.not(g), g) }
+
+func (m *Manager) maj(f, g, h Ref) Ref {
+	fg := m.iteRec(f, g, False)
+	fh := m.iteRec(f, h, False)
+	gh := m.iteRec(g, h, False)
+	return m.iteRec(fg, True, m.iteRec(fh, True, gh))
 }
 
 // guard converts the limit panic into ErrLimit.
 func (m *Manager) guard(f func() Ref) (r Ref, err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			if _, ok := p.(limitPanic); ok {
-				err = ErrLimit
-				return
-			}
-			panic(p)
-		}
-	}()
+	defer catchLimit(&err)
 	return f(), nil
 }
 
@@ -189,25 +258,17 @@ func (m *Manager) Or(f, g Ref) (Ref, error) {
 
 // Not computes the complement of f.
 func (m *Manager) Not(f Ref) (Ref, error) {
-	return m.guard(func() Ref { return m.iteRec(f, False, True) })
+	return m.guard(func() Ref { return m.not(f) })
 }
 
 // Xor computes f XOR g.
 func (m *Manager) Xor(f, g Ref) (Ref, error) {
-	return m.guard(func() Ref {
-		ng := m.iteRec(g, False, True)
-		return m.iteRec(f, ng, g)
-	})
+	return m.guard(func() Ref { return m.xor(f, g) })
 }
 
 // Maj computes the three-input majority.
 func (m *Manager) Maj(f, g, h Ref) (Ref, error) {
-	return m.guard(func() Ref {
-		fg := m.iteRec(f, g, False)
-		fh := m.iteRec(f, h, False)
-		gh := m.iteRec(g, h, False)
-		return m.iteRec(fg, True, m.iteRec(fh, True, gh))
-	})
+	return m.guard(func() Ref { return m.maj(f, g, h) })
 }
 
 // FromTT builds the BDD of a truth table (Shannon expansion from the top
@@ -259,7 +320,7 @@ func (m *Manager) Eval(f Ref, assignment []bool) bool {
 // CountNodes returns the number of distinct internal nodes reachable from
 // the given roots (the shared BDD size).
 func (m *Manager) CountNodes(roots []Ref) int {
-	seen := make(map[Ref]bool)
+	seen := make([]bool, len(m.nodes))
 	var stack []Ref
 	stack = append(stack, roots...)
 	count := 0
@@ -276,104 +337,71 @@ func (m *Manager) CountNodes(roots []Ref) int {
 	return count
 }
 
-// BuildNetwork constructs the BDDs of every output of a netlist. It returns
-// the manager and one root per output, or ErrLimit when the network blows
-// past the node limit.
-func BuildNetwork(n *netlist.Network, limit int) (m2 *Manager, roots2 []Ref, err2 error) {
-	defer func() {
-		if p := recover(); p != nil {
-			if _, ok := p.(limitPanic); ok {
-				m2, roots2, err2 = nil, nil, ErrLimit
-				return
-			}
-			panic(p)
-		}
-	}()
-	return buildNetwork(n, limit)
+// BuildNetwork constructs the BDDs of every output of a netlist, with the
+// inputs in declaration order. It returns the manager and one root per
+// output, or ErrLimit when the network blows past the node limit.
+func BuildNetwork(n *netlist.Network, limit int) (*Manager, []Ref, error) {
+	order := make([]int, n.NumInputs())
+	for i := range order {
+		order[i] = i
+	}
+	return BuildNetworkOrdered(n, limit, order)
 }
 
-func buildNetwork(n *netlist.Network, limit int) (*Manager, []Ref, error) {
-	m := NewManager(n.NumInputs(), limit)
-	vals := make([]Ref, len(n.Nodes))
-	var err error
+// build constructs the BDD of every output of n in m, reading input i at
+// level level[i]; vals is a work buffer with one entry per network node. It
+// returns one root per output, or ErrLimit, leaving in m the nodes
+// allocated until the limit tripped.
+func (m *Manager) build(n *netlist.Network, level []int, vals []Ref) (roots []Ref, err error) {
+	defer catchLimit(&err)
 	get := func(s netlist.Signal) Ref {
-		v := vals[s.Node()]
 		if s.Neg() {
-			nv, e := m.Not(v)
-			if e != nil {
-				err = e
-				return False
-			}
-			return nv
+			return m.not(vals[s.Node()])
 		}
-		return v
+		return vals[s.Node()]
 	}
 	inIdx := 0
 	for i, nd := range n.Nodes {
-		if err != nil {
-			return nil, nil, err
-		}
+		var v Ref
 		switch nd.Op {
 		case netlist.Const0:
-			vals[i] = False
+			v = False
 		case netlist.Input:
-			vals[i] = m.Var(inIdx)
+			v = m.Var(level[inIdx])
 			inIdx++
 		case netlist.Not:
-			vals[i], err = m.Not(get(nd.Fanins[0]))
+			v = m.not(get(nd.Fanins[0]))
 		case netlist.Buf:
-			vals[i] = get(nd.Fanins[0])
+			v = get(nd.Fanins[0])
 		case netlist.And, netlist.Nand:
-			v := True
+			v = True
 			for _, f := range nd.Fanins {
-				v, err = m.And(v, get(f))
-				if err != nil {
-					return nil, nil, err
-				}
+				v = m.iteRec(v, get(f), False)
 			}
-			if nd.Op == netlist.Nand {
-				v, err = m.Not(v)
-			}
-			vals[i] = v
 		case netlist.Or, netlist.Nor:
-			v := False
+			v = False
 			for _, f := range nd.Fanins {
-				v, err = m.Or(v, get(f))
-				if err != nil {
-					return nil, nil, err
-				}
+				v = m.iteRec(v, True, get(f))
 			}
-			if nd.Op == netlist.Nor {
-				v, err = m.Not(v)
-			}
-			vals[i] = v
 		case netlist.Xor, netlist.Xnor:
-			v := False
+			v = False
 			for _, f := range nd.Fanins {
-				v, err = m.Xor(v, get(f))
-				if err != nil {
-					return nil, nil, err
-				}
+				v = m.xor(v, get(f))
 			}
-			if nd.Op == netlist.Xnor {
-				v, err = m.Not(v)
-			}
-			vals[i] = v
 		case netlist.Maj:
-			vals[i], err = m.Maj(get(nd.Fanins[0]), get(nd.Fanins[1]), get(nd.Fanins[2]))
+			v = m.maj(get(nd.Fanins[0]), get(nd.Fanins[1]), get(nd.Fanins[2]))
 		case netlist.Mux:
-			vals[i], err = m.ITE(get(nd.Fanins[0]), get(nd.Fanins[1]), get(nd.Fanins[2]))
+			v = m.iteRec(get(nd.Fanins[0]), get(nd.Fanins[1]), get(nd.Fanins[2]))
 		}
-		if err != nil {
-			return nil, nil, err
+		switch nd.Op {
+		case netlist.Nand, netlist.Nor, netlist.Xnor:
+			v = m.not(v)
 		}
+		vals[i] = v
 	}
-	roots := make([]Ref, len(n.Outputs))
+	roots = make([]Ref, len(n.Outputs))
 	for i, o := range n.Outputs {
 		roots[i] = get(o.Sig)
-		if err != nil {
-			return nil, nil, err
-		}
 	}
-	return m, roots, nil
+	return roots, nil
 }

@@ -1,9 +1,14 @@
 package bdd
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"repro/internal/mcnc"
 	"repro/internal/netlist"
 	"repro/internal/tt"
 )
@@ -292,5 +297,141 @@ func TestEvalAgainstTT(t *testing.T) {
 				t.Fatalf("trial %d minterm %d", trial, mt)
 			}
 		}
+	}
+}
+
+// storeDigest hashes the node store in allocation order, so equal digests
+// mean every Ref names the same node.
+func storeDigest(m *Manager) string {
+	h := sha256.New()
+	var buf [12]byte
+	for _, nd := range m.nodes {
+		binary.LittleEndian.PutUint32(buf[0:], uint32(nd.varIdx))
+		binary.LittleEndian.PutUint32(buf[4:], uint32(nd.lo))
+		binary.LittleEndian.PutUint32(buf[8:], uint32(nd.hi))
+		h.Write(buf[:])
+	}
+	return fmt.Sprintf("%x", h.Sum(nil))[:16]
+}
+
+// TestBuildLimitPinned pins, for every MCNC circuit, the builds the two
+// callers make: BuildNetwork under the equivalence checker's default limit
+// and BuildNetworkOrdered under BDS's limit with the static order. Each pin
+// holds the error, NumNodes, CountNodes of the roots and a digest of the
+// node store, which fixes every Ref and, on ErrLimit, the point where the
+// limit tripped. The lossy computed table may change how long a build
+// takes, never these.
+func TestBuildLimitPinned(t *testing.T) {
+	type buildPin struct {
+		Err           error
+		Nodes, Shared int
+		Store         string
+	}
+	pins := []struct {
+		name          string
+		plain, static buildPin
+	}{
+		{"C1355", buildPin{nil, 7900, 6296, "06d3e162c998c5cf"}, buildPin{nil, 6632, 4480, "53e7012646008971"}},
+		{"C1908", buildPin{ErrLimit, 200000, 0, "a8e442869802f56b"}, buildPin{ErrLimit, 262144, 0, "2a816b973f0bd4dd"}},
+		{"C6288", buildPin{ErrLimit, 200000, 0, "db4978b98d9d227e"}, buildPin{ErrLimit, 262144, 0, "73fceb6e1d449974"}},
+		{"bigkey", buildPin{nil, 5095, 2446, "d9d33d538fc9222a"}, buildPin{nil, 7888, 4716, "478ea5511e5a04f9"}},
+		{"my_adder", buildPin{ErrLimit, 200000, 0, "da192469a5705c6c"}, buildPin{nil, 2373, 488, "6bd17d8f9271de2d"}},
+		{"cla", buildPin{ErrLimit, 200000, 0, "9002650833bc4516"}, buildPin{nil, 25015, 6560, "fc8da878e336355e"}},
+		{"dalu", buildPin{ErrLimit, 200000, 0, "db1e493a45bd3a75"}, buildPin{nil, 66865, 41561, "ceba94bfc40dbf3b"}},
+		{"b9", buildPin{nil, 2033, 1119, "760624a10adbdd8d"}, buildPin{nil, 1474, 790, "aa7e5f1f1a72dcd5"}},
+		{"count", buildPin{nil, 975, 222, "91f57e2c40011bcf"}, buildPin{nil, 447, 216, "c5c85d77b361ad0a"}},
+		{"alu4", buildPin{nil, 1065, 491, "4987fca1ba353b0d"}, buildPin{nil, 1912, 723, "652796fc35bb9355"}},
+		{"clma", buildPin{ErrLimit, 200000, 0, "39b730ebabc1ec75"}, buildPin{ErrLimit, 262144, 0, "59b71d400f177fef"}},
+		{"mm30a", buildPin{ErrLimit, 200000, 0, "fa3b205d609a4459"}, buildPin{ErrLimit, 262144, 0, "dff1d8934b9971c4"}},
+		{"s38417", buildPin{nil, 58488, 23473, "d124328e50975a8f"}, buildPin{nil, 62307, 25288, "070f97332e4af390"}},
+		{"misex3", buildPin{nil, 11107, 2998, "cc962240f462ef0c"}, buildPin{nil, 9433, 2626, "7c1bb536fc8574bb"}},
+	}
+	for _, p := range pins {
+		n, err := mcnc.Generate(p.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []struct {
+			limit int
+			order []int // nil: BuildNetwork's declaration order
+			want  buildPin
+		}{{200_000, nil, p.plain}, {1 << 18, StaticOrder(n), p.static}} {
+			var m *Manager
+			var roots []Ref
+			level := make([]int, n.NumInputs())
+			if c.order == nil {
+				m, roots, err = BuildNetwork(n, c.limit)
+				for i := range level {
+					level[i] = i
+				}
+			} else {
+				m, roots, err = BuildNetworkOrdered(n, c.limit, c.order)
+				for k, v := range c.order {
+					level[v] = k
+				}
+			}
+			what := fmt.Sprintf("%s, limit %d, static order %v", p.name, c.limit, c.order != nil)
+			got := buildPin{Err: err}
+			if err == nil {
+				got.Nodes, got.Shared, got.Store = m.NumNodes(), m.CountNodes(roots), storeDigest(m)
+				// A second build into the same manager finds every node,
+				// and one after a reset allocates them all again in order.
+				again, err := m.build(n, level, make([]Ref, len(n.Nodes)))
+				if err != nil || !slices.Equal(again, roots) || m.NumNodes() != got.Nodes {
+					t.Errorf("%s: rebuild gave %v with %d nodes, want the same roots with %d", what, err, m.NumNodes(), got.Nodes)
+				}
+				m.reset()
+				again, err = m.build(n, level, make([]Ref, len(n.Nodes)))
+				if err != nil || !slices.Equal(again, roots) || storeDigest(m) != got.Store {
+					t.Errorf("%s: build after reset gave %v and a different store", what, err)
+				}
+			} else {
+				if m != nil || roots != nil {
+					t.Errorf("%s: %v returned with a manager or roots", what, err)
+				}
+				// The exported call drops the manager: build again to read
+				// the store where the limit tripped.
+				m = NewManager(n.NumInputs(), c.limit)
+				_, err = m.build(n, level, make([]Ref, len(n.Nodes)))
+				got.Nodes, got.Store = m.NumNodes(), storeDigest(m)
+				if err != ErrLimit {
+					t.Errorf("%s: rebuild gave %v after ErrLimit", what, err)
+				}
+			}
+			if got != c.want {
+				t.Errorf("%s: got %+v, want %+v", what, got, c.want)
+			}
+		}
+	}
+}
+
+// BenchmarkBuildNetwork measures whole-network builds under BDS's limit:
+// dalu with the static order, which succeeds, and my_adder with the
+// declaration order, which trips the limit.
+func BenchmarkBuildNetwork(b *testing.B) {
+	for _, c := range []struct {
+		name    string
+		static  bool
+		wantErr error
+	}{{"dalu", true, nil}, {"my_adder", false, ErrLimit}} {
+		n, err := mcnc.Generate(c.name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		order := StaticOrder(n)
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var err error
+				if c.static {
+					_, _, err = BuildNetworkOrdered(n, 1<<18, order)
+				} else {
+					_, _, err = BuildNetwork(n, 1<<18)
+				}
+				if err != c.wantErr {
+					b.Fatalf("got %v, want %v", err, c.wantErr)
+				}
+			}
+		})
 	}
 }

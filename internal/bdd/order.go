@@ -61,8 +61,16 @@ func SiftOrder(n *netlist.Network, limit, maxVars int) []int {
 	if len(order) > maxVars {
 		return order
 	}
+	// Every trial rebuilds into one manager, reset in between.
+	m := NewManager(n.NumInputs(), limit)
+	vals := make([]Ref, len(n.Nodes))
+	level := make([]int, len(order))
 	size := func(ord []int) int {
-		m, roots, err := BuildNetworkOrdered(n, limit, ord)
+		for k, v := range ord {
+			level[v] = k
+		}
+		m.reset()
+		roots, err := m.build(n, level, vals)
 		if err != nil {
 			return 1 << 30
 		}
@@ -103,102 +111,15 @@ func SiftOrder(n *netlist.Network, limit, maxVars int) []int {
 
 // BuildNetworkOrdered is BuildNetwork with an explicit variable order:
 // order[k] gives the input index assigned to BDD level k.
-func BuildNetworkOrdered(n *netlist.Network, limit int, order []int) (m2 *Manager, roots2 []Ref, err2 error) {
-	defer func() {
-		if p := recover(); p != nil {
-			if _, ok := p.(limitPanic); ok {
-				m2, roots2, err2 = nil, nil, ErrLimit
-				return
-			}
-			panic(p)
-		}
-	}()
+func BuildNetworkOrdered(n *netlist.Network, limit int, order []int) (*Manager, []Ref, error) {
 	level := make([]int, len(order)) // input index -> level
 	for k, v := range order {
 		level[v] = k
 	}
 	m := NewManager(n.NumInputs(), limit)
-	m.varToInput = append([]int(nil), order...)
-	vals := make([]Ref, len(n.Nodes))
-	inIdx := 0
-	var err error
-	get := func(s netlist.Signal) Ref {
-		v := vals[s.Node()]
-		if s.Neg() {
-			nv, e := m.Not(v)
-			if e != nil {
-				err = e
-				return False
-			}
-			return nv
-		}
-		return v
-	}
-	for i, nd := range n.Nodes {
-		if err != nil {
-			return nil, nil, err
-		}
-		switch nd.Op {
-		case netlist.Const0:
-			vals[i] = False
-		case netlist.Input:
-			vals[i] = m.Var(level[inIdx])
-			inIdx++
-		case netlist.Not:
-			vals[i], err = m.Not(get(nd.Fanins[0]))
-		case netlist.Buf:
-			vals[i] = get(nd.Fanins[0])
-		case netlist.And, netlist.Nand:
-			v := True
-			for _, f := range nd.Fanins {
-				v, err = m.And(v, get(f))
-				if err != nil {
-					return nil, nil, err
-				}
-			}
-			if nd.Op == netlist.Nand {
-				v, err = m.Not(v)
-			}
-			vals[i] = v
-		case netlist.Or, netlist.Nor:
-			v := False
-			for _, f := range nd.Fanins {
-				v, err = m.Or(v, get(f))
-				if err != nil {
-					return nil, nil, err
-				}
-			}
-			if nd.Op == netlist.Nor {
-				v, err = m.Not(v)
-			}
-			vals[i] = v
-		case netlist.Xor, netlist.Xnor:
-			v := False
-			for _, f := range nd.Fanins {
-				v, err = m.Xor(v, get(f))
-				if err != nil {
-					return nil, nil, err
-				}
-			}
-			if nd.Op == netlist.Xnor {
-				v, err = m.Not(v)
-			}
-			vals[i] = v
-		case netlist.Maj:
-			vals[i], err = m.Maj(get(nd.Fanins[0]), get(nd.Fanins[1]), get(nd.Fanins[2]))
-		case netlist.Mux:
-			vals[i], err = m.ITE(get(nd.Fanins[0]), get(nd.Fanins[1]), get(nd.Fanins[2]))
-		}
-		if err != nil {
-			return nil, nil, err
-		}
-	}
-	roots := make([]Ref, len(n.Outputs))
-	for i, o := range n.Outputs {
-		roots[i] = get(o.Sig)
-		if err != nil {
-			return nil, nil, err
-		}
+	roots, err := m.build(n, level, make([]Ref, len(n.Nodes)))
+	if err != nil {
+		return nil, nil, err
 	}
 	return m, roots, nil
 }

@@ -2,8 +2,10 @@ package bdd
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
+	"repro/internal/mcnc"
 	"repro/internal/netlist"
 )
 
@@ -174,6 +176,49 @@ func TestSiftOrderSkipsLargeCircuits(t *testing.T) {
 	for i := range order {
 		if order[i] != static[i] {
 			t.Fatal("large circuit should keep the static order")
+		}
+	}
+}
+
+// TestSiftOrderPinned pins the order sifting picks, and the shared size it
+// reaches, on the MCNC circuits BDS sifts (at most 16 inputs). Every trial
+// rebuilds into one manager reset in between, so anything a reset leaves
+// behind moves them.
+func TestSiftOrderPinned(t *testing.T) {
+	pins := []struct {
+		name   string
+		order  []int
+		shared int
+	}{
+		{"alu4", []int{12, 0, 13, 8, 9, 4, 11, 10, 1, 5, 2, 6, 3, 7}, 594},
+		{"misex3", []int{11, 13, 8, 4, 9, 10, 2, 7, 6, 12, 1, 5, 3, 0}, 2259},
+	}
+	for _, p := range pins {
+		n, err := mcnc.Generate(p.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		order := SiftOrder(n, 1<<18, 16)
+		m, roots, err := BuildNetworkOrdered(n, 1<<18, order)
+		if err != nil {
+			t.Fatalf("%s: %v", p.name, err)
+		}
+		if !slices.Equal(order, p.order) || m.CountNodes(roots) != p.shared {
+			t.Errorf("%s: sifted to %v with %d nodes, want %v with %d", p.name, order, m.CountNodes(roots), p.order, p.shared)
+		}
+	}
+}
+
+// BenchmarkSiftOrder measures rebuild-based sifting on a 14-input circuit.
+func BenchmarkSiftOrder(b *testing.B) {
+	n, err := mcnc.Generate("alu4")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if order := SiftOrder(n, 1<<18, 16); len(order) != n.NumInputs() {
+			b.Fatalf("order of %d inputs, want %d", len(order), n.NumInputs())
 		}
 	}
 }

@@ -307,22 +307,18 @@ func bitString(bits []bool) string {
 }
 
 func checkBDD(a, b *netlist.Network, limit int) (Result, bool) {
+	// Each side is built in its own manager, so Refs cannot be compared
+	// directly: both use the declaration order of the inputs, and equal
+	// functions then have isomorphic reduced diagrams.
 	ma, ra, err := bdd.BuildNetwork(a, limit)
 	if err != nil {
 		return Result{}, false
 	}
-	// Build b in the same manager name-space by re-running on a fresh
-	// manager and comparing canonical refs is not possible across managers;
-	// instead build a miter-style combined network.
 	mb, rb, err := bdd.BuildNetwork(b, limit)
 	if err != nil {
 		return Result{}, false
 	}
-	// Compare structurally: canonical BDDs over the same variable order are
-	// equal iff a traversal-based isomorphism holds. Cheapest: rebuild b's
-	// roots inside a's manager via Eval-directed construction is expensive;
-	// instead compare sizes first, then verify with simulation inside the
-	// managers.
+	// Different shared sizes already tell the functions apart.
 	if ma.CountNodes(ra) != mb.CountNodes(rb) {
 		return Result{Equivalent: false, Method: MethodBDD, Detail: "BDD sizes differ"}, true
 	}

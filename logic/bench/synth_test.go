@@ -1,6 +1,8 @@
 package bench
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"testing"
 
 	"repro/internal/equiv"
@@ -72,6 +74,33 @@ func TestBDSOptimizePreservesFunction(t *testing.T) {
 		}
 		if !res.Equivalent {
 			t.Errorf("%s: BDS decomposition broke function", name)
+		}
+	}
+}
+
+// TestBDSOutputPinned pins the BLIF bytes BDS writes for table1's seven
+// circuits, misex3 (rebuild-based sifting) and C1908 (the declaration-order
+// build trips the limit).
+func TestBDSOutputPinned(t *testing.T) {
+	pins := []struct{ name, sha256 string }{
+		{"C1355", "0986a6c18c7e8585bbaa4b45887cad0531bf9a00e7a484c5bd5c369e8172a967"},
+		{"my_adder", "c15ff6177fad7cf3611249a531be5ed67164262dcb4338f80520d44943e0ca89"},
+		{"cla", "a8d2a9112fdbc29d4fd7d5e4a49a53a85159a63c9fd6b6c5d3863b971a998130"},
+		{"dalu", "faed3b52a98a35922b0a6acd32484b24ab5e5948b29fdd874d918b937964ec0d"},
+		{"b9", "21109de2674a654e5e6559a23e54f08b936ce8dde9c8e22472df23326c11ca7f"},
+		{"count", "14322ca4247a63dee8ae44f19c894bfccc972891b9ce46697497b006af5a2616"},
+		{"alu4", "579ec85685da1fbeb493b974539f45b97161963895af72be50070caf50bca2ef"},
+		{"misex3", "163cae9f0f6cb0575f70b0838487c6339463bd8da2d71dc072099e822af6de41"},
+		{"C1908", "3d915d307546cef720f35d270bdfafad9cc57ce9be297ae3c3a61570f0a96893"},
+	}
+	for _, pin := range pins {
+		d, metrics := BDSOptimize(getBench(t, pin.name), 1<<18)
+		if !metrics.OK {
+			t.Errorf("%s: BDS failed", pin.name)
+			continue
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(logic.FromNetlist(d).EncodeBLIF()))); got != pin.sha256 {
+			t.Errorf("%s: BDS BLIF sha256 %s, want %s", pin.name, got, pin.sha256)
 		}
 	}
 }

@@ -22,6 +22,7 @@ import (
 	"repro/internal/mcnc"
 	"repro/internal/mig"
 	"repro/internal/netlist"
+	"repro/internal/opt"
 	"repro/logic"
 	"repro/logic/bench"
 )
@@ -154,8 +155,8 @@ func BenchmarkCompress(b *testing.B) {
 	n := mcnc.Compress(600)
 	var mm, am bench.OptMetrics
 	for i := 0; i < b.N; i++ {
-		_, mm = bench.MIGOptimize(n, 2)
-		_, am = bench.AIGOptimize(n, 1)
+		_, mm = bench.MIGOptimize(n, bench.Config{Effort: 2})
+		_, am = bench.AIGOptimize(n, bench.Config{AIGRounds: 1})
 	}
 	b.ReportMetric(float64(mm.Size), "mig-size")
 	b.ReportMetric(float64(mm.Depth), "mig-depth")
@@ -179,7 +180,7 @@ func BenchmarkAblationDepthNoReshape(b *testing.B) {
 	m.AddOutput("p", acc)
 	var full, bare int
 	for i := 0; i < b.N; i++ {
-		full = mig.OptimizeDepth(m, 3).Depth()
+		full = mustRun(b, mig.DepthPipeline(3), m).Depth()
 		// Pure push-up: no reshape, no elimination between cycles.
 		cur := m.Cleanup()
 		for it := 0; it < 64; it++ {
@@ -212,7 +213,7 @@ func BenchmarkAblationSizeNoRelevance(b *testing.B) {
 	}
 	var with, without int
 	for i := 0; i < b.N; i++ {
-		with = mig.OptimizeSize(m, 3).Size()
+		with = mustRun(b, mig.SizePipeline(3), m).Size()
 		e := m.Cleanup()
 		for c := 0; c < 3; c++ {
 			e = e.EliminatePass(0)
@@ -228,7 +229,7 @@ func BenchmarkAblationSizeNoRelevance(b *testing.B) {
 // same optimized MIG is mapped with and without majority cells.
 func BenchmarkAblationMapperNoMaj(b *testing.B) {
 	n := getBench(b, "cla")
-	m, _ := bench.MIGOptimize(n, 3)
+	m, _ := bench.MIGOptimize(n, bench.Config{Effort: 3})
 	net := m.ToNetwork()
 	var withMaj, noMaj *mapping.Result
 	for i := 0; i < b.N; i++ {
@@ -249,13 +250,23 @@ func BenchmarkAblationAIGBaseline(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		a := aig.FromNetwork(n)
 		raw = a.Size()
-		opt = aig.Resyn2(a, 2).Size()
+		opt = mustRun(b, aig.Resyn2Pipeline(2), a).Size()
 	}
 	b.ReportMetric(float64(raw), "aig-raw-size")
 	b.ReportMetric(float64(opt), "aig-resyn2-size")
 }
 
 // --- Core micro-benchmarks ----------------------------------------------
+
+// mustRun runs a canned pipeline on g.
+func mustRun[G opt.Graph](tb testing.TB, p *opt.Pipeline[G], g G) G {
+	tb.Helper()
+	out, _, err := p.Run(g)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return out
+}
 
 // BenchmarkMIGConstruction measures strashed MIG construction throughput.
 func BenchmarkMIGConstruction(b *testing.B) {
@@ -271,7 +282,7 @@ func BenchmarkMIGDepthOpt(b *testing.B) {
 	m := mig.FromNetwork(getBench(b, "C6288"))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mig.OptimizeDepth(m, 1)
+		mustRun(b, mig.DepthPipeline(1), m)
 	}
 }
 
@@ -280,13 +291,13 @@ func BenchmarkAIGResyn2(b *testing.B) {
 	a := aig.FromNetwork(getBench(b, "C6288"))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		aig.Resyn2(a, 1)
+		mustRun(b, aig.Resyn2Pipeline(1), a)
 	}
 }
 
 // BenchmarkMapping measures the technology mapper.
 func BenchmarkMapping(b *testing.B) {
-	m, _ := bench.MIGOptimize(getBench(b, "C6288"), 2)
+	m, _ := bench.MIGOptimize(getBench(b, "C6288"), bench.Config{Effort: 2})
 	net := m.ToNetwork()
 	lib := mapping.Default22nm()
 	b.ResetTimer()
@@ -300,8 +311,8 @@ func BenchmarkMapping(b *testing.B) {
 // MIG/AIG area ratio must improve when majority is the native gate.
 func BenchmarkAblationMajorityNative(b *testing.B) {
 	n := getBench(b, "my_adder")
-	m, _ := bench.MIGOptimize(n, 3)
-	a, _ := bench.AIGOptimize(n, 2)
+	m, _ := bench.MIGOptimize(n, bench.Config{Effort: 3})
+	a, _ := bench.AIGOptimize(n, bench.Config{AIGRounds: 2})
 	migNet, aigNet := m.ToNetwork(), a.ToNetwork()
 	var cmosRatio, nanoRatio float64
 	for i := 0; i < b.N; i++ {

@@ -168,12 +168,19 @@ func main() {
 			p.K, p.Cut, mig, aig, p.PartitionSeconds, p.StitchSeconds)
 	}
 
-	// The first trace step carries the input MIG's metrics, so the
-	// before/after line costs no extra graph construction. An empty
-	// trace (-opt none) means the output IS the unoptimized MIG.
+	// Both halves of the before/after line count MIG nodes. The first
+	// step of an unpartitioned trace starts from the input MIG, so its
+	// metrics cost no extra graph construction; a partitioned trace starts
+	// inside window 0, so the input MIG is built here. An empty trace
+	// (-opt none) means the output IS the unoptimized MIG.
 	before := fmt.Sprintf("size=%d depth=%d activity=%.2f",
 		optimized.Size(), optimized.Depth(), optimized.Activity(nil))
-	if len(res.Trace) > 0 {
+	switch {
+	case res.Partition != nil:
+		in := logic.ToMIG(net.Remajorize())
+		before = fmt.Sprintf("size=%d depth=%d activity=%.2f",
+			in.Size(), in.Depth(), in.Activity(nil))
+	case len(res.Trace) > 0:
 		st := res.Trace[0]
 		before = fmt.Sprintf("size=%d depth=%d activity=%.2f",
 			st.SizeBefore, st.DepthBefore, st.ActivityBefore)

@@ -84,11 +84,17 @@
 //     reshape-depth, pushup, activity, cut-rewrite, window-rewrite,
 //     rewrite-npn, fraig and cleanup, and exposes
 //     Algorithm 1 (SizePipeline), Algorithm 2 (DepthPipeline), the §V.A
-//     experimental flow (FlowPipeline), the §IV.C activity flow
-//     (ActivityPipeline) and the Boolean extension (BooleanSizePipeline)
-//     as canned pipelines; mig.Optimize and friends run them.
+//     experimental flow (FlowPipeline) and the §IV.C activity flow
+//     (ActivityPipeline) as canned pipelines.
 //   - internal/aig registers balance, rewrite, refactor, fraig and cleanup,
 //     and exposes the resyn2 recipe as Resyn2Pipeline.
+//   - internal/flow is where an objective becomes a pipeline. A flow.Spec
+//     (objective, effort, AIG rounds, script, fraig and NPN appends,
+//     activity profile) resolves to the MIG or AIG pipeline that runs it;
+//     it alone knows the objective names and the defaults (the §V.A flow
+//     at effort 3, two resyn2 rounds). logic.Session, the partition
+//     engine's per-window candidates, the partition(k, effort) meta-pass
+//     and the logic/bench legs all run what it resolves.
 //   - Textual pass scripts ("eliminate(8); reshape-depth; eliminate")
 //     compile to pipelines via opt.Parse; the mighty CLI exposes this
 //     through -script and -list-passes.

@@ -35,7 +35,7 @@ func TestFullPipelineVerilog(t *testing.T) {
 			t.Fatalf("%s: parse: %v", name, err)
 		}
 		m := mig.FromNetwork(parsed.Remajorize())
-		opt := mig.Optimize(m, 2)
+		opt := mustRun(t, mig.FlowPipeline(2), m)
 		res, err := equiv.Check(orig, opt.ToNetwork(), equiv.Options{SimRounds: 32})
 		if err != nil {
 			t.Fatal(err)
@@ -70,7 +70,7 @@ func TestFullPipelineBLIF(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := mig.FromNetwork(parsed.Remajorize())
-	opt := mig.OptimizeSize(m, 2)
+	opt := mustRun(t, mig.SizePipeline(2), m)
 	res, err := equiv.Check(orig, opt.ToNetwork(), equiv.Options{SimRounds: 32})
 	if err != nil {
 		t.Fatal(err)
@@ -87,8 +87,8 @@ func TestCrossRepresentationAgreement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, _ := bench.MIGOptimize(n, 2)
-	a, _ := bench.AIGOptimize(n, 1)
+	m, _ := bench.MIGOptimize(n, bench.Config{Effort: 2})
+	a, _ := bench.AIGOptimize(n, bench.Config{AIGRounds: 1})
 	d, dm := bench.BDSOptimize(n, 1<<18)
 	if !dm.OK {
 		t.Fatal("BDS failed on alu4")
@@ -115,7 +115,7 @@ func TestMutationDetection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, _ := bench.MIGOptimize(n, 2)
+	m, _ := bench.MIGOptimize(n, bench.Config{Effort: 2})
 	good := m.ToNetwork()
 	r := rand.New(rand.NewSource(42))
 	caught, total := 0, 0
@@ -200,7 +200,7 @@ func TestMapperLibrarySensitivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, _ := bench.MIGOptimize(n, 2)
+	m, _ := bench.MIGOptimize(n, bench.Config{Effort: 2})
 	net := m.ToNetwork()
 	with := mapping.Map(net, mapping.Default22nm(), nil)
 	without := mapping.Map(net, mapping.NoMajLibrary(), nil)

@@ -276,7 +276,8 @@ func (a *AIG) OutputWords(inputs []uint64) []uint64 {
 }
 
 // Probabilities returns per-node signal probabilities under an independence
-// assumption (inputs at 0.5 when inputProbs is nil).
+// assumption (an input past the end of inputProbs, every input when it is
+// nil, at 0.5).
 func (a *AIG) Probabilities(inputProbs []float64) []float64 {
 	p := make([]float64, len(a.nodes))
 	get := func(s Signal) float64 {
@@ -292,10 +293,9 @@ func (a *AIG) Probabilities(inputProbs []float64) []float64 {
 		case kindConst:
 			p[i] = 0
 		case kindPI:
-			if inputProbs != nil {
+			p[i] = 0.5
+			if inIdx < len(inputProbs) {
 				p[i] = inputProbs[inIdx]
-			} else {
-				p[i] = 0.5
 			}
 			inIdx++
 		case kindAnd:

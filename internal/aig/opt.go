@@ -261,11 +261,3 @@ func (a *AIG) cutResynth(k, maxCuts int) *AIG {
 	}
 	return out
 }
-
-// Resyn2 runs the balance–rewrite–refactor script to a fixpoint bounded by
-// rounds, mirroring ABC's resyn2 recipe, and returns the best AIG found
-// (smallest size, then depth). The recipe is the Resyn2Pipeline composition
-// of registered passes.
-func Resyn2(a *AIG, rounds int) *AIG {
-	return run(Resyn2Pipeline(rounds), a)
-}

@@ -61,15 +61,6 @@ func Resyn2Pipeline(rounds int) *opt.Pipeline[*AIG] {
 	return &opt.Pipeline[*AIG]{Passes: []opt.Pass[*AIG]{passCleanup(), resyn2Best(rounds)}}
 }
 
-// run executes a canned pipeline (no checker attached, so it cannot fail).
-func run(p *opt.Pipeline[*AIG], a *AIG) *AIG {
-	res, _, err := p.Run(a)
-	if err != nil {
-		panic("aig: canned pipeline failed: " + err.Error())
-	}
-	return res
-}
-
 var registry = buildRegistry()
 
 // Passes returns the registry of named AIG passes available to pass

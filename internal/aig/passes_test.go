@@ -11,6 +11,16 @@ import (
 	"repro/internal/opt"
 )
 
+// runPipeline runs a canned pipeline on a.
+func runPipeline(t testing.TB, p *opt.Pipeline[*AIG], a *AIG) *AIG {
+	t.Helper()
+	res, _, err := p.Run(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // The resyn2 pipeline and a scripted recipe keep per-pass equivalence on a
 // real circuit.
 func TestAIGPipelinesPreserveEquivalence(t *testing.T) {
@@ -79,7 +89,7 @@ func TestResyn2OutputPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := run(Resyn2Pipeline(2).Append(passBalance()), FromNetwork(n))
+		res := runPipeline(t, Resyn2Pipeline(2).Append(passBalance()), FromNetwork(n))
 		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(blif.Write(res.ToNetwork())))); got != pin.sha256 {
 			t.Errorf("%s: resyn2+balance BLIF sha256 %s, want %s", pin.name, got, pin.sha256)
 		}

@@ -219,29 +219,6 @@ func ActivityPipeline(effort int, inputProbs []float64) *opt.Pipeline[*MIG] {
 	}}
 }
 
-// BooleanSizePipeline interleaves cut-based functional rewriting with one
-// Algorithm 1 cycle per round, best result by (size, depth).
-func BooleanSizePipeline(effort int) *opt.Pipeline[*MIG] {
-	return &opt.Pipeline[*MIG]{Passes: []opt.Pass[*MIG]{
-		passCleanup(),
-		opt.Best("boolean-size", effort, betterBySizeDepth, func(cycle int) []opt.Pass[*MIG] {
-			return []opt.Pass[*MIG]{passCutRewrite(), sizeBest(1)}
-		}),
-	}}
-}
-
-// run executes a canned pipeline. Canned pipelines carry no checker, so the
-// run cannot fail (every pass is a sound Ω/Ψ rewrite; soundness is enforced
-// by the tests, and callers wanting runtime verification set Pipeline.Check
-// themselves).
-func run(p *opt.Pipeline[*MIG], m *MIG) *MIG {
-	res, _, err := p.Run(m)
-	if err != nil {
-		panic("mig: canned pipeline failed: " + err.Error())
-	}
-	return res
-}
-
 // registry is built once; Passes exposes it to the script front-end.
 var registry = buildRegistry()
 

@@ -18,6 +18,16 @@ func migFor(t *testing.T, name string) *MIG {
 	return FromNetwork(n)
 }
 
+// runPipeline runs a canned pipeline on m.
+func runPipeline(t testing.TB, p *opt.Pipeline[*MIG], m *MIG) *MIG {
+	t.Helper()
+	res, _, err := p.Run(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // Every canned pipeline must keep functional equivalence after every single
 // pass on real MCNC circuits (this is the per-step guarantee the engine's
 // Check hook enforces at runtime).
@@ -27,7 +37,6 @@ func TestCannedPipelinesPreserveEquivalence(t *testing.T) {
 		"depth":    DepthPipeline(2),
 		"flow":     FlowPipeline(2),
 		"activity": ActivityPipeline(1, nil),
-		"boolean":  BooleanSizePipeline(1),
 	}
 	for _, bench := range []string{"b9", "count", "my_adder"} {
 		for label, p := range pipelines {
@@ -64,7 +73,7 @@ func TestScriptMatchesCannedCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	canned := OptimizeSize(m, 1)
+	canned := runPipeline(t, SizePipeline(1), m)
 	if scripted.Size() != canned.Size() || scripted.Depth() != canned.Depth() {
 		t.Fatalf("script (%d, %d) != canned cycle (%d, %d)",
 			scripted.Size(), scripted.Depth(), canned.Size(), canned.Depth())

@@ -12,8 +12,9 @@ package mig
 // independent consecutive evaluations differ), and the activity of the MIG
 // is the sum over live majority nodes.
 
-// Probabilities returns the signal probability of every node. inputProbs
-// may be nil, in which case every input has probability 0.5.
+// Probabilities returns the signal probability of every node. An input
+// past the end of inputProbs (every input, when it is nil) has
+// probability 0.5.
 func (m *MIG) Probabilities(inputProbs []float64) []float64 {
 	p := make([]float64, len(m.nodes))
 	get := func(s Signal) float64 {
@@ -29,10 +30,9 @@ func (m *MIG) Probabilities(inputProbs []float64) []float64 {
 		case kindConst:
 			p[i] = 0
 		case kindPI:
-			if inputProbs != nil {
+			p[i] = 0.5
+			if inIdx < len(inputProbs) {
 				p[i] = inputProbs[inIdx]
-			} else {
-				p[i] = 0.5
 			}
 			inIdx++
 		case kindMaj:

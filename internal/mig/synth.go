@@ -318,11 +318,3 @@ func (m *MIG) RewritePass() *MIG {
 	}
 	return out
 }
-
-// OptimizeSizeBoolean interleaves the algebraic size optimization with
-// cut-based functional rewriting, typically reaching smaller MIGs than
-// Algorithm 1 alone. The algorithm is the BooleanSizePipeline composition
-// of registered passes.
-func OptimizeSizeBoolean(m *MIG, effort int) *MIG {
-	return run(BooleanSizePipeline(effort), m)
-}

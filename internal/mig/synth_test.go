@@ -134,31 +134,6 @@ func TestRewritePassEquivalenceAndGain(t *testing.T) {
 	}
 }
 
-func TestOptimizeSizeBooleanBeatsAlgebraicOnXor(t *testing.T) {
-	// An XOR ladder built in redundant form: functional rewriting finds the
-	// compact parity structures that algebra alone struggles with.
-	m := New("x")
-	var xs []Signal
-	for i := 0; i < 6; i++ {
-		xs = append(xs, m.AddInput("x"))
-	}
-	// Redundant construction: (a'b + ab') per stage.
-	acc := xs[0]
-	for i := 1; i < 6; i++ {
-		and1 := m.And(acc.Not(), xs[i])
-		and2 := m.And(acc, xs[i].Not())
-		acc = m.Or(and1, and2)
-	}
-	m.AddOutput("p", acc)
-	alg := OptimizeSize(m, 3)
-	boo := OptimizeSizeBoolean(m, 3)
-	checkEquiv(t, m, boo, "OptimizeSizeBoolean")
-	if boo.Size() > alg.Size() {
-		t.Errorf("boolean opt (%d) worse than algebraic (%d)", boo.Size(), alg.Size())
-	}
-	t.Logf("xor ladder: initial %d, algebraic %d, boolean %d", m.Size(), alg.Size(), boo.Size())
-}
-
 func TestQuickSynthesizeTT(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 60}
 	prop := func(w uint64) bool {

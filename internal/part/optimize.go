@@ -10,10 +10,12 @@ package part
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
 	"repro/internal/aig"
+	"repro/internal/flow"
 	"repro/internal/mig"
 	"repro/internal/netlist"
 	"repro/internal/opt"
@@ -21,8 +23,8 @@ import (
 	"repro/internal/sweep"
 )
 
-// Config configures a partitioned optimization run. The zero value means:
-// k=4, the fixed default seed, effort 3, AIG rounds 2, objective "flow".
+// Config configures a partitioned optimization run. The zero value means
+// k=4, the fixed default seed and the flow defaults of internal/flow.
 type Config struct {
 	// K is the requested partition count (clamped; see Options.K).
 	K int
@@ -33,19 +35,13 @@ type Config struct {
 	// Workers caps the window-parallel worker pool; 0 reads the context
 	// budget (opt.WorkersCtx).
 	Workers int
-	// Effort is the canned-flow effort for both representations.
-	Effort int
-	// AIGRounds is the resyn2 iteration count of the AIG candidate flow.
-	AIGRounds int
-	// Objective scores the MIG-vs-AIG duel and selects the canned MIG
-	// flow: "size", "depth", "activity", "flow" or "none" ("none" skips
-	// the AIG leg — there is nothing to score).
-	Objective string
-	// MIGScript, when set, replaces the canned MIG flow (the AIG leg
-	// keeps the resyn2 baseline).
-	MIGScript string
-	// AIGScript, when set, replaces the canned AIG flow.
-	AIGScript string
+	// Flow configures both window candidates. The MIG candidate runs
+	// Flow.MIG(); the AIG candidate runs the same spec without its script
+	// (a script replaces only the MIG flow). The objective also scores
+	// the MIG-vs-AIG duel ("none" skips the AIG candidate: there is
+	// nothing to score). Flow.Probs must be empty: a window's inputs are
+	// boundary signals, not the circuit's inputs.
+	Flow flow.Spec
 }
 
 // PartStat reports one window's optimization.
@@ -99,26 +95,13 @@ func Optimize(ctx context.Context, n *netlist.Network, cfg Config) (*netlist.Net
 	if cfg.K <= 0 {
 		cfg.K = 4
 	}
-	if cfg.Effort <= 0 {
-		cfg.Effort = 3
+	if len(cfg.Flow.Probs) > 0 {
+		return nil, nil, errors.New("part: an input probability profile does not apply to partitioned runs (window inputs are boundary signals)")
 	}
-	if cfg.AIGRounds <= 0 {
-		cfg.AIGRounds = 2
-	}
-	if cfg.Objective == "" {
-		cfg.Objective = "flow"
-	}
-	// Compile scripts once, up front: a script error should fail the run
-	// before any parallel work starts.
-	if cfg.MIGScript != "" {
-		if _, err := mig.ParseScript(cfg.MIGScript); err != nil {
-			return nil, nil, err
-		}
-	}
-	if cfg.AIGScript != "" {
-		if _, err := aig.ParseScript(cfg.AIGScript); err != nil {
-			return nil, nil, err
-		}
+	// Resolve the flow once, up front: an unknown objective or a script
+	// error should fail the run before any parallel work starts.
+	if _, err := cfg.Flow.MIG(); err != nil {
+		return nil, nil, err
 	}
 
 	pstart := time.Now()
@@ -202,7 +185,7 @@ func optimizeWindow(ctx context.Context, w *Window, cfg Config) winResult {
 		DepthBefore: w.Net.Depth(),
 	}
 
-	migPipe, err := migPipeline(cfg)
+	migPipe, err := cfg.Flow.MIG()
 	if err != nil {
 		return winResult{err: err}
 	}
@@ -213,8 +196,10 @@ func optimizeWindow(ctx context.Context, w *Window, cfg Config) winResult {
 	migNet := migOut.ToNetwork()
 
 	rep, net, trace := "mig", migNet, migTrace
-	if cfg.Objective != "none" {
-		aigPipe, err := aigPipeline(cfg)
+	if cfg.Flow.Objective != "none" {
+		aigFlow := cfg.Flow
+		aigFlow.Script = ""
+		aigPipe, err := aigFlow.AIG()
 		if err != nil {
 			return winResult{err: err}
 		}
@@ -222,7 +207,7 @@ func optimizeWindow(ctx context.Context, w *Window, cfg Config) winResult {
 		if err != nil {
 			return winResult{err: err}
 		}
-		if aigNet := aigOut.ToNetwork(); betterNet(cfg.Objective, aigNet, migNet) {
+		if aigNet := aigOut.ToNetwork(); betterNet(cfg.Flow.Objective, aigNet, migNet) {
 			rep, net, trace = "aig", aigNet, aigTrace
 		}
 	}
@@ -236,34 +221,6 @@ func optimizeWindow(ctx context.Context, w *Window, cfg Config) winResult {
 		trace[i].Pass = rep + ":" + trace[i].Pass
 	}
 	return winResult{net: net, stat: stat, trace: trace}
-}
-
-// migPipeline builds the window's MIG candidate flow.
-func migPipeline(cfg Config) (*opt.Pipeline[*mig.MIG], error) {
-	if cfg.MIGScript != "" {
-		return mig.ParseScript(cfg.MIGScript)
-	}
-	switch cfg.Objective {
-	case "size":
-		return mig.SizePipeline(cfg.Effort), nil
-	case "depth":
-		return mig.DepthPipeline(cfg.Effort), nil
-	case "activity":
-		return mig.ActivityPipeline(cfg.Effort, nil), nil
-	case "none":
-		return &opt.Pipeline[*mig.MIG]{}, nil
-	default:
-		return mig.FlowPipeline(cfg.Effort), nil
-	}
-}
-
-// aigPipeline builds the window's AIG candidate flow: the resyn2 baseline
-// plus a final balance, or the configured script.
-func aigPipeline(cfg Config) (*opt.Pipeline[*aig.AIG], error) {
-	if cfg.AIGScript != "" {
-		return aig.ParseScript(cfg.AIGScript)
-	}
-	return aig.Resyn2Pipeline(cfg.AIGRounds).Append(aig.Passes().MustNew("balance")), nil
 }
 
 // betterNet reports whether candidate cand beats incumbent inc under the

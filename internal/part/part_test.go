@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/blif"
 	"repro/internal/equiv"
+	"repro/internal/flow"
 	"repro/internal/mcnc"
 	"repro/internal/netlist"
 )
@@ -157,7 +158,7 @@ func TestStitchCyclicQuotient(t *testing.T) {
 
 func TestOptimizeEquivalentAndWorkerInvariant(t *testing.T) {
 	n := circuit(t, "my_adder")
-	cfg := Config{K: 4, Effort: 1}
+	cfg := Config{K: 4, Flow: flow.Spec{Effort: 1}}
 	outs := make([]*netlist.Network, 3)
 	for i, jobs := range []int{1, 2, 8} {
 		c := cfg
@@ -191,7 +192,7 @@ func TestOptimizeEquivalentAndWorkerInvariant(t *testing.T) {
 
 func TestOptimizeObjectiveNoneSkipsAIG(t *testing.T) {
 	n := circuit(t, "my_adder")
-	_, rep, err := Optimize(context.Background(), n, Config{K: 2, Objective: "none"})
+	_, rep, err := Optimize(context.Background(), n, Config{K: 2, Flow: flow.Spec{Objective: "none"}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,6 +12,7 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/flow"
 	"repro/internal/mig"
 	"repro/internal/opt"
 )
@@ -42,10 +43,7 @@ func init() {
 // always sound.
 func partitionPass(k, effort int) opt.Pass[*mig.MIG] {
 	return opt.NewCtx("partition", func(ctx context.Context, m *mig.MIG) (*mig.MIG, error) {
-		out, _, err := Optimize(ctx, m.ToNetwork(), Config{
-			K:      k,
-			Effort: effort,
-		})
+		out, _, err := Optimize(ctx, m.ToNetwork(), Config{K: k, Flow: flow.Spec{Effort: effort}})
 		if err != nil {
 			if ctx.Err() != nil {
 				return m, err

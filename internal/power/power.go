@@ -10,7 +10,8 @@ import (
 )
 
 // Probabilities propagates signal probabilities through the network under
-// an independence assumption. inputProbs may be nil (all inputs 0.5).
+// an independence assumption. An input past the end of inputProbs (every
+// input, when it is nil) has probability 0.5.
 func Probabilities(n *netlist.Network, inputProbs []float64) []float64 {
 	p := make([]float64, n.NumNodes())
 	get := func(s netlist.Signal) float64 {
@@ -26,10 +27,9 @@ func Probabilities(n *netlist.Network, inputProbs []float64) []float64 {
 		case netlist.Const0:
 			p[i] = 0
 		case netlist.Input:
-			if inputProbs != nil {
+			p[i] = 0.5
+			if inIdx < len(inputProbs) {
 				p[i] = inputProbs[inIdx]
-			} else {
-				p[i] = 0.5
 			}
 			inIdx++
 		case netlist.Not:

@@ -30,13 +30,13 @@ func RunCompress(words int, cfg Config, jobs int) (OptRow, *logic.Netlist) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ag, am = AIGOptimizeCfg(n, cfg)
+			ag, am = AIGOptimize(n, cfg)
 		}()
-		mg, mm = MIGOptimizeCfg(n, cfg)
+		mg, mm = MIGOptimize(n, cfg)
 		wg.Wait()
 	} else {
-		mg, mm = MIGOptimizeCfg(n, cfg)
-		ag, am = AIGOptimizeCfg(n, cfg)
+		mg, mm = MIGOptimize(n, cfg)
+		ag, am = AIGOptimize(n, cfg)
 	}
 	row.MIG, row.AIG = mm, am
 

@@ -85,8 +85,8 @@ func runOptRow(n *netlist.Network, cfg Config, concurrent bool) OptRow {
 	var a *aig.AIG
 	var d *netlist.Network
 	parallel3(concurrent,
-		func() { m, row.MIG = MIGOptimizeCfg(n, cfg) },
-		func() { a, row.AIG = AIGOptimizeCfg(n, cfg) },
+		func() { m, row.MIG = MIGOptimize(n, cfg) },
+		func() { a, row.AIG = AIGOptimize(n, cfg) },
 		func() { d, row.BDS = BDSOptimize(n, cfg.BDDLimit) },
 	)
 

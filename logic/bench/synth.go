@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/aig"
 	"repro/internal/bdd"
+	"repro/internal/flow"
 	"repro/internal/mapping"
 	"repro/internal/mig"
 	"repro/internal/netlist"
@@ -53,65 +54,29 @@ type PassStep struct {
 	DepthAfter  int     `json:"depth_after"`
 }
 
-// metricsOf packages a graph's metrics with the elapsed wall time.
-func metricsOf(g opt.Graph, start time.Time) OptMetrics {
-	return OptMetrics{
-		Size:     g.Size(),
-		Depth:    g.Depth(),
-		Activity: g.Activity(nil),
-		Seconds:  time.Since(start).Seconds(),
-		OK:       true,
-	}
+// flowSpec is the flow the two legs resolve: the paper's §V.A flow on the
+// MIG side and resyn2 plus a final balance on the AIG side, with cfg's
+// appends. cfg.MIGScript replaces only the MIG leg's flow.
+func (c Config) flowSpec() flow.Spec {
+	return flow.Spec{Effort: c.Effort, AIGRounds: c.AIGRounds, Fraig: c.Fraig, NPN: c.NPN}
 }
 
-// MIGOptPipeline is the MIG leg of the optimization comparison: the paper's
-// §V.A flow as a pass pipeline.
-func MIGOptPipeline(effort int) *opt.Pipeline[*mig.MIG] {
-	return mig.FlowPipeline(effort)
-}
-
-// AIGOptPipeline is the AIG leg: the resyn2 recipe plus a final balance for
-// depth, as a pass pipeline.
-func AIGOptPipeline(rounds int) *opt.Pipeline[*aig.AIG] {
-	return aig.Resyn2Pipeline(rounds).Append(aig.Passes().MustNew("balance"))
-}
-
-// MIGOptimize runs the paper's logic-optimization flow on a netlist:
-// depth optimization interlaced with size and activity recovery (§V.A).
-func MIGOptimize(n *netlist.Network, effort int) (*mig.MIG, OptMetrics) {
-	start := time.Now()
-	res, _, err := MIGOptPipeline(effort).Run(mig.FromNetwork(n))
-	if err != nil {
-		return nil, OptMetrics{OK: false}
-	}
-	return res, metricsOf(res, start)
-}
-
-// MIGOptimizeCfg is MIGOptimize honoring cfg.MIGScript and cfg.Fraig: a
-// pass script (migbench -mig-script) replaces the canned §V.A flow, so
+// MIGOptimize runs the MIG leg on a netlist: the paper's
+// logic-optimization flow, depth optimization interlaced with size and
+// activity recovery (§V.A), with the exact NPN rewriting (cfg.NPN) and
+// SAT-sweeping (cfg.Fraig) passes appended. A pass script
+// (cfg.MIGScript, migbench -mig-script) replaces the canned flow, so
 // experimental pipelines — window-parallel rewriting and SAT sweeping in
-// particular — can be benchmarked through the standard experiment harness;
-// cfg.NPN and cfg.Fraig instead append the exact NPN rewriting and
-// SAT-sweeping passes to the canned flow. A
-// script failure is reported on stderr (the row only carries OK=false) so
-// a broken script is diagnosable from the run log.
-func MIGOptimizeCfg(n *netlist.Network, cfg Config) (*mig.MIG, OptMetrics) {
-	var p *opt.Pipeline[*mig.MIG]
-	if cfg.MIGScript == "" {
-		p = MIGOptPipeline(cfg.Effort)
-		if cfg.NPN {
-			p.Append(mig.Passes().MustNew("rewrite-npn"))
-		}
-		if cfg.Fraig {
-			p.Append(mig.Passes().MustNew("fraig"))
-		}
-	} else {
-		var err error
-		p, err = mig.ParseScript(cfg.MIGScript)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "synth: %s: bad MIG script: %v\n", n.Name, err)
-			return nil, OptMetrics{OK: false}
-		}
+// particular — can be benchmarked through the standard experiment
+// harness. A script failure is reported on stderr (the row only carries
+// OK=false) so a broken script is diagnosable from the run log.
+func MIGOptimize(n *netlist.Network, cfg Config) (*mig.MIG, OptMetrics) {
+	spec := cfg.flowSpec()
+	spec.Script = cfg.MIGScript
+	p, err := spec.MIG()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "synth: %s: bad MIG script: %v\n", n.Name, err)
+		return nil, OptMetrics{OK: false}
 	}
 	start := time.Now()
 	res, tr, err := p.Run(mig.FromNetwork(n))
@@ -119,11 +84,38 @@ func MIGOptimizeCfg(n *netlist.Network, cfg Config) (*mig.MIG, OptMetrics) {
 		fmt.Fprintf(os.Stderr, "synth: %s: MIG script failed: %v\n", n.Name, err)
 		return nil, OptMetrics{OK: false}
 	}
-	m := metricsOf(res, start)
-	if cfg.KeepTrace {
+	return res, legMetrics(res, tr, start, cfg.KeepTrace)
+}
+
+// AIGOptimize runs the AIG leg, the ABC-style baseline: the resyn2 script
+// plus a final balance for depth, with cfg.Fraig's SAT sweeping appended.
+func AIGOptimize(n *netlist.Network, cfg Config) (*aig.AIG, OptMetrics) {
+	p, err := cfg.flowSpec().AIG()
+	if err != nil {
+		return nil, OptMetrics{OK: false}
+	}
+	start := time.Now()
+	res, tr, err := p.Run(aig.FromNetwork(n))
+	if err != nil {
+		return nil, OptMetrics{OK: false}
+	}
+	return res, legMetrics(res, tr, start, cfg.KeepTrace)
+}
+
+// legMetrics packages a leg's result metrics with the elapsed wall time,
+// and its per-pass trace when keepTrace is set.
+func legMetrics(g opt.Graph, tr opt.Trace, start time.Time, keepTrace bool) OptMetrics {
+	m := OptMetrics{
+		Size:     g.Size(),
+		Depth:    g.Depth(),
+		Activity: g.Activity(nil),
+		Seconds:  time.Since(start).Seconds(),
+		OK:       true,
+	}
+	if keepTrace {
 		m.Trace = passTrace(tr)
 	}
-	return res, m
+	return m
 }
 
 // passTrace projects the engine trace onto the profiler's step records.
@@ -140,32 +132,6 @@ func passTrace(tr opt.Trace) []PassStep {
 		}
 	}
 	return steps
-}
-
-// AIGOptimize runs the ABC-style baseline (resyn2 script + a final balance
-// for depth).
-func AIGOptimize(n *netlist.Network, rounds int) (*aig.AIG, OptMetrics) {
-	start := time.Now()
-	res, _, err := AIGOptPipeline(rounds).Run(aig.FromNetwork(n))
-	if err != nil {
-		return nil, OptMetrics{OK: false}
-	}
-	return res, metricsOf(res, start)
-}
-
-// AIGOptimizeCfg is AIGOptimize honoring cfg.Fraig (SAT sweeping appended
-// to the resyn2 recipe).
-func AIGOptimizeCfg(n *netlist.Network, cfg Config) (*aig.AIG, OptMetrics) {
-	p := AIGOptPipeline(cfg.AIGRounds)
-	if cfg.Fraig {
-		p.Append(aig.Passes().MustNew("fraig"))
-	}
-	start := time.Now()
-	res, _, err := p.Run(aig.FromNetwork(n))
-	if err != nil {
-		return nil, OptMetrics{OK: false}
-	}
-	return res, metricsOf(res, start)
 }
 
 // BDSOptimize runs the BDS-style baseline: global BDD construction (with
@@ -314,7 +280,7 @@ func MIGFlow(n logic.Network, effort int, lib *logic.Library) (SynthResult, *log
 
 func migFlow(n *netlist.Network, effort int, lib *mapping.Library) (SynthResult, *mapping.Result) {
 	start := time.Now()
-	m, _ := MIGOptimize(n, effort)
+	m, _ := MIGOptimize(n, Config{Effort: effort})
 	res := mapping.Map(m.ToNetwork(), lib, nil)
 	return fromMapping(res, time.Since(start).Seconds()), res
 }
@@ -326,7 +292,7 @@ func AIGFlow(n logic.Network, rounds int, lib *logic.Library) (SynthResult, *log
 
 func aigFlow(n *netlist.Network, rounds int, lib *mapping.Library) (SynthResult, *mapping.Result) {
 	start := time.Now()
-	a, _ := AIGOptimize(n, rounds)
+	a, _ := AIGOptimize(n, Config{AIGRounds: rounds})
 	res := mapping.Map(a.ToNetwork(), lib, nil)
 	return fromMapping(res, time.Since(start).Seconds()), res
 }
@@ -365,6 +331,6 @@ func cstFlow(n *netlist.Network, lib *mapping.Library) (SynthResult, *mapping.Re
 // API (the effort-sweep experiment measures it in isolation).
 func MIGOptimizeNet(n logic.Network, cfg Config) OptMetrics {
 	cfg.Defaults()
-	_, m := MIGOptimizeCfg(logic.Flat(n), cfg)
+	_, m := MIGOptimize(logic.Flat(n), cfg)
 	return m
 }

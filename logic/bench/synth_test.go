@@ -30,7 +30,7 @@ func getNet(t *testing.T, name string) logic.Network {
 func TestMIGOptimizePreservesFunction(t *testing.T) {
 	for _, name := range []string{"my_adder", "b9", "alu4"} {
 		n := getBench(t, name)
-		m, metrics := MIGOptimize(n, 2)
+		m, metrics := MIGOptimize(n, Config{Effort: 2})
 		if !metrics.OK || metrics.Size <= 0 || metrics.Depth <= 0 {
 			t.Errorf("%s: bad metrics %+v", name, metrics)
 		}
@@ -47,7 +47,7 @@ func TestMIGOptimizePreservesFunction(t *testing.T) {
 func TestAIGOptimizePreservesFunction(t *testing.T) {
 	for _, name := range []string{"my_adder", "b9", "count"} {
 		n := getBench(t, name)
-		a, metrics := AIGOptimize(n, 1)
+		a, metrics := AIGOptimize(n, Config{AIGRounds: 1})
 		if !metrics.OK {
 			t.Errorf("%s: AIG metrics not OK", name)
 		}
@@ -126,8 +126,8 @@ func TestMIGDepthBeatsAIGOnAdder(t *testing.T) {
 	// The paper's headline: on carry-chain arithmetic, MIG depth
 	// optimization clearly beats AIG optimization (my_adder: 19 vs 33).
 	n := getBench(t, "my_adder")
-	_, mm := MIGOptimize(n, 3)
-	_, am := AIGOptimize(n, 2)
+	_, mm := MIGOptimize(n, Config{Effort: 3})
+	_, am := AIGOptimize(n, Config{AIGRounds: 2})
 	if mm.Depth >= am.Depth {
 		t.Errorf("my_adder: MIG depth %d not better than AIG depth %d", mm.Depth, am.Depth)
 	}

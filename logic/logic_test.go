@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -30,7 +31,10 @@ func TestSessionDefaultsMatchCLI(t *testing.T) {
 	net := circuit(t, "b9")
 
 	// The CLI default path, spelled out on the internal engines.
-	want := mig.Optimize(mig.FromNetwork(logic.Flat(net).Remajorize()), 3)
+	want, _, err := mig.FlowPipeline(3).Run(mig.FromNetwork(logic.Flat(net).Remajorize()))
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	sess, err := logic.NewSession() // zero options
 	if err != nil {
@@ -110,6 +114,8 @@ func TestSessionOptionErrors(t *testing.T) {
 		{logic.WithVerify("maybe"), "unknown verify engine"},
 		{logic.WithWorkers(-1), "workers"},
 		{logic.WithAIGRounds(0), "aig rounds"},
+		{logic.WithActivityProbs([]float64{0.5, 1.5}), "activity probability"},
+		{logic.WithActivityProbs([]float64{math.NaN()}), "activity probability"},
 	}
 	for _, c := range cases {
 		if _, err := logic.NewSession(c.opt); err == nil || !strings.Contains(err.Error(), c.want) {

@@ -12,6 +12,7 @@ package partition
 import (
 	"context"
 
+	"repro/internal/flow"
 	"repro/internal/part"
 	"repro/logic"
 )
@@ -83,7 +84,9 @@ func Windows(n logic.Network, r *Result) ([]Window, error) {
 	return out, nil
 }
 
-// Config configures a partitioned optimization run.
+// Config configures a partitioned optimization run. Zero flow fields take
+// the flow defaults of internal/flow: objective "flow", effort 3, AIG
+// rounds 2.
 type Config struct {
 	// K is the requested partition count (0 = 4); Seed and Eps as in
 	// Options.
@@ -93,17 +96,18 @@ type Config struct {
 	// Workers caps the window-parallel worker pool (0 = the process-wide
 	// budget). Results are byte-identical for any value.
 	Workers int
-	// Effort is the canned-flow effort for both representations (0 = 3).
+	// Effort is the canned-flow effort of the MIG candidate (0 = 3).
 	Effort int
 	// AIGRounds is the resyn2 iteration count of the AIG candidate flow
 	// (0 = 2).
 	AIGRounds int
 	// Objective scores the MIG-vs-AIG duel and selects the canned MIG
-	// flow: "size", "depth", "activity", "flow" (default) or "none".
+	// flow: "size", "depth", "activity", "flow" (default) or "none". Any
+	// other name is an error.
 	Objective string
-	// MIGScript / AIGScript replace the canned candidate flows.
+	// MIGScript replaces the canned MIG candidate flow; the AIG candidate
+	// keeps the resyn2 baseline.
 	MIGScript string
-	AIGScript string
 }
 
 // Optimize partitions the network, optimizes every window under both a MIG
@@ -112,15 +116,16 @@ type Config struct {
 // byte-identical network for any worker count.
 func Optimize(ctx context.Context, n logic.Network, cfg Config) (*logic.Netlist, *logic.PartitionReport, error) {
 	out, rep, err := part.Optimize(ctx, logic.Flat(n), part.Config{
-		K:         cfg.K,
-		Seed:      cfg.Seed,
-		Eps:       cfg.Eps,
-		Workers:   cfg.Workers,
-		Effort:    cfg.Effort,
-		AIGRounds: cfg.AIGRounds,
-		Objective: cfg.Objective,
-		MIGScript: cfg.MIGScript,
-		AIGScript: cfg.AIGScript,
+		K:       cfg.K,
+		Seed:    cfg.Seed,
+		Eps:     cfg.Eps,
+		Workers: cfg.Workers,
+		Flow: flow.Spec{
+			Objective: cfg.Objective,
+			Effort:    cfg.Effort,
+			AIGRounds: cfg.AIGRounds,
+			Script:    cfg.MIGScript,
+		},
 	})
 	if err != nil {
 		return nil, nil, err

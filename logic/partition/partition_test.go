@@ -80,6 +80,15 @@ func TestOptimizeWorkerAndKInvariance(t *testing.T) {
 	}
 }
 
+// TestOptimizeUnknownObjective: a misspelled objective is an error, not
+// a silent run of the default flow.
+func TestOptimizeUnknownObjective(t *testing.T) {
+	_, _, err := partition.Optimize(context.Background(), load(t, "my_adder"), partition.Config{K: 2, Objective: "sise"})
+	if err == nil || !strings.Contains(err.Error(), `unknown objective "sise"`) {
+		t.Fatalf("err = %v, want an unknown-objective error", err)
+	}
+}
+
 // TestWholeVsPartitionedEquivalence: partitioned optimization preserves
 // the function on a suite of MCNC circuits (the auto engine layers
 // exact → BDD → SAT → simulation by size).

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/aig"
 	"repro/internal/equiv"
+	"repro/internal/flow"
 	"repro/internal/mig"
 	"repro/internal/opt"
 	"repro/internal/part"
@@ -23,19 +24,15 @@ import (
 // NewSession; the zero set of options reproduces the mighty CLI's defaults
 // (the paper's §V.A flow at effort 3, no verification).
 type Session struct {
-	effort    int
-	aigRounds int
-	workers   int
-	objective string
-	script    string
+	flow    flow.Spec
+	workers int
 	// strategy and strategyKind record a WithStrategy resolution: the
-	// library name behind script, and the representation it targets.
+	// library name behind the flow's script, and the representation it
+	// targets.
 	strategy     string
 	strategyKind string
 	verify       string // equivalence engine; "" = verification off
 	verifyOn     bool
-	fraig        bool
-	probs        []float64
 	partitions   int
 }
 
@@ -49,7 +46,7 @@ func WithEffort(n int) Option {
 		if n < 1 {
 			return fmt.Errorf("logic: effort %d, must be >= 1", n)
 		}
-		s.effort = n
+		s.flow.Effort = n
 		return nil
 	}
 }
@@ -59,12 +56,11 @@ func WithEffort(n int) Option {
 // recipe, the default), or "none" (representation conversion only).
 func WithObjective(o string) Option {
 	return func(s *Session) error {
-		switch o {
-		case "size", "depth", "activity", "flow", "none":
-			s.objective = o
-			return nil
+		if err := flow.CheckObjective(o); err != nil {
+			return fmt.Errorf("logic: %w", err)
 		}
-		return fmt.Errorf("logic: unknown objective %q (want size, depth, activity, flow or none)", o)
+		s.flow.Objective = o
+		return nil
 	}
 }
 
@@ -75,7 +71,7 @@ func WithObjective(o string) Option {
 // clears any earlier strategy resolution.
 func WithScript(script string) Option {
 	return func(s *Session) error {
-		s.script = script
+		s.flow.Script = script
 		s.strategy, s.strategyKind = "", ""
 		return nil
 	}
@@ -116,10 +112,12 @@ func WithWorkers(n int) Option {
 // in parallel (worker budget from WithWorkers), and the per-objective
 // winners are stitched back. Results are byte-identical for any worker
 // count. 0 or 1 (the default) disables partitioning. The session's
-// objective, effort and script configure the per-window MIG flow; the AIG
-// candidate runs the resyn2 baseline (WithAIGRounds). Partitioned runs
-// require a MIG-family configuration — an AIG strategy from WithStrategy
-// is rejected at Optimize time.
+// objective, effort, script and WithFraig configure the per-window MIG
+// flow; the AIG candidate runs the resyn2 baseline (WithAIGRounds), plus
+// fraig under WithFraig. Partitioned runs require a MIG-family
+// configuration — an AIG strategy from WithStrategy is rejected at
+// Optimize time — and take no WithActivityProbs profile: a window's
+// inputs are boundary signals, not the circuit's inputs.
 func WithPartitions(k int) Option {
 	return func(s *Session) error {
 		if k < 0 {
@@ -134,10 +132,11 @@ func WithPartitions(k int) Option {
 }
 
 // WithFraig appends the simulation-guided SAT-sweeping pass to the canned
-// flows (ignored when a script is set — scripts name fraig explicitly).
+// flows, objective "none" included (ignored when a script is set —
+// scripts name fraig explicitly).
 func WithFraig(on bool) Option {
 	return func(s *Session) error {
-		s.fraig = on
+		s.flow.Fraig = on
 		return nil
 	}
 }
@@ -148,16 +147,23 @@ func WithAIGRounds(n int) Option {
 		if n < 1 {
 			return fmt.Errorf("logic: aig rounds %d, must be >= 1", n)
 		}
-		s.aigRounds = n
+		s.flow.AIGRounds = n
 		return nil
 	}
 }
 
 // WithActivityProbs sets the input one-probability profile the "activity"
-// objective optimizes under (nil = uniform 0.5).
+// objective optimizes under (nil = uniform 0.5): one probability in [0, 1]
+// per primary input, in declaration order. Optimize rejects a profile
+// whose length differs from the input count.
 func WithActivityProbs(probs []float64) Option {
 	return func(s *Session) error {
-		s.probs = append([]float64(nil), probs...)
+		for i, p := range probs {
+			if !(p >= 0 && p <= 1) {
+				return fmt.Errorf("logic: activity probability %v for input %d, must be in [0, 1]", p, i)
+			}
+		}
+		s.flow.Probs = append([]float64(nil), probs...)
 		return nil
 	}
 }
@@ -177,10 +183,11 @@ func normalizeVerify(v string) (string, bool, error) {
 }
 
 // NewSession builds a Session from options. The zero-option session
-// matches the mighty CLI defaults: objective "flow", effort 3, AIG rounds
-// 2, no verification, inherited worker budget.
+// matches the mighty CLI defaults: the flow defaults of internal/flow
+// (objective "flow", effort 3, AIG rounds 2), no verification, inherited
+// worker budget.
 func NewSession(opts ...Option) (*Session, error) {
-	s := &Session{effort: 3, aigRounds: 2, objective: "flow"}
+	s := &Session{}
 	for _, o := range opts {
 		if err := o(s); err != nil {
 			return nil, err
@@ -191,7 +198,7 @@ func NewSession(opts ...Option) (*Session, error) {
 
 // Script returns the session's pass script ("" when a canned objective is
 // configured).
-func (s *Session) Script() string { return s.script }
+func (s *Session) Script() string { return s.flow.Script }
 
 // Result carries the metrics of one Optimize call.
 type Result struct {
@@ -227,21 +234,28 @@ func (s *Session) Optimize(ctx context.Context, net Network) (Network, *Result, 
 		ctx = sweep.ContextWithPool(ctx, sweep.NewCexPool(0))
 	}
 	res := &Result{Before: net.Stats()}
+	if n := len(s.flow.Probs); n > 0 && n != net.NumInputs() {
+		return nil, res, fmt.Errorf("logic: activity profile has %d probabilities, input has %d inputs", n, net.NumInputs())
+	}
 	start := time.Now()
 
 	var optimized Network
 	var err error
-	if s.partitions > 1 {
+	switch {
+	case s.partitions > 1:
 		optimized, res.Partition, res.Trace, err = s.optimizePartitioned(ctx, net)
-	} else {
-		switch net.Kind() {
-		case KindAIG:
-			optimized, res.Trace, err = s.optimizeAIG(ctx, net.(*AIG))
-		case KindMIG:
-			optimized, res.Trace, err = s.optimizeMIG(ctx, net.(*MIG))
-		default:
-			optimized, res.Trace, err = s.optimizeMIG(ctx, &MIG{g: mig.FromNetwork(net.flat().Remajorize())})
+	case net.Kind() == KindAIG:
+		var out *aig.AIG
+		out, res.Trace, err = runFlow(ctx, s, KindAIG, flow.Spec.AIG, net.(*AIG).g)
+		optimized = &AIG{g: out}
+	default:
+		in, ok := net.(*MIG)
+		if !ok {
+			in = &MIG{g: mig.FromNetwork(net.flat().Remajorize())}
 		}
+		var out *mig.MIG
+		out, res.Trace, err = runFlow(ctx, s, KindMIG, flow.Spec.MIG, in.g)
+		optimized = &MIG{g: out}
 	}
 	if err != nil {
 		return nil, res, err
@@ -267,21 +281,14 @@ func (s *Session) Optimize(ctx context.Context, net Network) (Network, *Result, 
 // optimizePartitioned runs the partition subsystem on net's flat view:
 // k-way cut, parallel per-window mixed MIG/AIG synthesis, deterministic
 // stitch. The output stays in the input's representation family (AIG in →
-// AIG out, MIG/netlist in → MIG out). The session script, objective and
-// effort configure the per-window MIG candidate; per-pass script checking
-// does not apply (windows are verified end-to-end by the whole-run check
-// when verification is on).
+// AIG out, MIG/netlist in → MIG out). The session's flow configures both
+// window candidates; per-pass script checking does not apply (windows are
+// verified end-to-end by the whole-run check when verification is on).
 func (s *Session) optimizePartitioned(ctx context.Context, net Network) (Network, *PartitionReport, Trace, error) {
 	if err := s.checkStrategyKind(KindMIG); err != nil {
 		return nil, nil, nil, err
 	}
-	out, rep, err := part.Optimize(ctx, net.flat(), part.Config{
-		K:         s.partitions,
-		Effort:    s.effort,
-		AIGRounds: s.aigRounds,
-		Objective: s.objective,
-		MIGScript: s.script,
-	})
+	out, rep, err := part.Optimize(ctx, net.flat(), part.Config{K: s.partitions, Flow: s.flow})
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -294,43 +301,22 @@ func (s *Session) optimizePartitioned(ctx context.Context, net Network) (Network
 	return result, fromPartReport(rep), fromTrace(rep.Steps), nil
 }
 
-// optimizeMIG builds and runs the MIG pipeline for this configuration.
-func (s *Session) optimizeMIG(ctx context.Context, in *MIG) (Network, Trace, error) {
-	if err := s.checkStrategyKind(KindMIG); err != nil {
-		return nil, nil, err
+// runFlow resolves the session's flow for one representation (kind
+// checks a WithStrategy resolution against it) and runs it on g, checking
+// every pass of a scripted run when verification is on.
+func runFlow[G opt.Graph](ctx context.Context, s *Session, kind Kind, resolve func(flow.Spec) (*opt.Pipeline[G], error), g G) (G, Trace, error) {
+	if err := s.checkStrategyKind(kind); err != nil {
+		return g, nil, err
 	}
-	var pipe *opt.Pipeline[*mig.MIG]
-	if s.script != "" {
-		var err error
-		pipe, err = mig.ParseScript(s.script)
-		if err != nil {
-			return nil, nil, err
-		}
-	} else {
-		switch s.objective {
-		case "size":
-			pipe = mig.SizePipeline(s.effort)
-		case "depth":
-			pipe = mig.DepthPipeline(s.effort)
-		case "activity":
-			pipe = mig.ActivityPipeline(s.effort, s.probs)
-		case "none":
-			pipe = &opt.Pipeline[*mig.MIG]{}
-		default: // "flow"
-			pipe = mig.FlowPipeline(s.effort)
-		}
-		if s.fraig {
-			pipe.Append(mig.Passes().MustNew("fraig"))
-		}
+	pipe, err := resolve(s.flow)
+	if err != nil {
+		return g, nil, err
 	}
-	if s.verifyOn && s.script != "" {
+	if s.verifyOn && s.flow.Script != "" {
 		pipe.Check = s.stepChecker()
 	}
-	out, trace, err := pipe.RunContext(ctx, in.g)
-	if err != nil {
-		return nil, fromTrace(trace), err
-	}
-	return &MIG{g: out}, fromTrace(trace), nil
+	out, trace, err := pipe.RunContext(ctx, g)
+	return out, fromTrace(trace), err
 }
 
 // stepChecker selects the per-pass verifier for scripted runs. The default
@@ -344,38 +330,6 @@ func (s *Session) stepChecker() opt.Checker {
 		return opt.IncrementalChecker(equiv.Options{Engine: s.verify})
 	}
 	return opt.EquivChecker(equiv.Options{Engine: s.verify})
-}
-
-// optimizeAIG builds and runs the AIG pipeline for this configuration:
-// the resyn2 recipe plus a final balance (the academic-baseline flow), or
-// the session's script.
-func (s *Session) optimizeAIG(ctx context.Context, in *AIG) (Network, Trace, error) {
-	if err := s.checkStrategyKind(KindAIG); err != nil {
-		return nil, nil, err
-	}
-	var pipe *opt.Pipeline[*aig.AIG]
-	if s.script != "" {
-		var err error
-		pipe, err = aig.ParseScript(s.script)
-		if err != nil {
-			return nil, nil, err
-		}
-	} else if s.objective == "none" {
-		pipe = &opt.Pipeline[*aig.AIG]{}
-	} else {
-		pipe = aig.Resyn2Pipeline(s.aigRounds).Append(aig.Passes().MustNew("balance"))
-		if s.fraig {
-			pipe.Append(aig.Passes().MustNew("fraig"))
-		}
-	}
-	if s.verifyOn && s.script != "" {
-		pipe.Check = s.stepChecker()
-	}
-	out, trace, err := pipe.RunContext(ctx, in.g)
-	if err != nil {
-		return nil, fromTrace(trace), err
-	}
-	return &AIG{g: out}, fromTrace(trace), nil
 }
 
 // EquivResult reports an equivalence check.

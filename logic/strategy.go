@@ -24,7 +24,7 @@ func WithStrategy(name string) Option {
 			return fmt.Errorf("logic: unknown strategy %q (have %s)",
 				name, strings.Join(script.Names(), ", "))
 		}
-		s.script = st.Script
+		s.flow.Script = st.Script
 		s.strategy = st.Name
 		s.strategyKind = st.Kind
 		return nil

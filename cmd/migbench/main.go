@@ -468,6 +468,9 @@ func runSweep(names []string, cfg bench.Config) {
 			c := cfg
 			c.Effort = eff
 			m := bench.MIGOptimizeNet(n, c)
+			if *zeroTime {
+				m.Seconds = 0
+			}
 			fmt.Printf("  effort %2d: size=%6d depth=%4d activity=%9.2f time=%.2fs\n",
 				eff, m.Size, m.Depth, m.Activity, m.Seconds)
 		}
@@ -475,11 +478,10 @@ func runSweep(names []string, cfg bench.Config) {
 }
 
 // runPassProfile runs the MIG flow (canned or -mig-script) over the
-// selected circuits with trace capture on, then prints where the suite's
-// wall clock went, aggregated per pass name.
+// selected circuits, then prints where the suite's wall clock went,
+// aggregated per pass name from each run's trace.
 func runPassProfile(names []string, cfg bench.Config) {
-	cfg.KeepTrace = true
-	traces := make([][]bench.PassStep, 0, len(names))
+	traces := make([]logic.Trace, 0, len(names))
 	var perCircuit strings.Builder
 	for _, name := range names {
 		m := bench.MIGOptimizeNet(circuit(name), cfg)
@@ -487,12 +489,14 @@ func runPassProfile(names []string, cfg bench.Config) {
 			fmt.Fprintf(os.Stderr, "migbench: %s: MIG flow failed\n", name)
 			os.Exit(1)
 		}
-		secs := m.Seconds
 		if *zeroTime {
-			secs = 0
+			m.Seconds = 0
+			for i := range m.Trace {
+				m.Trace[i].Seconds = 0
+			}
 		}
 		fmt.Fprintf(&perCircuit, "%-10s %4d passes  size=%6d depth=%4d time=%.2fs\n",
-			name, len(m.Trace), m.Size, m.Depth, secs)
+			name, len(m.Trace), m.Size, m.Depth, m.Seconds)
 		traces = append(traces, m.Trace)
 	}
 	fmt.Println("== Pass profile: MIG flow over the suite ==")

@@ -23,6 +23,13 @@
 //     logic.Passes/FormatPassList enumerate the scriptable passes with
 //     argument signatures in deterministic order, and logic.Strategies
 //     lists the named strategy library.
+//   - logic.Step, Trace and Observer (a run's per-pass record and its
+//     live hook) and PartitionReport/PartitionStat (a partitioned run's
+//     report) are the engine's own records, internal/opt's Step, Trace
+//     and Observer and internal/part's Report and PartStat, exposed as
+//     aliases the way Library and MapResult expose the mapper's types.
+//     The engine fills them once; Session results, the migd JSON and SSE
+//     events, and migbench all read that one value.
 //   - logic/script is the strategy library and tuner: whole optimization
 //     flows as named, versioned objects (migscript, migscript-depth,
 //     migscript2, aigscript, compress2rs, tuned-size, tuned-depth), each
@@ -128,6 +135,8 @@
 //   - Functions of up to six variables (every 4-input cut) are synthesized
 //     and extracted as single uint64 words (internal/mig synth6.go):
 //     cofactors, projections and matching are pure word arithmetic.
+//     Resynthesis takes at most six variables, so the word path is its
+//     only implementation.
 //   - Candidate probing in the Ω/Ψ passes records (shape, parameters)
 //     records instead of capturing rebuild closures, keeping the probe
 //     inner loop off the heap.

@@ -1,13 +1,13 @@
 package mig
 
-// Word-level resynthesis for functions of up to six variables. Every
+// Word-level resynthesis for functions of up to six variables: the
+// implementation of SynthesizeTT, whose steps synth.go lists. Every
 // cut-rewriting call synthesizes functions over at most four leaves, where
 // a truth table is a single uint64; routing those through the generic tt.TT
-// value type allocates a words slice per intermediate operation. This file
-// mirrors synthRec (synth.go) exactly — same matching order, same
-// decompositions, hence the same constructed structure — but computes every
-// cofactor, projection and comparison as pure uint64 arithmetic, so a
-// synthesis probe performs no heap allocation beyond the nodes it creates.
+// value type would allocate a words slice per intermediate operation.
+// Every cofactor, projection and comparison here is pure uint64
+// arithmetic instead, so a synthesis probe performs no heap allocation
+// beyond the nodes it creates.
 
 import "math/bits"
 
@@ -57,7 +57,11 @@ func (m *MIG) synthW(w uint64, n int, leaves []Signal) Signal {
 	if n > 6 || n != len(leaves) {
 		panic("mig: synthW needs at most six leaves, one per variable")
 	}
-	m.synthMemo.reset(n)
+	if m.synthMemo == nil {
+		m.synthMemo = make(map[uint64]Signal, 32)
+	} else {
+		clear(m.synthMemo)
+	}
 	return m.synthRec6(w, n, leaves)
 }
 
@@ -70,7 +74,7 @@ func (m *MIG) synthRec6(w uint64, n int, leaves []Signal) Signal {
 	if w == mask {
 		return Const1
 	}
-	memo := m.synthMemo.small
+	memo := m.synthMemo
 	if s, ok := memo[w]; ok {
 		return s
 	}
@@ -142,8 +146,8 @@ func (m *MIG) synthRec6(w uint64, n int, leaves []Signal) Signal {
 	if ns == 3 {
 		a, b, c := support[0], support[1], support[2]
 		base := maj3w(varWord(n, a), varWord(n, b), varWord(n, c))
-		// Mirror synthRec: variants flip a (bit 0), b (bit 1), c (bit 2)
-		// and complement the output (bit 3).
+		// Variants flip a (bit 0), b (bit 1), c (bit 2) and complement
+		// the output (bit 3).
 		for variant := 0; variant < 16; variant++ {
 			g := base
 			if variant&1 != 0 {
@@ -177,7 +181,9 @@ func (m *MIG) synthRec6(w uint64, n int, leaves []Signal) Signal {
 		}
 	}
 
-	// Top majority decomposition with a literal arm (see synthRec).
+	// Top majority decomposition with a literal arm: when f0 ⊆ f1,
+	// M(x, f1, f0) = x·f1 + f0 = ite(x, f1, f0) = f (and symmetrically
+	// f = M(x', f0, f1) when f1 ⊆ f0).
 	{
 		best := -1
 		for _, v := range support {

@@ -155,20 +155,29 @@ func Best[G Graph](name string, rounds int, better func(cand, best G) bool, body
 	})
 }
 
-// Step is one per-pass trace entry recorded by Pipeline.Run.
+// Step is one per-pass trace entry recorded by Pipeline.Run. It is also
+// the public wire record: logic.Step aliases it, so its JSON tags are the
+// step format of migd responses and SSE "step" events. encoding/json emits
+// fields in declaration order, so the order is part of that format too.
 type Step struct {
-	Pass                          string
-	SizeBefore, SizeAfter         int
-	DepthBefore, DepthAfter       int
-	ActivityBefore, ActivityAfter float64
-	Seconds                       float64
-	Equiv                         string // "" = not checked, "ok", or the failure detail
-	// Verification cost, separated from the pass's own wall time: seconds
-	// spent in the checker plus the SAT effort it reported (all zero when
-	// Check is unset).
-	VerifySeconds   float64
-	VerifyConflicts int64
-	VerifyRestarts  int64
+	Pass           string  `json:"pass"`
+	SizeBefore     int     `json:"size_before"`
+	SizeAfter      int     `json:"size_after"`
+	DepthBefore    int     `json:"depth_before"`
+	DepthAfter     int     `json:"depth_after"`
+	ActivityBefore float64 `json:"activity_before"`
+	ActivityAfter  float64 `json:"activity_after"`
+	Seconds        float64 `json:"seconds"`
+	// Equiv is "" when the step was not verified, "ok" when verified
+	// equivalent, otherwise the failure detail.
+	Equiv string `json:"equiv,omitempty"`
+	// Verification cost, separated from the pass's own wall time: VerifyMS
+	// is the checker's wall time in milliseconds, Conflicts and
+	// SolverRestarts the SAT effort it reported. All omitted when the step
+	// was not verified or the check needed no solving.
+	VerifyMS       float64 `json:"verify_ms,omitempty"`
+	Conflicts      int64   `json:"conflicts,omitempty"`
+	SolverRestarts int64   `json:"solver_restarts,omitempty"`
 }
 
 // Trace is the ordered per-pass record of one pipeline run.
@@ -314,9 +323,9 @@ func (p *Pipeline[G]) RunContext(ctx context.Context, g G) (G, Trace, error) {
 		if p.Check != nil {
 			vstart := time.Now()
 			cost, err := p.Check(ctx, ref, next.ToNetwork())
-			st.VerifySeconds = time.Since(vstart).Seconds()
-			st.VerifyConflicts = cost.Conflicts
-			st.VerifyRestarts = cost.Restarts
+			st.VerifyMS = time.Since(vstart).Seconds() * 1000
+			st.Conflicts = cost.Conflicts
+			st.SolverRestarts = cost.Restarts
 			if err != nil {
 				if ctx.Err() != nil {
 					// The check was interrupted, not failed.

@@ -44,7 +44,9 @@ type Config struct {
 	Flow flow.Spec
 }
 
-// PartStat reports one window's optimization.
+// PartStat reports one window's optimization. It is the public wire
+// record logic.PartitionStat aliases, so its JSON tags (in field order)
+// are the window format of migd responses and migbench -partition -json.
 type PartStat struct {
 	Part    int `json:"part"`
 	Gates   int `json:"gates"`
@@ -61,7 +63,8 @@ type PartStat struct {
 	Seconds     float64 `json:"seconds"`
 }
 
-// Report describes one partitioned run.
+// Report describes one partitioned run. It is the public wire record
+// logic.PartitionReport aliases (see PartStat).
 type Report struct {
 	// K is the effective partition count; Cut the (λ-1) connectivity of
 	// the cut.

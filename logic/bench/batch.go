@@ -68,13 +68,18 @@ func RunSynthRows(nets []logic.Network, cfg Config, jobs int) []SynthRow {
 	return rows
 }
 
-// ZeroTimes clears the wall-time fields of opt rows — the only fields that
-// differ between repeated (or serial vs parallel) runs.
+// ZeroTimes clears the wall-time fields of opt rows, their legs' trace
+// steps included — the only fields that differ between repeated (or
+// serial vs parallel) runs.
 func ZeroTimes(rows []OptRow) {
 	for i := range rows {
-		rows[i].MIG.Seconds = 0
-		rows[i].AIG.Seconds = 0
-		rows[i].BDS.Seconds = 0
+		for _, m := range []*OptMetrics{&rows[i].MIG, &rows[i].AIG, &rows[i].BDS} {
+			m.Seconds = 0
+			for j := range m.Trace {
+				m.Trace[j].Seconds = 0
+				m.Trace[j].VerifyMS = 0
+			}
+		}
 		rows[i].VerifyMS = 0
 	}
 }

@@ -221,38 +221,28 @@ func traceNames(tr logic.Trace) []string {
 	return names
 }
 
-func stepNames(tr []PassStep) []string {
-	names := make([]string, len(tr))
-	for i, st := range tr {
-		names[i] = st.Pass
-	}
-	return names
-}
-
 // benchMIG runs the benchmark's MIG leg under cfg (defaults filled).
 func benchMIG(cfg Config) func(*testing.T, logic.Network) (string, []string) {
 	cfg.Defaults()
-	cfg.KeepTrace = true
 	return func(t *testing.T, n logic.Network) (string, []string) {
 		t.Helper()
 		m, met := MIGOptimize(logic.Flat(n), cfg)
 		if !met.OK {
 			t.Fatal("MIG leg failed")
 		}
-		return logic.FromNetlist(m.ToNetwork()).EncodeBLIF(), stepNames(met.Trace)
+		return logic.FromNetlist(m.ToNetwork()).EncodeBLIF(), traceNames(met.Trace)
 	}
 }
 
 // benchAIG runs the benchmark's AIG leg under cfg (defaults filled).
 func benchAIG(cfg Config) func(*testing.T, logic.Network) (string, []string) {
 	cfg.Defaults()
-	cfg.KeepTrace = true
 	return func(t *testing.T, n logic.Network) (string, []string) {
 		t.Helper()
 		a, met := AIGOptimize(logic.Flat(n), cfg)
 		if !met.OK {
 			t.Fatal("AIG leg failed")
 		}
-		return logic.FromNetlist(a.ToNetwork()).EncodeBLIF(), stepNames(met.Trace)
+		return logic.FromNetlist(a.ToNetwork()).EncodeBLIF(), traceNames(met.Trace)
 	}
 }

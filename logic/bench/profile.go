@@ -2,12 +2,14 @@ package bench
 
 // Pass-level time profile over a set of optimization traces: where the
 // suite's wall clock goes, pass by pass. migbench -pass-profile feeds it
-// the per-circuit traces recorded under Config.KeepTrace.
+// the per-circuit traces of the MIG leg (OptMetrics.Trace).
 
 import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"repro/logic"
 )
 
 // PassProfile aggregates every committed step of one pass name across a
@@ -24,7 +26,7 @@ type PassProfile struct {
 
 // ProfileTraces folds per-circuit traces into one profile per pass name,
 // sorted by total time descending (ties by name, so output is stable).
-func ProfileTraces(traces [][]PassStep) []PassProfile {
+func ProfileTraces(traces []logic.Trace) []PassProfile {
 	byPass := make(map[string]*PassProfile)
 	total := 0.0
 	for _, tr := range traces {

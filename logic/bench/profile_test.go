@@ -1,12 +1,15 @@
 package bench
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
+
+	"repro/logic"
 )
 
 func TestProfileTracesAggregates(t *testing.T) {
-	traces := [][]PassStep{
+	traces := []logic.Trace{
 		{
 			{Pass: "eliminate", Seconds: 0.2, SizeBefore: 100, SizeAfter: 80, DepthBefore: 10, DepthAfter: 10},
 			{Pass: "reshape-depth", Seconds: 0.6, SizeBefore: 80, SizeAfter: 85, DepthBefore: 10, DepthAfter: 7},
@@ -52,7 +55,7 @@ func TestProfileTracesEmpty(t *testing.T) {
 }
 
 func TestFormatPassProfile(t *testing.T) {
-	out := FormatPassProfile(ProfileTraces([][]PassStep{{
+	out := FormatPassProfile(ProfileTraces([]logic.Trace{{
 		{Pass: "cleanup", Seconds: 0.1, SizeBefore: 10, SizeAfter: 9},
 	}}))
 	for _, want := range []string{"pass", "cleanup", "total", "100.0%"} {
@@ -62,27 +65,29 @@ func TestFormatPassProfile(t *testing.T) {
 	}
 }
 
-func TestKeepTraceRecordsPasses(t *testing.T) {
+func TestLegRecordsTrace(t *testing.T) {
 	n, err := Circuit("b9")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Effort: 1, KeepTrace: true}
-	m := MIGOptimizeNet(n, cfg)
+	m := MIGOptimizeNet(n, Config{Effort: 1})
 	if !m.OK {
 		t.Fatal("MIG optimization failed")
 	}
 	if len(m.Trace) == 0 {
-		t.Fatal("KeepTrace set but no trace recorded")
+		t.Fatal("MIG leg recorded no trace")
 	}
 	for i, s := range m.Trace {
 		if s.Pass == "" {
 			t.Fatalf("trace step %d has empty pass name", i)
 		}
 	}
-	// Without KeepTrace the trace must stay nil (baseline JSON compatibility).
-	cfg.KeepTrace = false
-	if m := MIGOptimizeNet(n, cfg); m.Trace != nil {
-		t.Fatalf("KeepTrace off but trace has %d steps", len(m.Trace))
+	// The trace stays out of the JSON (baseline compatibility).
+	b, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(b), "trace") || strings.Contains(string(b), m.Trace[0].Pass) {
+		t.Fatalf("OptMetrics JSON carries the trace: %s", b)
 	}
 }

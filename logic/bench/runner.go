@@ -29,10 +29,7 @@ type Config struct {
 	// NPN appends the exact NPN-database rewriting pass (rewrite-npn) to
 	// the canned MIG flow.
 	NPN bool
-	// KeepTrace retains the per-pass trace on OptMetrics (migbench
-	// -pass-profile aggregates it into a pass-level time profile).
-	KeepTrace bool
-	Lib       *mapping.Library
+	Lib *mapping.Library
 }
 
 // Defaults fills zero fields.

@@ -37,21 +37,9 @@ type OptMetrics struct {
 	Activity float64 `json:"activity"`
 	Seconds  float64 `json:"seconds"`
 	OK       bool    `json:"ok"` // false = N.A. (tool failure, like BDS on clma)
-	// Trace is the per-pass record of the run, populated only when
-	// Config.KeepTrace is set (omitted from JSON otherwise, so checked-in
-	// baselines stay byte-compatible).
-	Trace []PassStep `json:"trace,omitempty"`
-}
-
-// PassStep is one committed pipeline pass of an OptMetrics trace: the
-// subset of the engine's step record the pass profiler aggregates.
-type PassStep struct {
-	Pass        string  `json:"pass"`
-	Seconds     float64 `json:"seconds"`
-	SizeBefore  int     `json:"size_before"`
-	SizeAfter   int     `json:"size_after"`
-	DepthBefore int     `json:"depth_before"`
-	DepthAfter  int     `json:"depth_after"`
+	// Trace is the MIG or AIG leg's per-pass record (nil for BDS). It
+	// stays out of the JSON, so checked-in baselines stay byte-compatible.
+	Trace logic.Trace `json:"-"`
 }
 
 // flowSpec is the flow the two legs resolve: the paper's §V.A flow on the
@@ -84,7 +72,7 @@ func MIGOptimize(n *netlist.Network, cfg Config) (*mig.MIG, OptMetrics) {
 		fmt.Fprintf(os.Stderr, "synth: %s: MIG script failed: %v\n", n.Name, err)
 		return nil, OptMetrics{OK: false}
 	}
-	return res, legMetrics(res, tr, start, cfg.KeepTrace)
+	return res, legMetrics(res, tr, start)
 }
 
 // AIGOptimize runs the AIG leg, the ABC-style baseline: the resyn2 script
@@ -99,39 +87,20 @@ func AIGOptimize(n *netlist.Network, cfg Config) (*aig.AIG, OptMetrics) {
 	if err != nil {
 		return nil, OptMetrics{OK: false}
 	}
-	return res, legMetrics(res, tr, start, cfg.KeepTrace)
+	return res, legMetrics(res, tr, start)
 }
 
-// legMetrics packages a leg's result metrics with the elapsed wall time,
-// and its per-pass trace when keepTrace is set.
-func legMetrics(g opt.Graph, tr opt.Trace, start time.Time, keepTrace bool) OptMetrics {
-	m := OptMetrics{
+// legMetrics packages a leg's result metrics with the elapsed wall time
+// and its per-pass trace.
+func legMetrics(g opt.Graph, tr logic.Trace, start time.Time) OptMetrics {
+	return OptMetrics{
 		Size:     g.Size(),
 		Depth:    g.Depth(),
 		Activity: g.Activity(nil),
 		Seconds:  time.Since(start).Seconds(),
 		OK:       true,
+		Trace:    tr,
 	}
-	if keepTrace {
-		m.Trace = passTrace(tr)
-	}
-	return m
-}
-
-// passTrace projects the engine trace onto the profiler's step records.
-func passTrace(tr opt.Trace) []PassStep {
-	steps := make([]PassStep, len(tr))
-	for i, s := range tr {
-		steps[i] = PassStep{
-			Pass:        s.Pass,
-			Seconds:     s.Seconds,
-			SizeBefore:  s.SizeBefore,
-			SizeAfter:   s.SizeAfter,
-			DepthBefore: s.DepthBefore,
-			DepthAfter:  s.DepthAfter,
-		}
-	}
-	return steps
 }
 
 // BDSOptimize runs the BDS-style baseline: global BDD construction (with

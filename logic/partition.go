@@ -1,68 +1,26 @@
 package logic
 
-// Public mirrors of the partition subsystem's report types. The internal
-// package (internal/part) stays unnameable outside the module; these
-// structs are the SDK- and wire-visible shape of a partitioned run.
+// The partition subsystem's report, exposed as is: internal/part fills it
+// and a partitioned Session.Optimize, logic/partition.Optimize and the
+// optimization service return that same value.
 
 import "repro/internal/part"
 
-// PartitionStat reports one partition window of a partitioned run.
-type PartitionStat struct {
-	// Part is the window's partition index.
-	Part int `json:"part"`
-	// Gates/Inputs/Outputs describe the extracted window (inputs count
-	// boundary signals lifted to window PIs).
-	Gates   int `json:"gates"`
-	Inputs  int `json:"inputs"`
-	Outputs int `json:"outputs"`
-	// Rep is the representation whose candidate won the window under the
-	// run's objective: "mig" or "aig".
-	Rep string `json:"rep"`
-	// Size/Depth are measured on the window's netlist export before and
-	// after optimization.
-	SizeBefore  int `json:"size_before"`
-	SizeAfter   int `json:"size_after"`
-	DepthBefore int `json:"depth_before"`
-	DepthAfter  int `json:"depth_after"`
-	// Seconds is the window's wall time (both candidate flows).
-	Seconds float64 `json:"seconds"`
-}
+// PartitionStat reports one partition window of a partitioned run: Part
+// (the window's partition index), Gates/Inputs/Outputs (the extracted
+// window; inputs count boundary signals lifted to window PIs), Rep (the
+// representation whose candidate won the window under the run's
+// objective: "mig" or "aig"), SizeBefore/SizeAfter and DepthBefore/
+// DepthAfter (measured on the window's netlist export) and Seconds (the
+// window's wall time, both candidate flows). The JSON keys are the
+// snake_case field names, in field order.
+type PartitionStat = part.PartStat
 
-// PartitionReport describes one partitioned Optimize call.
-type PartitionReport struct {
-	// K is the effective partition count (the requested k, clamped so
-	// parts stay optimizable); Cut the (λ-1) connectivity of the cut.
-	K   int   `json:"k"`
-	Cut int64 `json:"cut"`
-	// Parts reports each non-empty window in partition order.
-	Parts []PartitionStat `json:"parts"`
-	// PartitionSeconds covers partitioning plus window extraction;
-	// StitchSeconds the serial stitch-back.
-	PartitionSeconds float64 `json:"partition_seconds"`
-	StitchSeconds    float64 `json:"stitch_seconds"`
-}
-
-// fromPartReport converts the internal report.
-func fromPartReport(r *part.Report) *PartitionReport {
-	out := &PartitionReport{
-		K:                r.K,
-		Cut:              r.Cut,
-		PartitionSeconds: r.PartitionSeconds,
-		StitchSeconds:    r.StitchSeconds,
-	}
-	for _, p := range r.Parts {
-		out.Parts = append(out.Parts, PartitionStat{
-			Part:        p.Part,
-			Gates:       p.Gates,
-			Inputs:      p.Inputs,
-			Outputs:     p.Outputs,
-			Rep:         p.Rep,
-			SizeBefore:  p.SizeBefore,
-			SizeAfter:   p.SizeAfter,
-			DepthBefore: p.DepthBefore,
-			DepthAfter:  p.DepthAfter,
-			Seconds:     p.Seconds,
-		})
-	}
-	return out
-}
+// PartitionReport describes one partitioned Optimize call: K (the
+// effective partition count, the requested k clamped so parts stay
+// optimizable), Cut (the (λ-1) connectivity of the cut), Parts (each
+// non-empty window in partition order), PartitionSeconds (partitioning
+// plus window extraction) and StitchSeconds (the serial stitch-back).
+// Steps, the per-pass trace of the run, is not part of its JSON; a
+// partitioned Session.Optimize returns it as Result.Trace.
+type PartitionReport = part.Report

@@ -298,7 +298,7 @@ func (s *Session) optimizePartitioned(ctx context.Context, net Network) (Network
 	} else {
 		result = &MIG{g: mig.FromNetwork(out)}
 	}
-	return result, fromPartReport(rep), fromTrace(rep.Steps), nil
+	return result, rep, rep.Steps, nil
 }
 
 // runFlow resolves the session's flow for one representation (kind
@@ -315,8 +315,7 @@ func runFlow[G opt.Graph](ctx context.Context, s *Session, kind Kind, resolve fu
 	if s.verifyOn && s.flow.Script != "" {
 		pipe.Check = s.stepChecker()
 	}
-	out, trace, err := pipe.RunContext(ctx, g)
-	return out, fromTrace(trace), err
+	return pipe.RunContext(ctx, g)
 }
 
 // stepChecker selects the per-pass verifier for scripted runs. The default

@@ -1,78 +1,41 @@
 package logic
 
-// Public mirror of the pass engine's per-step trace, JSON-tagged for the
-// optimization service.
+// The pass engine's per-step record, exposed as is: the engine fills one
+// Step per committed pass, and the Trace a Session returns, the steps an
+// Observer sees and the JSON the optimization service sends are that same
+// value.
 
 import (
-	"fmt"
-	"strings"
+	"context"
 
 	"repro/internal/opt"
 )
 
-// Step records one optimization pass's effect.
-type Step struct {
-	Pass           string  `json:"pass"`
-	SizeBefore     int     `json:"size_before"`
-	SizeAfter      int     `json:"size_after"`
-	DepthBefore    int     `json:"depth_before"`
-	DepthAfter     int     `json:"depth_after"`
-	ActivityBefore float64 `json:"activity_before"`
-	ActivityAfter  float64 `json:"activity_after"`
-	Seconds        float64 `json:"seconds"`
-	// Equiv is "" when the step was not verified, "ok" when verified
-	// equivalent, otherwise the failure detail.
-	Equiv string `json:"equiv,omitempty"`
-	// Verification cost, separated from the pass's own wall time: VerifyMS
-	// is the checker's wall time in milliseconds, Conflicts and
-	// SolverRestarts the SAT effort it reported. All omitted when the step
-	// was not verified or the check needed no solving.
-	VerifyMS       float64 `json:"verify_ms,omitempty"`
-	Conflicts      int64   `json:"conflicts,omitempty"`
-	SolverRestarts int64   `json:"solver_restarts,omitempty"`
-}
+// Step records one optimization pass's effect: Pass (the pass name),
+// SizeBefore/SizeAfter, DepthBefore/DepthAfter, ActivityBefore/
+// ActivityAfter and Seconds (the pass's wall time). Equiv is "" when the
+// step was not verified, "ok" when verified equivalent, otherwise the
+// failure detail. The verification cost is kept apart from the pass's own
+// time: VerifyMS is the checker's wall time in milliseconds, Conflicts and
+// SolverRestarts the SAT effort it reported (all omitted from JSON when
+// zero). The JSON keys are the snake_case field names (size_before,
+// verify_ms, ...), in field order.
+type Step = opt.Step
 
-// Trace is the ordered per-pass record of one optimization run.
-type Trace []Step
+// Trace is the ordered per-pass record of one optimization run; Format
+// renders it as an aligned table, one line per pass.
+type Trace = opt.Trace
 
-// Format renders the trace as an aligned table (one line per pass).
-func (t Trace) Format() string {
-	var b strings.Builder
-	for _, s := range t {
-		fmt.Fprintf(&b, "%-28s size %5d -> %5d   depth %3d -> %3d   act %8.2f -> %8.2f   %7.3fs",
-			s.Pass, s.SizeBefore, s.SizeAfter, s.DepthBefore, s.DepthAfter,
-			s.ActivityBefore, s.ActivityAfter, s.Seconds)
-		if s.Equiv != "" {
-			fmt.Fprintf(&b, "   equiv=%s", s.Equiv)
-		}
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
+// Observer receives each completed pass's Step in pipeline order, on the
+// goroutine running the optimization, the moment the step commits — long
+// before the full Trace is returned. It must be fast: the engine invokes
+// it synchronously between passes. This is the hook behind migd's SSE
+// progress streaming and per-pass metrics.
+type Observer = opt.Observer
 
-// stepFromOpt converts one internal engine step to its public mirror.
-func stepFromOpt(s opt.Step) Step {
-	return Step{
-		Pass:           s.Pass,
-		SizeBefore:     s.SizeBefore,
-		SizeAfter:      s.SizeAfter,
-		DepthBefore:    s.DepthBefore,
-		DepthAfter:     s.DepthAfter,
-		ActivityBefore: s.ActivityBefore,
-		ActivityAfter:  s.ActivityAfter,
-		Seconds:        s.Seconds,
-		Equiv:          s.Equiv,
-		VerifyMS:       s.VerifySeconds * 1000,
-		Conflicts:      s.VerifyConflicts,
-		SolverRestarts: s.VerifyRestarts,
-	}
-}
-
-// fromTrace converts the internal engine trace.
-func fromTrace(t opt.Trace) Trace {
-	out := make(Trace, len(t))
-	for i, s := range t {
-		out[i] = stepFromOpt(s)
-	}
-	return out
+// ContextWithObserver returns a context that reports each committed pass
+// step of any optimization run under it to obs. A nil obs returns ctx
+// unchanged.
+func ContextWithObserver(ctx context.Context, obs Observer) context.Context {
+	return opt.ContextWithObserver(ctx, obs)
 }

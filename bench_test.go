@@ -184,7 +184,7 @@ func BenchmarkAblationDepthNoReshape(b *testing.B) {
 		// Pure push-up: no reshape, no elimination between cycles.
 		cur := m.Cleanup()
 		for it := 0; it < 64; it++ {
-			next := cur.PushUpPass(false)
+			next := cur.PushUpPass()
 			if next.Depth() >= cur.Depth() {
 				break
 			}

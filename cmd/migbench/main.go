@@ -72,6 +72,10 @@
 //	miggen -nodes 100000 -format blif > mesh.blif
 //	migbench -partition 8 -jobs 2 -input mesh.blif -json
 //
+// With -verify the stitched output is checked against the input (a
+// mismatch exits 1); -fraig and -npn do not apply to the partitioned flow
+// and exit 2.
+//
 // -cpuprofile writes a runtime/pprof CPU profile of the whole run for `go
 // tool pprof`; it is complete when the run exits without error.
 package main

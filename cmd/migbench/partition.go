@@ -34,11 +34,19 @@ type partitionResult struct {
 	Partition  *logic.PartitionReport `json:"partition"`
 	MIGWindows int                    `json:"mig_windows"`
 	AIGWindows int                    `json:"aig_windows"`
+	// VerifyMethod is the engine that proved the stitched output
+	// equivalent to the input ("" when -verify is off).
+	VerifyMethod string `json:"verify_method,omitempty"`
 }
 
 // runPartition loads the experiment circuit — -input file, -nodes mesh, or
-// a named benchmark — and runs the partitioned flow once.
+// a named benchmark — and runs the partitioned flow once. With -verify the
+// stitched output is checked against the input, and a mismatch exits 1.
 func runPartition(k int, inputPath string, meshNodes int, names []string, cfg bench.Config) {
+	if cfg.Fraig || cfg.NPN {
+		fmt.Fprintln(os.Stderr, "migbench: -fraig and -npn do not apply to -partition")
+		os.Exit(2)
+	}
 	var net logic.Network
 	var label string
 	switch {
@@ -99,6 +107,18 @@ func runPartition(k int, inputPath string, meshNodes int, names []string, cfg be
 		Seconds:   seconds,
 		Partition: rep,
 	}
+	if cfg.Verify {
+		check, err := logic.Equivalent(context.Background(), net, out, cfg.VerifyEngine)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "migbench: partition: verify: %v\n", err)
+			os.Exit(1)
+		}
+		if !check.Equivalent {
+			fmt.Fprintf(os.Stderr, "migbench: VERIFY FAILED %s: NOT equivalent (%s)\n", label, check.Detail)
+			os.Exit(1)
+		}
+		res.VerifyMethod = check.Method
+	}
 	for _, p := range rep.Parts {
 		if p.Rep == "aig" {
 			res.AIGWindows++
@@ -131,4 +151,7 @@ func runPartition(k int, inputPath string, meshNodes int, names []string, cfg be
 	fmt.Printf("  %.2fs total (partition %.2fs, stitch %.2fs)\n",
 		res.Seconds, rep.PartitionSeconds, rep.StitchSeconds)
 	fmt.Printf("  out sha256 %s\n", res.OutSHA256)
+	if res.VerifyMethod != "" {
+		fmt.Printf("  equivalence verified (%s)\n", res.VerifyMethod)
+	}
 }

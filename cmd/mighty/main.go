@@ -168,25 +168,11 @@ func main() {
 			p.K, p.Cut, mig, aig, p.PartitionSeconds, p.StitchSeconds)
 	}
 
-	// Both halves of the before/after line count MIG nodes. The first
-	// step of an unpartitioned trace starts from the input MIG, so its
-	// metrics cost no extra graph construction; a partitioned trace starts
-	// inside window 0, so the input MIG is built here. An empty trace
-	// (-opt none) means the output IS the unoptimized MIG.
-	before := fmt.Sprintf("size=%d depth=%d activity=%.2f",
-		optimized.Size(), optimized.Depth(), optimized.Activity(nil))
-	switch {
-	case res.Partition != nil:
-		in := logic.ToMIG(net.Remajorize())
-		before = fmt.Sprintf("size=%d depth=%d activity=%.2f",
-			in.Size(), in.Depth(), in.Activity(nil))
-	case len(res.Trace) > 0:
-		st := res.Trace[0]
-		before = fmt.Sprintf("size=%d depth=%d activity=%.2f",
-			st.SizeBefore, st.DepthBefore, st.ActivityBefore)
-	}
-	fmt.Fprintf(os.Stderr, "mighty: %s: %s -> size=%d depth=%d activity=%.2f\n",
-		net.Name(), before, optimized.Size(), optimized.Depth(), optimized.Activity(nil))
+	// Both halves of the line count the same unit: a flat input's Before is
+	// the remajorized MIG the run starts from.
+	b, a := res.Before, res.After
+	fmt.Fprintf(os.Stderr, "mighty: %s: size=%d depth=%d activity=%.2f -> size=%d depth=%d activity=%.2f\n",
+		net.Name(), b.Size, b.Depth, b.Activity, a.Size, a.Depth, a.Activity)
 
 	if *stats {
 		return

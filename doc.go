@@ -126,8 +126,9 @@
 //     (replaceInCone, coneContains, local activity, truth-table walks)
 //     memoize in epoch-stamped arrays owned by the graph — clearing is a
 //     counter increment, not an allocation.
-//   - Cut enumeration writes into an arena-backed cut.Cache: all leaves in
-//     one flat array, spans per cut, offsets per node. The cache lives on
+//   - Cut enumeration writes into an arena-backed cut.Cache, the only way
+//     passes and baselines read cuts: all leaves in one flat array, spans
+//     per cut, offsets per node. The cache lives on
 //     the graph and is maintained incrementally — appended nodes are
 //     enumerated on demand (Extend) and rolled-back nodes are dropped in
 //     O(1) (Truncate) — so repeated passes over an unchanged region never

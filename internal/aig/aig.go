@@ -127,9 +127,6 @@ func (a *AIG) NumNodes() int { return len(a.nodes) }
 // IsAnd reports whether the node of s is an AND node.
 func (a *AIG) IsAnd(s Signal) bool { return a.nodes[s.Node()].kind == kindAnd }
 
-// IsPI reports whether the node of s is a primary input.
-func (a *AIG) IsPI(s Signal) bool { return a.nodes[s.Node()].kind == kindPI }
-
 // Fanins returns the fanins of an AND node.
 func (a *AIG) Fanins(n int) [2]Signal { return a.nodes[n].fanin }
 

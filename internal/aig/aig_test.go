@@ -6,7 +6,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/cut"
 	"repro/internal/netlist"
 	"repro/internal/tt"
 )
@@ -187,13 +186,14 @@ func TestCutEnumeration(t *testing.T) {
 	g1 := a.And(x, y)
 	g2 := a.And(g1, z)
 	a.AddOutput("o", g2)
-	cuts := a.EnumerateCuts(4, 8)
+	cuts := a.CutSet(4, 8)
 	// g2 must have a cut {x, y, z}.
 	found := false
-	for _, c := range cuts[g2.Node()] {
-		if len(c.Leaves) == 3 {
+	for j := 0; j < cuts.NumCuts(g2.Node()); j++ {
+		leaves := cuts.Leaves(g2.Node(), j)
+		if len(leaves) == 3 {
 			found = true
-			f := a.CutFunction(g2.Node(), c)
+			f := a.CutFunction(g2.Node(), leaves)
 			want := tt.Var(3, 0).And(tt.Var(3, 1)).And(tt.Var(3, 2))
 			if !f.Equal(want) {
 				t.Error("cut function wrong")
@@ -202,24 +202,6 @@ func TestCutEnumeration(t *testing.T) {
 	}
 	if !found {
 		t.Error("3-leaf cut not found")
-	}
-}
-
-func TestCutDominance(t *testing.T) {
-	a := Cut{Leaves: []int{1, 2}}
-	b := Cut{Leaves: []int{1, 2, 3}}
-	if !cut.Dominates(a, b) {
-		t.Error("subset must dominate")
-	}
-	if cut.Dominates(b, a) {
-		t.Error("superset must not dominate")
-	}
-	m, ok := cut.Merge(4, a, b)
-	if !ok || len(m.Leaves) != 3 {
-		t.Error("merge wrong")
-	}
-	if _, ok := cut.Merge(4, Cut{Leaves: []int{1, 2, 3}}, Cut{Leaves: []int{4, 5}}); ok {
-		t.Error("merge should overflow k=4")
 	}
 }
 

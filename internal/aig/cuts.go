@@ -5,11 +5,6 @@ import (
 	"repro/internal/tt"
 )
 
-// Cut is a set of leaf node indices (sorted) that covers a cone rooted at
-// some node. The merge/dominance machinery is shared with the MIG in
-// internal/cut.
-type Cut = cut.Cut
-
 // classifyCut adapts the node table to the cut enumerator. Constants count
 // as leaves here: an AND of a constant is simplified away by strashing, so
 // constant fanins are not worth special cut capacity handling.
@@ -36,19 +31,6 @@ func (a *AIG) CutSet(k, maxCuts int) *cut.Cache {
 	return a.cutCache
 }
 
-// EnumerateCuts computes up to maxCuts k-feasible cuts per node (the trivial
-// cut {node} is always included last) as a materialized forest
-// (compatibility wrapper around the cache; hot paths use CutSet).
-func (a *AIG) EnumerateCuts(k, maxCuts int) [][]Cut {
-	return cut.Enumerate(len(a.nodes), k, maxCuts, func(i int) (cut.Role, []int) {
-		role, fanins, nf := a.classifyCut(i)
-		if nf == 0 {
-			return role, nil
-		}
-		return role, []int{int(fanins[0]), int(fanins[1])}[:nf]
-	})
-}
-
 // combineTT evaluates one node during a cone walk.
 func (a *AIG) combineTT(nvars int) func(idx int, rec func(int) tt.TT) tt.TT {
 	return func(idx int, rec func(int) tt.TT) tt.TT {
@@ -69,19 +51,10 @@ func (a *AIG) combineTT(nvars int) func(idx int, rec func(int) tt.TT) tt.TT {
 	}
 }
 
-// CutFunction computes the truth table of node root expressed over the cut
-// leaves (at most tt.MaxVars of them).
-func (a *AIG) CutFunction(root int, c Cut) tt.TT {
-	leaves := make([]int32, len(c.Leaves))
-	for i, l := range c.Leaves {
-		leaves[i] = int32(l)
-	}
-	return a.cutFunc(root, leaves)
-}
-
-// cutFunc is CutFunction over an arena leaf view, memoized in the AIG's
-// reusable scratch.
-func (a *AIG) cutFunc(root int, leaves []int32) tt.TT {
+// CutFunction computes the truth table of node root over the cut leaves
+// (leaf i is variable i; at most tt.MaxVars of them), typically a view from
+// CutSet, memoized in the AIG's reusable scratch.
+func (a *AIG) CutFunction(root int, leaves []int32) tt.TT {
 	n := len(leaves)
 	return cut.FunctionDense(root, leaves, n, &a.fscr, a.combineTT(n))
 }

@@ -237,7 +237,7 @@ func (a *AIG) cutResynth(k, maxCuts int) *AIG {
 			if !ok {
 				continue
 			}
-			f := a.cutFunc(i, leaves)
+			f := a.CutFunction(i, leaves)
 			cp := out.checkpoint()
 			s := memo.synth(out, f, leafBuf)
 			added := len(out.nodes) - cp

@@ -241,11 +241,6 @@ func (m *Manager) guard(f func() Ref) (r Ref, err error) {
 	return f(), nil
 }
 
-// ITE computes if-then-else.
-func (m *Manager) ITE(f, g, h Ref) (Ref, error) {
-	return m.guard(func() Ref { return m.iteRec(f, g, h) })
-}
-
 // And computes f AND g.
 func (m *Manager) And(f, g Ref) (Ref, error) {
 	return m.guard(func() Ref { return m.iteRec(f, g, False) })

@@ -8,14 +8,14 @@ import "testing"
 
 // benchGraph returns classify for a deterministic layered 3-fanin DAG with
 // nPI inputs and nGate gates.
-func benchGraph(nPI, nGate int) (int, func(i int) (Role, []int)) {
+func benchGraph(nPI, nGate int) (int, Classifier) {
 	numNodes := 1 + nPI + nGate
-	return numNodes, func(i int) (Role, []int) {
+	return numNodes, func(i int) (Role, [3]int32, int) {
 		switch {
 		case i == 0:
-			return Free, nil
+			return Free, [3]int32{}, 0
 		case i <= nPI:
-			return Leaf, nil
+			return Leaf, [3]int32{}, 0
 		default:
 			// Three distinct earlier nodes, skewed toward recent ones so
 			// cuts overlap and the merge/dominance machinery is exercised.
@@ -28,31 +28,22 @@ func benchGraph(nPI, nGate int) (int, func(i int) (Role, []int)) {
 			if c == a || c == b {
 				c = 1 + ((c + 1) % (i - 1))
 			}
-			return Gate, []int{a, b, c}
+			return Gate, [3]int32{int32(a), int32(b), int32(c)}, 3
 		}
 	}
 }
 
+// BenchmarkEnumerate measures a cold Cache.Extend over the whole graph.
 func BenchmarkEnumerate(b *testing.B) {
 	numNodes, classify := benchGraph(64, 2000)
+	c := NewCache(4, 5)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cuts := Enumerate(numNodes, 4, 5, classify)
-		if len(cuts) != numNodes {
+		c.Reset()
+		c.Extend(numNodes, classify)
+		if c.NumNodes() != numNodes {
 			b.Fatal("bad result")
-		}
-	}
-}
-
-func BenchmarkMerge(b *testing.B) {
-	x := Cut{Leaves: []int{1, 5, 9}}
-	y := Cut{Leaves: []int{3, 5}}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, ok := Merge(4, x, y); !ok {
-			b.Fatal("merge overflow")
 		}
 	}
 }

@@ -2,10 +2,8 @@ package cut
 
 // Arena-backed, incrementally maintained cut sets.
 //
-// The original Enumerate builds a [][]Cut forest: one slice header per node,
-// one heap-allocated leaf slice per cut, plus merge temporaries — tens of
-// thousands of small allocations per pass on a mid-size circuit. Cache
-// stores the same information in three flat arrays:
+// Cache stores every cut of a graph in three flat arrays, so enumeration
+// allocates nothing per cut and every read is a subslice view:
 //
 //	leaves   all leaf indices of all cuts, back to back
 //	spans    one {offset, length} pair per cut
@@ -19,8 +17,7 @@ package cut
 //	Truncate(n)  drop the cuts of rolled-back nodes (O(1) slice cuts)
 //
 // A graph that keeps its Cache across optimization steps therefore pays for
-// cut enumeration only on the dirty region — the appended suffix — while
-// reads are zero-allocation subslice views.
+// cut enumeration only on the dirty region — the appended suffix.
 
 // span locates one cut's leaves inside the arena.
 type span struct {
@@ -98,7 +95,10 @@ func (c *Cache) Truncate(numNodes int) {
 }
 
 // Extend enumerates cuts for nodes [NumNodes(), numNodes), the dirty suffix
-// appended since the previous Extend (or since NewCache).
+// appended since the previous Extend (or since NewCache), in topological
+// (index) order. A Gate's cuts are merged bottom-up from its fanins' cuts
+// with dominance filtering; when more than maxCuts survive, the smallest are
+// kept, and the trivial cut {node} is appended last.
 func (c *Cache) Extend(numNodes int, classify Classifier) {
 	for i := c.NumNodes(); i < numNodes; i++ {
 		role, fanins, nf := classify(i)

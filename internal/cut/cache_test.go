@@ -1,8 +1,6 @@
 package cut
 
-import (
-	"testing"
-)
+import "testing"
 
 // chainClassifier builds a linear majority chain: node 0 constant, nodes
 // 1..nPI inputs, every later gate consuming the three preceding nodes.
@@ -15,41 +13,6 @@ func chainClassifier(nPI int) Classifier {
 			return Leaf, [3]int32{}, 0
 		default:
 			return Gate, [3]int32{int32(i - 1), int32(i - 2), int32(i - 3)}, 3
-		}
-	}
-}
-
-func TestCacheMatchesEnumerate(t *testing.T) {
-	const numNodes = 40
-	cl := chainClassifier(5)
-	c := NewCache(4, 5)
-	c.Extend(numNodes, cl)
-	ref := Enumerate(numNodes, 4, 5, func(i int) (Role, []int) {
-		role, f, nf := cl(i)
-		fs := make([]int, nf)
-		for j := 0; j < nf; j++ {
-			fs[j] = int(f[j])
-		}
-		return role, fs
-	})
-	if c.NumNodes() != numNodes {
-		t.Fatalf("NumNodes = %d", c.NumNodes())
-	}
-	for i := 0; i < numNodes; i++ {
-		if c.NumCuts(i) != len(ref[i]) {
-			t.Fatalf("node %d: %d cuts, want %d", i, c.NumCuts(i), len(ref[i]))
-		}
-		for j := 0; j < c.NumCuts(i); j++ {
-			view := c.Leaves(i, j)
-			want := ref[i][j].Leaves
-			if len(view) != len(want) {
-				t.Fatalf("node %d cut %d: %v vs %v", i, j, view, want)
-			}
-			for x := range view {
-				if int(view[x]) != want[x] {
-					t.Fatalf("node %d cut %d: %v vs %v", i, j, view, want)
-				}
-			}
 		}
 	}
 }

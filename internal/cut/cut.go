@@ -3,62 +3,15 @@
 // leaf nodes covering a cone rooted at the node; cut-based passes
 // resynthesize the cone from its truth table over the cut leaves.
 //
-// The package is representation-agnostic: enumeration is driven by a
-// per-node classification callback, and truth-table extraction by a per-node
-// combine callback, so both the 2-input AND graphs and the 3-input majority
-// graphs reuse the same merge, dominance-filtering and memoization
+// Cuts are read only through a Cache, which each graph keeps and extends as
+// nodes are appended (mig.CutSet, aig.CutSet); every read is a
+// zero-allocation view into its arena. The package is
+// representation-agnostic: enumeration is driven by a per-node
+// classification callback, and truth-table extraction (FunctionDense) by a
+// per-node combine callback, so both the 2-input AND graphs and the 3-input
+// majority graphs reuse the same merge, dominance-filtering and memoization
 // machinery.
 package cut
-
-import "sort"
-
-// Cut is a sorted set of leaf node indices covering a cone rooted at a node.
-type Cut struct {
-	Leaves []int
-}
-
-// Merge unions the given cuts, returning ok=false when the result would
-// exceed k leaves. Leaves stay sorted.
-func Merge(k int, cuts ...Cut) (Cut, bool) {
-	set := make([]int, 0, k)
-	add := func(l int) bool {
-		pos := sort.SearchInts(set, l)
-		if pos < len(set) && set[pos] == l {
-			return true
-		}
-		if len(set) == k {
-			return false
-		}
-		set = append(set, 0)
-		copy(set[pos+1:], set[pos:])
-		set[pos] = l
-		return true
-	}
-	for _, c := range cuts {
-		for _, l := range c.Leaves {
-			if !add(l) {
-				return Cut{}, false
-			}
-		}
-	}
-	return Cut{Leaves: set}, true
-}
-
-// Dominates reports whether cut a's leaves are a subset of cut b's. A
-// dominated cut is redundant: any cone covered by b is covered by a with
-// fewer (or equal) leaves.
-func Dominates(a, b Cut) bool {
-	if len(a.Leaves) > len(b.Leaves) {
-		return false
-	}
-	i := 0
-	for _, l := range b.Leaves {
-		if i < len(a.Leaves) && a.Leaves[i] == l {
-			i++
-		}
-	}
-	return i == len(a.Leaves)
-}
 
 // Role classifies a node for enumeration.
 type Role int
@@ -70,45 +23,3 @@ const (
 	Free             // constant: the empty cut (consumes no leaf capacity)
 	Gate             // internal node: cuts are merged from the fanin cuts
 )
-
-// Enumerate computes up to maxCuts k-feasible cuts per node, in topological
-// (index) order. classify reports each node's role and, for Gate nodes, its
-// fanin node indices (at most three). Gate nodes additionally receive the
-// trivial cut {node}, appended last. Standard bottom-up merge with dominance
-// filtering; when more than maxCuts survive, the smallest cuts are kept.
-//
-// Enumerate is the compatibility entry point: it materializes a [][]Cut
-// forest from a throwaway Cache. Hot paths keep a Cache on the graph
-// instead (see mig.CutSet / aig.CutSet) and read arena views.
-func Enumerate(numNodes, k, maxCuts int, classify func(i int) (Role, []int)) [][]Cut {
-	c := NewCache(k, maxCuts)
-	c.Extend(numNodes, func(i int) (Role, [3]int32, int) {
-		role, fanins := classify(i)
-		if len(fanins) > 3 {
-			panic("cut: Enumerate supports at most 3 fanins per gate")
-		}
-		var f [3]int32
-		for j, x := range fanins {
-			f[j] = int32(x)
-		}
-		return role, f, len(fanins)
-	})
-	cuts := make([][]Cut, numNodes)
-	for i := 0; i < numNodes; i++ {
-		n := c.NumCuts(i)
-		if n == 0 {
-			continue
-		}
-		set := make([]Cut, n)
-		for j := 0; j < n; j++ {
-			view := c.Leaves(i, j)
-			leaves := make([]int, len(view))
-			for x, l := range view {
-				leaves[x] = int(l)
-			}
-			set[j] = Cut{Leaves: leaves}
-		}
-		cuts[i] = set
-	}
-	return cuts
-}

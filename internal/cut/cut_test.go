@@ -7,110 +7,80 @@ import (
 	"repro/internal/tt"
 )
 
-func TestMerge(t *testing.T) {
-	a := Cut{Leaves: []int{1, 3}}
-	b := Cut{Leaves: []int{2, 3}}
-	m, ok := Merge(4, a, b)
-	if !ok || !reflect.DeepEqual(m.Leaves, []int{1, 2, 3}) {
-		t.Fatalf("merge = %v, %v", m.Leaves, ok)
-	}
-	if _, ok := Merge(2, a, b); ok {
-		t.Fatal("merge must fail beyond k leaves")
-	}
-	// Three-way merge with duplicates.
-	m, ok = Merge(4, a, b, Cut{Leaves: []int{1, 4}})
-	if !ok || !reflect.DeepEqual(m.Leaves, []int{1, 2, 3, 4}) {
-		t.Fatalf("3-way merge = %v, %v", m.Leaves, ok)
-	}
-	// The empty cut consumes no capacity.
-	m, ok = Merge(2, Cut{}, a)
-	if !ok || !reflect.DeepEqual(m.Leaves, a.Leaves) {
-		t.Fatalf("empty merge = %v, %v", m.Leaves, ok)
-	}
-}
-
-func TestDominates(t *testing.T) {
-	a := Cut{Leaves: []int{1, 2}}
-	b := Cut{Leaves: []int{1, 2, 3}}
-	if !Dominates(a, b) || Dominates(b, a) {
-		t.Fatal("dominance wrong")
-	}
-	if !Dominates(a, a) {
-		t.Fatal("a cut dominates itself")
-	}
-	if Dominates(Cut{Leaves: []int{4}}, b) {
-		t.Fatal("disjoint cut must not dominate")
-	}
-	if !Dominates(Cut{}, b) {
-		t.Fatal("the empty cut dominates everything")
-	}
-}
-
 // A tiny 2-input AND DAG: 0=const, 1=a, 2=b, 3=a&b, 4=(a&b)&a.
-func classify(i int) (Role, []int) {
+func classify(i int) (Role, [3]int32, int) {
 	switch i {
 	case 0:
-		return Free, nil
+		return Free, [3]int32{}, 0
 	case 1, 2:
-		return Leaf, nil
+		return Leaf, [3]int32{}, 0
 	case 3:
-		return Gate, []int{1, 2}
+		return Gate, [3]int32{1, 2}, 2
 	case 4:
-		return Gate, []int{3, 1}
+		return Gate, [3]int32{3, 1}, 2
 	}
-	return Skip, nil
+	return Skip, [3]int32{}, 0
+}
+
+// cutsOf copies node i's cuts out of the arena.
+func cutsOf(c *Cache, i int) [][]int32 {
+	cuts := make([][]int32, c.NumCuts(i))
+	for j := range cuts {
+		cuts[j] = append([]int32{}, c.Leaves(i, j)...)
+	}
+	return cuts
 }
 
 func TestEnumerate(t *testing.T) {
-	cuts := Enumerate(5, 4, 8, classify)
-	if len(cuts[1]) != 1 || cuts[1][0].Leaves[0] != 1 {
-		t.Fatalf("leaf cut wrong: %v", cuts[1])
+	c := NewCache(4, 8)
+	c.Extend(5, classify)
+	if cuts := cutsOf(c, 1); len(cuts) != 1 || cuts[0][0] != 1 {
+		t.Fatalf("leaf cut wrong: %v", cuts)
 	}
-	if len(cuts[0]) != 1 || len(cuts[0][0].Leaves) != 0 {
-		t.Fatalf("free cut wrong: %v", cuts[0])
+	if cuts := cutsOf(c, 0); len(cuts) != 1 || len(cuts[0]) != 0 {
+		t.Fatalf("free cut wrong: %v", cuts)
 	}
 	// Node 3: {1,2} plus the trivial {3}.
-	if len(cuts[3]) != 2 || !reflect.DeepEqual(cuts[3][0].Leaves, []int{1, 2}) {
-		t.Fatalf("gate cuts wrong: %v", cuts[3])
+	cuts := cutsOf(c, 3)
+	if len(cuts) != 2 || !reflect.DeepEqual(cuts[0], []int32{1, 2}) {
+		t.Fatalf("gate cuts wrong: %v", cuts)
 	}
-	last := cuts[3][len(cuts[3])-1]
-	if !reflect.DeepEqual(last.Leaves, []int{3}) {
-		t.Fatalf("trivial cut must be last: %v", cuts[3])
+	if last := cuts[len(cuts)-1]; !reflect.DeepEqual(last, []int32{3}) {
+		t.Fatalf("trivial cut must be last: %v", cuts)
 	}
 	// Node 4 sees {1,2} (dominates {1,3}) and {1,3}, plus trivial {4}.
 	found := false
-	for _, c := range cuts[4] {
-		if reflect.DeepEqual(c.Leaves, []int{1, 2}) {
+	for _, l := range cutsOf(c, 4) {
+		if reflect.DeepEqual(l, []int32{1, 2}) {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("expected {1,2} cut at node 4: %v", cuts[4])
+		t.Fatalf("expected {1,2} cut at node 4: %v", cutsOf(c, 4))
 	}
 }
 
 func TestEnumerateMaxCuts(t *testing.T) {
-	cuts := Enumerate(5, 4, 1, classify)
+	c := NewCache(4, 1)
+	c.Extend(5, classify)
 	// maxCuts=1: one merged cut plus the trivial one.
-	if len(cuts[4]) != 2 {
-		t.Fatalf("maxCuts not enforced: %v", cuts[4])
+	if c.NumCuts(4) != 2 {
+		t.Fatalf("maxCuts not enforced: %v", cutsOf(c, 4))
 	}
 }
 
 func TestFunctionDense(t *testing.T) {
-	cuts := Enumerate(5, 4, 8, classify)
+	c := NewCache(4, 8)
+	c.Extend(5, classify)
 	and := func(idx int, rec func(int) tt.TT) tt.TT {
-		_, fanins := classify(idx)
-		return rec(fanins[0]).And(rec(fanins[1]))
+		_, fanins, _ := classify(idx)
+		return rec(int(fanins[0])).And(rec(int(fanins[1])))
 	}
 	var scr FuncScratch
-	for _, c := range cuts[4] {
-		if len(c.Leaves) != 2 {
+	for j := 0; j < c.NumCuts(4); j++ {
+		leaves := c.Leaves(4, j)
+		if len(leaves) != 2 {
 			continue
-		}
-		leaves := make([]int32, len(c.Leaves))
-		for i, l := range c.Leaves {
-			leaves[i] = int32(l)
 		}
 		// Twice through the same scratch: the epoch reset must isolate
 		// consecutive walks.

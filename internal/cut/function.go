@@ -52,9 +52,9 @@ func (s *FuncScratch) projection(nvars, i int) tt.TT {
 	return s.vars[nvars][i]
 }
 
-// FunctionDense is Function for arena-backed cuts: it computes the truth
-// table of node root over the given cut leaves (bound to variables in leaf
-// order), memoizing the cone walk in s instead of a per-call map.
+// FunctionDense computes the truth table of node root over the given cut
+// leaves (leaf i is variable i), memoizing the cone walk in s. combine
+// evaluates one node inside the cone from its fanins' tables via rec.
 func FunctionDense(root int, leaves []int32, nvars int, s *FuncScratch, combine func(idx int, rec func(fanin int) tt.TT) tt.TT) tt.TT {
 	s.begin(root + 1)
 	for i, l := range leaves {

@@ -1,15 +1,10 @@
 package mig
 
-import (
-	"repro/internal/cut"
-	"repro/internal/tt"
-)
+import "repro/internal/cut"
 
-// Cut is a set of leaf node indices covering a cone rooted at a node. The
-// merge/dominance machinery is shared with the AIG in internal/cut.
-type Cut = cut.Cut
-
-// classifyCut adapts the node table to the cut enumerator.
+// classifyCut adapts the node table to the cut enumerator. The constant node
+// contributes no leaves (its cut is empty), so constant fanins do not
+// consume cut capacity.
 func (m *MIG) classifyCut(i int) (cut.Role, [3]int32, int) {
 	switch m.nodes[i].kind {
 	case kindConst:
@@ -34,58 +29,4 @@ func (m *MIG) CutSet(k, maxCuts int) *cut.Cache {
 	}
 	m.cutCache.Extend(len(m.nodes), m.classifyCut)
 	return m.cutCache
-}
-
-// InvalidateCuts drops the MIG's cut cache (benchmarks and callers that
-// want a cold enumeration).
-func (m *MIG) InvalidateCuts() { m.cutCache = nil }
-
-// EnumerateCuts computes up to maxCuts k-feasible cuts per node, plus the
-// trivial cut, as a materialized forest (compatibility wrapper around
-// CutSet; hot paths read the cache directly). The constant node contributes
-// no leaves (its cut is empty), so constant fanins do not consume cut
-// capacity.
-func (m *MIG) EnumerateCuts(k, maxCuts int) [][]Cut {
-	return cut.Enumerate(len(m.nodes), k, maxCuts, func(i int) (cut.Role, []int) {
-		role, fanins, nf := m.classifyCut(i)
-		if nf == 0 {
-			return role, nil
-		}
-		return role, []int{int(fanins[0]), int(fanins[1]), int(fanins[2])}[:nf]
-	})
-}
-
-// combineTT evaluates one node during a cone walk.
-func (m *MIG) combineTT(nvars int) func(idx int, rec func(int) tt.TT) tt.TT {
-	return func(idx int, rec func(int) tt.TT) tt.TT {
-		nd := &m.nodes[idx]
-		if nd.kind != kindMaj {
-			// The constant node (kind const) outside the cut.
-			return tt.Const(nvars, false)
-		}
-		get := func(s Signal) tt.TT {
-			f := rec(s.Node())
-			if s.Neg() {
-				return f.Not()
-			}
-			return f
-		}
-		return tt.Maj3(get(nd.fanin[0]), get(nd.fanin[1]), get(nd.fanin[2]))
-	}
-}
-
-// CutFunction computes the truth table of node root over the cut leaves.
-func (m *MIG) CutFunction(root int, c Cut) tt.TT {
-	leaves := make([]int32, len(c.Leaves))
-	for i, l := range c.Leaves {
-		leaves[i] = int32(l)
-	}
-	return m.cutFunc(root, leaves)
-}
-
-// cutFunc is CutFunction over an arena leaf view, memoized in the MIG's
-// reusable scratch.
-func (m *MIG) cutFunc(root int, leaves []int32) tt.TT {
-	n := len(leaves)
-	return cut.FunctionDense(root, leaves, n, &m.fscr, m.combineTT(n))
 }

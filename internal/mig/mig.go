@@ -19,7 +19,6 @@ package mig
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/cut"
 	"repro/internal/hashed"
@@ -101,9 +100,9 @@ type MIG struct {
 	// extended incrementally as nodes are appended and truncated on
 	// rollback (see cuts.go).
 	cutCache *cut.Cache
-	// fscr memoizes cone truth-table walks (cuts.go); wscr is its
-	// word-level twin for cuts of at most six leaves (synth6.go).
-	fscr cut.FuncScratch
+	// wscr memoizes the word-level cone walks that compute cut functions
+	// of at most six leaves (cutFuncW, synth6.go); it is the MIG's only
+	// cut-function memo.
 	wscr wordScratch
 	// synthMemo is the reusable memo of one synthesis call (synth6.go),
 	// keyed by truth-table word.
@@ -150,9 +149,6 @@ func (m *MIG) NumNodes() int { return len(m.nodes) }
 
 // IsMaj reports whether the node of s is a majority node.
 func (m *MIG) IsMaj(s Signal) bool { return m.nodes[s.Node()].kind == kindMaj }
-
-// IsPI reports whether the node of s is a primary input.
-func (m *MIG) IsPI(s Signal) bool { return m.nodes[s.Node()].kind == kindPI }
 
 // IsConst reports whether the node of s is the constant node.
 func (m *MIG) IsConst(s Signal) bool { return s.Node() == 0 }
@@ -535,12 +531,4 @@ func (m *MIG) ToNetwork() *netlist.Network {
 // InputNames returns the primary input names in declaration order.
 func (m *MIG) InputNames() []string {
 	return append([]string(nil), m.names...)
-}
-
-// SortedOutputs returns outputs sorted by name (helper for deterministic
-// comparisons in tests and tools).
-func (m *MIG) SortedOutputs() []Output {
-	out := append([]Output(nil), m.Outputs...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }

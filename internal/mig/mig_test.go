@@ -425,7 +425,7 @@ func TestPushUpPassEquivalence(t *testing.T) {
 	r := rand.New(rand.NewSource(6))
 	for trial := 0; trial < 30; trial++ {
 		m := randomMIG(r, 4+r.Intn(4), 20+r.Intn(80))
-		p := m.PushUpPass(false)
+		p := m.PushUpPass()
 		checkEquiv(t, m, p, "PushUpPass")
 		if p.Depth() > m.Depth() {
 			t.Errorf("trial %d: push-up grew depth %d -> %d", trial, m.Depth(), p.Depth())

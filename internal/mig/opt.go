@@ -198,8 +198,8 @@ func (m *MIG) eliminate(window, depthBudget int) *MIG {
 // PushUpPass applies the depth-oriented rules along critical paths:
 // associativity Ω.A, complementary associativity Ψ.C (both depth-neutral in
 // size), and distributivity left-to-right Ω.D (one extra node, applied on
-// the critical path only, unless allowInflate). Returns a new MIG.
-func (m *MIG) PushUpPass(allowInflate bool) *MIG {
+// the critical path only). Returns a new MIG.
+func (m *MIG) PushUpPass() *MIG {
 	crit := m.criticalMask()
 	return m.rebuildWith(func(out *MIG, oldIdx int, a, b, c Signal) Signal {
 		def := candidate{shape: shapeMaj, sig: [5]Signal{a, b, c}}
@@ -286,9 +286,8 @@ func (m *MIG) PushUpPass(allowInflate bool) *MIG {
 
 			// Ω.D L→R: M(x, y, M(u, v, z)) = M(M(x,y,u), M(x,y,v), z),
 			// pushing the critical grandchild z one level up at the price of
-			// one node. Restricted to the critical path unless inflation is
-			// allowed.
-			if allowInflate || crit[oldIdx] {
+			// one node. Restricted to the critical path.
+			if crit[oldIdx] {
 				// Choose the deepest grandchild as z.
 				zi := 0
 				for k := 1; k < 3; k++ {

@@ -28,7 +28,7 @@ func betterByDepthSize(cand, best *MIG) bool {
 func pushUpToConvergence(m *MIG, iters int) *MIG {
 	cur := m
 	for i := 0; i < iters; i++ {
-		next := cur.PushUpPass(false)
+		next := cur.PushUpPass()
 		if next.Depth() < cur.Depth() {
 			cur = next
 			continue

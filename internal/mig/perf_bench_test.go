@@ -84,20 +84,6 @@ func BenchmarkEliminatePass(b *testing.B) {
 	}
 }
 
-// BenchmarkCutEnumeration measures 4-input cut enumeration over a full MCNC
-// circuit through the compatibility API (materializes a [][]Cut forest).
-func BenchmarkCutEnumeration(b *testing.B) {
-	m := benchMIG(b, "C6288")
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cuts := m.EnumerateCuts(4, 5)
-		if len(cuts) != m.NumNodes() {
-			b.Fatal("bad cut count")
-		}
-	}
-}
-
 // BenchmarkCutSetCold measures arena-backed enumeration from scratch (the
 // cache is reset every iteration).
 func BenchmarkCutSetCold(b *testing.B) {
@@ -105,7 +91,7 @@ func BenchmarkCutSetCold(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.InvalidateCuts()
+		m.cutCache = nil
 		cuts := m.CutSet(4, 5)
 		if cuts.NumNodes() != m.NumNodes() {
 			b.Fatal("bad cut count")

@@ -103,7 +103,7 @@ func TestStrashConsistentAfterPasses(t *testing.T) {
 	m := migFor(t, "b9")
 	for _, res := range []*MIG{
 		m.EliminatePass(3),
-		m.PushUpPass(false),
+		m.PushUpPass(),
 		m.ReshapePass(3, true),
 		m.RewritePass(),
 		m.WindowRewritePass(4, 5, 2),

@@ -87,15 +87,16 @@ func TestEnumerateCutsBasic(t *testing.T) {
 	g1 := m.Maj(x, y, Const0)
 	g2 := m.Maj(g1, z, w)
 	m.AddOutput("o", g2)
-	cuts := m.EnumerateCuts(4, 6)
+	cuts := m.CutSet(4, 6)
 	// g2 must have the cut {x, y, z, w}.
 	found := false
-	for _, c := range cuts[g2.Node()] {
-		if len(c.Leaves) == 4 {
+	for j := 0; j < cuts.NumCuts(g2.Node()); j++ {
+		leaves := cuts.Leaves(g2.Node(), j)
+		if len(leaves) == 4 {
 			found = true
-			f := m.CutFunction(g2.Node(), c)
+			f := m.cutFuncW(g2.Node(), leaves)
 			want := tt.Maj3(tt.Var(4, 0).And(tt.Var(4, 1)), tt.Var(4, 2), tt.Var(4, 3))
-			if !f.Equal(want) {
+			if f != want.Word(0) {
 				t.Error("cut function wrong")
 			}
 		}
@@ -112,12 +113,17 @@ func TestCutFunctionWithConst(t *testing.T) {
 	y := m.AddInput("y")
 	g := m.Maj(x, y, Const1) // or
 	m.AddOutput("o", g)
-	cuts := m.EnumerateCuts(4, 6)
-	for _, c := range cuts[g.Node()] {
-		for _, l := range c.Leaves {
+	cuts := m.CutSet(4, 6)
+	for j := 0; j < cuts.NumCuts(g.Node()); j++ {
+		leaves := cuts.Leaves(g.Node(), j)
+		for _, l := range leaves {
 			if l == 0 {
 				t.Error("constant node used as cut leaf")
 			}
+		}
+		// The constant fanin outside the cut still counts: {x, y} is OR.
+		if len(leaves) == 2 && m.cutFuncW(g.Node(), leaves) != tt.Var(2, 0).Or(tt.Var(2, 1)).Word(0) {
+			t.Error("cut function over a constant fanin wrong")
 		}
 	}
 }

@@ -191,9 +191,6 @@ func (n *Network) NumInputs() int { return len(n.Inputs) }
 // NumOutputs returns the number of primary outputs.
 func (n *Network) NumOutputs() int { return len(n.Outputs) }
 
-// InputSignal returns the signal of the i-th primary input.
-func (n *Network) InputSignal(i int) Signal { return MakeSignal(n.Inputs[i], false) }
-
 // Validate checks structural invariants: node 0 is const, fanins point
 // backwards, arities are correct, and output signals are in range.
 func (n *Network) Validate() error {

@@ -121,6 +121,26 @@ func TestForEachCtx(t *testing.T) {
 	}
 }
 
+func TestForEach(t *testing.T) {
+	var sum atomic.Int64
+	ForEach(100, 7, func(i int) { sum.Add(int64(i)) })
+	if got := sum.Load(); got != 4950 {
+		t.Fatalf("parallel sum = %d", got)
+	}
+	sum.Store(0)
+	ForEach(10, 1, func(i int) { sum.Add(int64(i)) })
+	if got := sum.Load(); got != 45 {
+		t.Fatalf("serial sum = %d", got)
+	}
+	ForEach(0, 4, func(int) { t.Fatal("no work expected") })
+	// More workers than items must not deadlock.
+	sum.Store(0)
+	ForEach(2, 16, func(i int) { sum.Add(int64(i + 1)) })
+	if got := sum.Load(); got != 3 {
+		t.Fatalf("overprovisioned sum = %d", got)
+	}
+}
+
 func TestContextWithWorkers(t *testing.T) {
 	if got := WorkersCtx(context.Background()); got != Workers() {
 		t.Fatalf("fallback = %d, want process budget %d", got, Workers())

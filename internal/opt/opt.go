@@ -286,9 +286,9 @@ func (p *Pipeline[G]) Run(g G) (G, Trace, error) {
 // and the context's error are returned.
 func (p *Pipeline[G]) RunContext(ctx context.Context, g G) (G, Trace, error) {
 	// One counterexample pool per run unless the caller scoped one wider
-	// (a Session sharing refutation patterns across its pipelines): every
-	// fraig pass downstream starts from classes pre-refined by the patterns
-	// earlier passes discovered.
+	// (sharing refutation patterns across several runs): every fraig pass
+	// downstream starts from classes pre-refined by the patterns earlier
+	// passes discovered.
 	if sweep.PoolFrom(ctx) == nil {
 		ctx = sweep.ContextWithPool(ctx, sweep.NewCexPool(0))
 	}

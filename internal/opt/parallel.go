@@ -62,16 +62,15 @@ func WorkersCtx(ctx context.Context) int {
 	return Workers()
 }
 
-// ForEachCtx is ForEach that stops handing out work once ctx is cancelled;
-// items already started run to completion (work functions are not
-// interrupted mid-item). Returns ctx.Err() when the sweep was cut short,
-// nil when every item ran.
+// ForEachCtx runs fn(0), ..., fn(n-1) on up to jobs workers; jobs <= 1
+// runs serially on the calling goroutine. Work items are handed out through
+// a channel, so uneven item costs balance across workers. It stops handing
+// out work once ctx is cancelled; items already started run to completion
+// (work functions are not interrupted mid-item). Returns ctx.Err() when the
+// sweep was cut short, nil when every item ran. An uncancellable ctx has a
+// nil Done channel, which never fires in the feed's select.
 func ForEachCtx(ctx context.Context, n, jobs int, fn func(i int)) error {
 	done := ctx.Done()
-	if done == nil {
-		ForEach(n, jobs, fn)
-		return nil
-	}
 	if jobs > n {
 		jobs = n
 	}
@@ -108,33 +107,6 @@ feed:
 	return ctx.Err()
 }
 
-// ForEach runs fn(0), ..., fn(n-1) on up to jobs workers; jobs <= 1 runs
-// serially on the calling goroutine. Work items are handed out through a
-// channel, so uneven item costs balance across workers.
-func ForEach(n, jobs int, fn func(i int)) {
-	if jobs > n {
-		jobs = n
-	}
-	if jobs <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	work := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(jobs)
-	for w := 0; w < jobs; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range work {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		work <- i
-	}
-	close(work)
-	wg.Wait()
-}
+// ForEach is ForEachCtx without cancellation: every item runs, so the
+// error is always nil.
+func ForEach(n, jobs int, fn func(i int)) { _ = ForEachCtx(context.Background(), n, jobs, fn) }

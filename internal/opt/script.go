@@ -76,16 +76,6 @@ func (r *Registry[G]) Signature(name string) string {
 	return name + "(" + e.args + ")"
 }
 
-// Help renders one line per registered pass — signature, then usage —
-// sorted by name so the listing is deterministic.
-func (r *Registry[G]) Help() string {
-	var b strings.Builder
-	for _, n := range r.SortedNames() {
-		fmt.Fprintf(&b, "  %-26s %s\n", r.Signature(n), r.entries[n].usage)
-	}
-	return b.String()
-}
-
 // New instantiates a registered pass.
 func (r *Registry[G]) New(name string, args ...int) (Pass[G], error) {
 	e, ok := r.entries[name]

@@ -30,8 +30,7 @@ type groupInfo struct {
 }
 
 // PushGroup creates a new clause group and opens it: subsequent NewVar and
-// AddClause calls belong to the group until EndGroup, BeginGroup or another
-// PushGroup.
+// AddClause calls belong to the group until EndGroup or another PushGroup.
 func (s *Solver) PushGroup() Group {
 	s.curGroup = -1 // the activation var is owned by no group
 	act := s.NewVar()
@@ -40,10 +39,6 @@ func (s *Solver) PushGroup() Group {
 	s.curGroup = int32(g)
 	return g
 }
-
-// BeginGroup reopens group g for more variables and clauses. Clauses added
-// to a released group are silently dropped.
-func (s *Solver) BeginGroup(g Group) { s.curGroup = int32(g) }
 
 // EndGroup closes the open group; subsequent clauses are permanent again.
 func (s *Solver) EndGroup() { s.curGroup = -1 }

@@ -133,7 +133,7 @@ func (s *Solver) Restarts() int64 { return s.restarts }
 // NewVar creates a fresh variable — or recycles one reclaimed from a
 // released clause group (see ReleaseGroup/Purge), whose solver slots were
 // reset to the fresh-variable state when it was reclaimed. While a group is
-// open (BeginGroup), the variable is owned by that group.
+// open (PushGroup), the variable is owned by that group.
 func (s *Solver) NewVar() Var {
 	var v Var
 	if n := len(s.freeVars); n > 0 {
@@ -180,7 +180,7 @@ func (s *Solver) decisionLevel() int { return len(s.trailLim) }
 // AddClause adds a clause over existing variables. It returns false when the
 // clause set has become unsatisfiable at level 0 (and the solver is dead).
 // Adding clauses between Solve calls is allowed (incremental interface).
-// While a clause group is open (BeginGroup/PushGroup) the clause is gated on
+// While a clause group is open (PushGroup) the clause is gated on
 // the group's activation literal; adding to a released group is a no-op.
 func (s *Solver) AddClause(lits ...Lit) bool {
 	if !s.ok {

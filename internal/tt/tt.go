@@ -159,17 +159,6 @@ func (t TT) Bit(m int) bool {
 	return t.words[m>>6]&(1<<(uint(m)&63)) != 0
 }
 
-// SetBit sets minterm m to v, returning a new table.
-func (t TT) SetBit(m int, v bool) TT {
-	r := t.Clone()
-	if v {
-		r.words[m>>6] |= 1 << (uint(m) & 63)
-	} else {
-		r.words[m>>6] &^= 1 << (uint(m) & 63)
-	}
-	return r
-}
-
 // Clone returns a deep copy of t.
 func (t TT) Clone() TT {
 	return TT{nVars: t.nVars, words: append([]uint64(nil), t.words...)}

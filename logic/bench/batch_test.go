@@ -3,7 +3,6 @@ package bench
 import (
 	"reflect"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"repro/logic"
@@ -77,26 +76,6 @@ func TestBatchVerifyParallel(t *testing.T) {
 		if r.VerifyErr != "" {
 			t.Errorf("%s: %s", r.Name, r.VerifyErr)
 		}
-	}
-}
-
-func TestForEach(t *testing.T) {
-	var sum atomic.Int64
-	forEach(100, 7, func(i int) { sum.Add(int64(i)) })
-	if got := sum.Load(); got != 4950 {
-		t.Fatalf("parallel sum = %d", got)
-	}
-	sum.Store(0)
-	forEach(10, 1, func(i int) { sum.Add(int64(i)) })
-	if got := sum.Load(); got != 45 {
-		t.Fatalf("serial sum = %d", got)
-	}
-	forEach(0, 4, func(int) { t.Fatal("no work expected") })
-	// More workers than items must not deadlock.
-	sum.Store(0)
-	forEach(2, 16, func(i int) { sum.Add(int64(i + 1)) })
-	if got := sum.Load(); got != 3 {
-		t.Fatalf("overprovisioned sum = %d", got)
 	}
 }
 

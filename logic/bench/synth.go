@@ -150,8 +150,9 @@ func BDSOptimize(n *netlist.Network, globalLimit int) (*netlist.Network, OptMetr
 // AIG view), builds a small BDD per cone, and decomposes each cone
 // independently — the partitioned mode large circuits need.
 func windowedBDS(n *netlist.Network, k int) (*netlist.Network, error) {
+	// a is not modified below, so the cut views stay valid throughout.
 	a := aig.FromNetwork(n)
-	cuts := a.EnumerateCuts(k, 4)
+	cuts := a.CutSet(k, 4)
 	out := netlist.New(n.Name)
 
 	// Map from AIG node to the signal of its decomposed implementation.
@@ -161,14 +162,16 @@ func windowedBDS(n *netlist.Network, k int) (*netlist.Network, error) {
 		mapped[a.Input(i).Node()] = out.AddInput(a.InputName(i))
 	}
 
-	// chooseCut picks the widest non-trivial cut (fewest recursions).
-	chooseCut := func(node int) aig.Cut {
-		best := aig.Cut{Leaves: []int{node}}
-		for _, c := range cuts[node] {
-			if len(c.Leaves) == 1 && c.Leaves[0] == node {
+	// chooseCut picks the widest non-trivial cut (fewest recursions), or
+	// nil when the node has none.
+	chooseCut := func(node int) []int32 {
+		var best []int32
+		for j := 0; j < cuts.NumCuts(node); j++ {
+			c := cuts.Leaves(node, j)
+			if len(c) == 1 && int(c[0]) == node {
 				continue
 			}
-			if len(best.Leaves) == 1 || len(c.Leaves) > len(best.Leaves) {
+			if len(best) <= 1 || len(c) > len(best) {
 				best = c
 			}
 		}
@@ -181,7 +184,7 @@ func windowedBDS(n *netlist.Network, k int) (*netlist.Network, error) {
 			return s, nil
 		}
 		cut := chooseCut(node)
-		if len(cut.Leaves) == 1 && cut.Leaves[0] == node {
+		if cut == nil {
 			// No usable cut (shouldn't happen for AND nodes): decompose
 			// structurally.
 			f := a.Fanins(node)
@@ -197,16 +200,16 @@ func windowedBDS(n *netlist.Network, k int) (*netlist.Network, error) {
 			mapped[node] = s
 			return s, nil
 		}
-		leafSigs := make([]netlist.Signal, len(cut.Leaves))
-		for i, l := range cut.Leaves {
-			s, err := build(l)
+		leafSigs := make([]netlist.Signal, len(cut))
+		for i, l := range cut {
+			s, err := build(int(l))
 			if err != nil {
 				return 0, err
 			}
 			leafSigs[i] = s
 		}
 		f := a.CutFunction(node, cut)
-		man := bdd.NewManager(len(cut.Leaves), 1<<16)
+		man := bdd.NewManager(len(cut), 1<<16)
 		root, err := man.FromTT(f)
 		if err != nil {
 			return 0, err

@@ -57,6 +57,42 @@ func TestSessionDefaultsMatchCLI(t *testing.T) {
 	}
 }
 
+// TestBeforeCountsStartNetwork pins Result.Before to the network the run
+// starts from. For a flat input that is the remajorized MIG, on the
+// partitioned path too, so an objective that optimizes nothing reports no
+// change and the flow's Before is its first step's input.
+func TestBeforeCountsStartNetwork(t *testing.T) {
+	net := circuit(t, "my_adder")
+	run := func(opts ...logic.Option) *logic.Result {
+		t.Helper()
+		sess, err := logic.NewSession(opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, res, err := sess.Optimize(context.Background(), net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+
+	none := run(logic.WithObjective("none"))
+	if none.Before != none.After {
+		t.Fatalf("objective none: before %+v, after %+v", none.Before, none.After)
+	}
+	flow := run(logic.WithObjective("flow"))
+	if len(flow.Trace) == 0 {
+		t.Fatal("flow recorded no trace")
+	}
+	if st := flow.Trace[0]; flow.Before.Size != st.SizeBefore || flow.Before.Depth != st.DepthBefore {
+		t.Fatalf("flow: before %d/%d, first step starts at %d/%d",
+			flow.Before.Size, flow.Before.Depth, st.SizeBefore, st.DepthBefore)
+	}
+	if part := run(logic.WithPartitions(2)); part.Before != none.Before {
+		t.Fatalf("partitioned: before %+v, want %+v", part.Before, none.Before)
+	}
+}
+
 // TestRoundTripMCNC drives BLIF -> Network -> Verilog -> Network -> BLIF
 // through the public API over the MCNC suite, checking names, PI/PO order
 // and function.

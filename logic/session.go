@@ -17,7 +17,6 @@ import (
 	"repro/internal/mig"
 	"repro/internal/opt"
 	"repro/internal/part"
-	"repro/internal/sweep"
 )
 
 // Session is an immutable optimizer configuration. Build one with
@@ -200,7 +199,10 @@ func NewSession(opts ...Option) (*Session, error) {
 // configured).
 func (s *Session) Script() string { return s.flow.Script }
 
-// Result carries the metrics of one Optimize call.
+// Result carries the metrics of one Optimize call. Before is measured on
+// the network the run starts from: the input itself for MIG and AIG
+// inputs, the remajorized MIG for flat ones, so it counts the same unit as
+// After.
 type Result struct {
 	Before  Stats   `json:"before"`
 	After   Stats   `json:"after"`
@@ -226,35 +228,31 @@ func (s *Session) Optimize(ctx context.Context, net Network) (Network, *Result, 
 	if s.workers > 0 {
 		ctx = opt.ContextWithWorkers(ctx, s.workers)
 	}
-	// One counterexample pool per Optimize call: every fraig pass in this
-	// run seeds from and feeds the same pattern set, and independent runs
-	// (or Sessions) never share state. Callers that want wider sharing can
-	// scope their own pool on the context.
-	if sweep.PoolFrom(ctx) == nil {
-		ctx = sweep.ContextWithPool(ctx, sweep.NewCexPool(0))
+	start := time.Now()
+	// The run starts from net itself for MIG and AIG inputs and from the
+	// remajorized MIG for flat ones. Before is measured there, on the
+	// partitioned path too, so both sides of the result count one unit.
+	in := net
+	if k := net.Kind(); k != KindMIG && k != KindAIG {
+		in = &MIG{g: mig.FromNetwork(net.flat().Remajorize())}
 	}
-	res := &Result{Before: net.Stats()}
+	res := &Result{Before: in.Stats()}
 	if n := len(s.flow.Probs); n > 0 && n != net.NumInputs() {
 		return nil, res, fmt.Errorf("logic: activity profile has %d probabilities, input has %d inputs", n, net.NumInputs())
 	}
-	start := time.Now()
 
 	var optimized Network
 	var err error
 	switch {
 	case s.partitions > 1:
 		optimized, res.Partition, res.Trace, err = s.optimizePartitioned(ctx, net)
-	case net.Kind() == KindAIG:
+	case in.Kind() == KindAIG:
 		var out *aig.AIG
-		out, res.Trace, err = runFlow(ctx, s, KindAIG, flow.Spec.AIG, net.(*AIG).g)
+		out, res.Trace, err = runFlow(ctx, s, KindAIG, flow.Spec.AIG, in.(*AIG).g)
 		optimized = &AIG{g: out}
 	default:
-		in, ok := net.(*MIG)
-		if !ok {
-			in = &MIG{g: mig.FromNetwork(net.flat().Remajorize())}
-		}
 		var out *mig.MIG
-		out, res.Trace, err = runFlow(ctx, s, KindMIG, flow.Spec.MIG, in.g)
+		out, res.Trace, err = runFlow(ctx, s, KindMIG, flow.Spec.MIG, in.(*MIG).g)
 		optimized = &MIG{g: out}
 	}
 	if err != nil {

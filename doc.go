@@ -117,15 +117,17 @@
 //   - Structural hashing (strash) is an open-addressing hash table
 //     (internal/hashed) keyed on packed fanin signals, with linear probing
 //     over power-of-two capacities and tombstone-free backward-shift
-//     deletion. Rollback-heavy candidate probing (checkpoint, build, roll
-//     back) deletes as often as it inserts; deletion is value-guarded
-//     (DeleteAbove), so a rollback can never evict a surviving node's
-//     entry, and graph Clone is a flat slice copy.
+//     deletion. The probes that build a candidate and roll it back (the
+//     window engine, ActivityPass, cut-rewrite and the AIG passes) delete
+//     as often as they insert; deletion is value-guarded (DeleteAbove), so
+//     a rollback can never evict a surviving node's entry, and graph Clone
+//     is a flat slice copy.
 //   - Every old→new remap of the topological rebuilds is a dense []Signal
 //     slice drawn from pooled slabs, and the cone traversals
-//     (replaceInCone, coneContains, local activity, truth-table walks)
-//     memoize in epoch-stamped arrays owned by the graph — clearing is a
-//     counter increment, not an allocation.
+//     (replaceInCone, coneContains, local activity, truth-table walks) and
+//     the window engine's per-window remap memoize in epoch-stamped arrays
+//     owned by the graph or the worker — clearing is a counter increment,
+//     not an allocation or a graph-sized fill.
 //   - Cut enumeration writes into an arena-backed cut.Cache, the only way
 //     passes and baselines read cuts: all leaves in one flat array, spans
 //     per cut, offsets per node. The cache lives on
@@ -138,9 +140,14 @@
 //     cofactors, projections and matching are pure word arithmetic.
 //     Resynthesis takes at most six variables, so the word path is its
 //     only implementation.
-//   - Candidate probing in the Ω/Ψ passes records (shape, parameters)
-//     records instead of capturing rebuild closures, keeping the probe
-//     inner loop off the heap.
+//   - The Ω/Ψ passes cost a candidate without building it, in the style
+//     of ABC's lookup-only DAG-aware rewriting (Mishchenko, Chatterjee and
+//     Brayton, DAC 2006). A candidate is a (shape, parameters) record; its
+//     dry build applies Maj's own normalization and only looks keys up, and
+//     a miss becomes a virtual node numbered as the real build would number
+//     it. Each node's used flag (set on the fanins of every node Maj
+//     creates) skips the lookup of a key that cannot be in the strash.
+//     Probing modifies nothing and allocates nothing.
 //
 // Window-parallel rewriting (mig.WindowRewritePass, pass name
 // "window-rewrite") partitions the live nodes into maximal fanout-free

@@ -6,9 +6,11 @@
 //   - open addressing with linear probing over power-of-two capacities, so
 //     lookups touch one or two cache lines instead of chasing the buckets
 //     of a built-in map;
-//   - tombstone-free deletion by backward shifting: rollback-heavy probing
-//     (checkpoint, build candidate, roll back) deletes as often as it
-//     inserts, and tombstones would degrade every later probe;
+//   - tombstone-free deletion by backward shifting: the probes that build
+//     a candidate and roll it back (the MIG window engine, ActivityPass and
+//     cut-rewrite, and the AIG passes; the MIG's Ω/Ψ passes only look up)
+//     delete as often as they insert, and tombstones would degrade every
+//     later probe;
 //   - value-guarded deletion (DeleteAbove), so a rollback can never evict a
 //     surviving node's entry even if a caller passes a stale key;
 //   - O(1) cloning cost proportional to capacity (flat slice copies), which

@@ -70,10 +70,16 @@ const (
 )
 
 // node is a single MIG node. Fanins are only meaningful for majority nodes.
+// used is set once the node is a fanin of a majority node that Maj built;
+// nothing clears it. Maj is the only creator of majority nodes and Clone
+// copies nodes, so a key with an unused fanin cannot be in the strash and
+// its lookup is skipped (a flag left set by a rolled-back node costs only
+// a lookup).
 type node struct {
 	fanin [3]Signal
 	level int32
 	kind  nodeKind
+	used  bool
 }
 
 // Output is a named primary output.
@@ -107,6 +113,9 @@ type MIG struct {
 	// synthMemo is the reusable memo of one synthesis call (synth6.go),
 	// keyed by truth-table word.
 	synthMemo map[uint64]Signal
+	// dry is the reusable state of the Ω/Ψ passes' lookup-only candidate
+	// probes (probeCand, opt.go).
+	dry probe
 }
 
 // New returns an empty MIG containing only the constant node.
@@ -159,50 +168,56 @@ func (m *MIG) Fanins(n int) [3]Signal { return m.nodes[n].fanin }
 // Level returns the logic level of the node of s (inverters are free).
 func (m *MIG) Level(s Signal) int { return int(m.nodes[s.Node()].level) }
 
-// Maj creates (or reuses) a majority node M(a, b, c). The node is
-// canonicalized before hashing:
+// Maj creates (or reuses) a majority node M(a, b, c), canonicalized by
+// majNorm before hashing.
+func (m *MIG) Maj(a, b, c Signal) Signal {
+	a, b, c, outNeg, ok := majNorm(a, b, c)
+	if !ok {
+		return a
+	}
+	if m.mayExist(a, b, c) {
+		if idx, ok := m.strash.Get(strashKey(a, b, c)); ok {
+			return MakeSignal(int(idx), outNeg)
+		}
+	}
+	lv := max(m.nodes[a.Node()].level, m.nodes[b.Node()].level, m.nodes[c.Node()].level)
+	m.nodes[a.Node()].used = true
+	m.nodes[b.Node()].used = true
+	m.nodes[c.Node()].used = true
+	idx := len(m.nodes)
+	m.nodes = append(m.nodes, node{fanin: [3]Signal{a, b, c}, level: lv + 1, kind: kindMaj})
+	m.strash.Put(strashKey(a, b, c), int32(idx))
+	return MakeSignal(idx, outNeg)
+}
+
+// majNorm canonicalizes M(a, b, c) for structural hashing:
 //
 //   - the trivial majority rules Ω.M are applied: M(x, x, z) = x and
 //     M(x, x', z) = z (this also covers constant pairs, since Const1 is the
-//     complement of Const0);
-//   - fanins are sorted (Ω.C makes order irrelevant);
+//     complement of Const0); ok is then false and the node is x;
 //   - if two or more fanins are complemented, inverter propagation Ω.I
 //     rewrites the node so at most one fanin is complemented, complementing
-//     the output instead.
-func (m *MIG) Maj(a, b, c Signal) Signal {
+//     the output instead (outNeg);
+//   - fanins are sorted (Ω.C makes order irrelevant).
+func majNorm(a, b, c Signal) (x, y, z Signal, outNeg, ok bool) {
 	// Ω.M: pairs of equal or complementary fanins.
-	if a == b {
-		return a
-	}
-	if a == b.Not() {
-		return c
-	}
-	if a == c {
-		return a
-	}
-	if a == c.Not() {
-		return b
-	}
-	if b == c {
-		return b
-	}
-	if b == c.Not() {
-		return a
+	switch {
+	case a == b:
+		return a, 0, 0, false, false
+	case a == b.Not():
+		return c, 0, 0, false, false
+	case a == c:
+		return a, 0, 0, false, false
+	case a == c.Not():
+		return b, 0, 0, false, false
+	case b == c:
+		return b, 0, 0, false, false
+	case b == c.Not():
+		return a, 0, 0, false, false
 	}
 
 	// Ω.I normalization: keep at most one complemented fanin.
-	neg := 0
-	if a.Neg() {
-		neg++
-	}
-	if b.Neg() {
-		neg++
-	}
-	if c.Neg() {
-		neg++
-	}
-	outNeg := false
-	if neg >= 2 {
+	if (a&1)+(b&1)+(c&1) >= 2 {
 		a, b, c = a.Not(), b.Not(), c.Not()
 		outNeg = true
 	}
@@ -217,23 +232,16 @@ func (m *MIG) Maj(a, b, c Signal) Signal {
 	if a > b {
 		a, b = b, a
 	}
-
-	key := [3]uint32{uint32(a), uint32(b), uint32(c)}
-	if idx, ok := m.strash.Get(key); ok {
-		return MakeSignal(int(idx), outNeg)
-	}
-	lv := m.nodes[a.Node()].level
-	if l := m.nodes[b.Node()].level; l > lv {
-		lv = l
-	}
-	if l := m.nodes[c.Node()].level; l > lv {
-		lv = l
-	}
-	idx := len(m.nodes)
-	m.nodes = append(m.nodes, node{fanin: [3]Signal{a, b, c}, level: lv + 1, kind: kindMaj})
-	m.strash.Put(key, int32(idx))
-	return MakeSignal(idx, outNeg)
+	return a, b, c, outNeg, true
 }
+
+// mayExist reports whether the canonical key (a, b, c) can be in the
+// strash: every fanin of a hashed node is used.
+func (m *MIG) mayExist(a, b, c Signal) bool {
+	return m.nodes[a.Node()].used && m.nodes[b.Node()].used && m.nodes[c.Node()].used
+}
+
+func strashKey(a, b, c Signal) [3]uint32 { return [3]uint32{uint32(a), uint32(b), uint32(c)} }
 
 // And returns a AND b, built as M(a, b, 0).
 func (m *MIG) And(a, b Signal) Signal { return m.Maj(a, b, Const0) }

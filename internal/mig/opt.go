@@ -12,15 +12,15 @@ package mig
 // exchanges that prefer node constructions whose output probability is far
 // from 0.5.
 //
-// All passes are implemented as topological rebuilds: candidates are probed
-// with checkpoint/rollback and the best construction is committed. Every
-// pass preserves functional equivalence (the rules are the paper's sound Ω/Ψ
-// transformations) — this is verified extensively in the tests.
+// All passes are implemented as topological rebuilds: each node's
+// candidate constructions are costed by a dry build that only looks keys up
+// in the structural hash (probeCand), and the best one is built for real.
+// Every pass preserves functional equivalence (the rules are the paper's
+// sound Ω/Ψ transformations) — this is verified extensively in the tests.
 
-// candidate describes a probed local construction. Instead of capturing a
-// rebuild closure (which escapes to the heap on every probe), a candidate
-// records its shape and parameter signals; buildCand re-materializes it.
-// This keeps the probing inner loop allocation-free.
+// candidate describes a probed local construction by its shape and
+// parameter signals; buildCand materializes it, for real or inside a dry
+// probe. Probing a candidate therefore allocates nothing.
 type candidate struct {
 	shape  candShape
 	sig    [5]Signal
@@ -44,30 +44,83 @@ const (
 	shapeRelevance
 )
 
-// buildCand constructs the candidate in the MIG and returns its signal.
-func (m *MIG) buildCand(c *candidate) Signal {
+// buildCand constructs the candidate and returns its signal: in the MIG
+// when p is nil, otherwise inside the dry probe p.
+func (m *MIG) buildCand(c *candidate, p *probe) Signal {
 	switch c.shape {
 	case shapeMaj:
-		return m.Maj(c.sig[0], c.sig[1], c.sig[2])
+		return m.maj(p, c.sig[0], c.sig[1], c.sig[2])
 	case shapeNested:
-		return m.Maj(c.sig[0], c.sig[1], m.Maj(c.sig[2], c.sig[3], c.sig[4]))
+		return m.maj(p, c.sig[0], c.sig[1], m.maj(p, c.sig[2], c.sig[3], c.sig[4]))
 	case shapeDist:
-		return m.Maj(m.Maj(c.sig[0], c.sig[1], c.sig[2]), m.Maj(c.sig[0], c.sig[1], c.sig[3]), c.sig[4])
+		return m.maj(p, m.maj(p, c.sig[0], c.sig[1], c.sig[2]), m.maj(p, c.sig[0], c.sig[1], c.sig[3]), c.sig[4])
 	case shapeRelevance:
-		nz := m.replaceInCone(c.sig[2], c.sig[0], c.sig[1].Not(), c.window)
-		return m.Maj(c.sig[0], c.sig[1], nz)
+		nz := m.replaceInCone(p, c.sig[2], c.sig[0], c.sig[1].Not(), c.window)
+		return m.maj(p, c.sig[0], c.sig[1], nz)
 	}
 	panic("mig: unknown candidate shape")
 }
 
-// probeCand evaluates the candidate without committing it, filling in its
-// cost fields.
+// probeCand fills in the candidate's cost fields — the nodes a build would
+// add and the level of its result — without modifying the MIG.
 func (m *MIG) probeCand(c *candidate) {
-	cp := m.checkpoint()
-	s := m.buildCand(c)
-	c.added = len(m.nodes) - cp
-	c.level = m.Level(s)
-	m.rollback(cp)
+	p := &m.dry
+	p.base = len(m.nodes)
+	p.keys, p.levels = p.keys[:0], p.levels[:0]
+	s := m.buildCand(c, p)
+	c.added = len(p.keys)
+	c.level = int(m.levelIn(p, s))
+}
+
+// probe is a dry build: the nodes a build would append stay virtual,
+// numbered from base in creation order exactly as the build would number
+// them, so every Ω.C sort sees the same signal values and a key built
+// twice shares one node.
+type probe struct {
+	base   int
+	keys   [][3]Signal
+	levels []int32
+}
+
+// maj is Maj when p is nil and dryMaj inside p otherwise.
+func (m *MIG) maj(p *probe, a, b, c Signal) Signal {
+	if p == nil {
+		return m.Maj(a, b, c)
+	}
+	return m.dryMaj(p, a, b, c)
+}
+
+// dryMaj is Maj inside the probe p, reading the MIG only. After majNorm,
+// the key is searched among p's virtual nodes, then in the strash when
+// every fanin is a real, used node; a miss becomes a virtual node at level
+// max(fanin levels) + 1.
+func (m *MIG) dryMaj(p *probe, a, b, c Signal) Signal {
+	a, b, c, outNeg, ok := majNorm(a, b, c)
+	if !ok {
+		return a
+	}
+	key := [3]Signal{a, b, c}
+	for i, k := range p.keys {
+		if k == key {
+			return MakeSignal(p.base+i, outNeg)
+		}
+	}
+	if c.Node() < p.base && m.mayExist(a, b, c) {
+		if idx, ok := m.strash.Get(strashKey(a, b, c)); ok {
+			return MakeSignal(int(idx), outNeg)
+		}
+	}
+	p.keys = append(p.keys, key)
+	p.levels = append(p.levels, max(m.levelIn(p, a), m.levelIn(p, b), m.levelIn(p, c))+1)
+	return MakeSignal(p.base+len(p.keys)-1, outNeg)
+}
+
+// levelIn is the level of s, which may be a virtual node of p.
+func (m *MIG) levelIn(p *probe, s Signal) int32 {
+	if n := s.Node(); n >= p.base {
+		return p.levels[n-p.base]
+	}
+	return m.nodes[s.Node()].level
 }
 
 // better reports whether a beats b under (primary, secondary) ordering.
@@ -191,7 +244,7 @@ func (m *MIG) eliminate(window, depthBudget int) *MIG {
 				}
 			}
 		}
-		return out.buildCand(&best)
+		return out.buildCand(&best, nil)
 	})
 }
 
@@ -305,7 +358,7 @@ func (m *MIG) PushUpPass() *MIG {
 				}
 			}
 		}
-		return out.buildCand(&best)
+		return out.buildCand(&best, nil)
 	})
 }
 
@@ -331,7 +384,7 @@ func (m *MIG) ReshapePass(window int, aggressive bool) *MIG {
 				}
 			}
 		}
-		return out.buildCand(&best)
+		return out.buildCand(&best, nil)
 	})
 	if !aggressive {
 		return res
@@ -477,7 +530,7 @@ func (m *MIG) ActivityPass(inputProbs []float64) *MIG {
 	return m.rebuildWith(func(out *MIG, oldIdx int, a, b, c Signal) Signal {
 		evalAct := func(c *candidate) float64 {
 			cp := out.checkpoint()
-			s := out.buildCand(c)
+			s := out.buildCand(c, nil)
 			c.added = len(out.nodes) - cp
 			act := localActivity(out, cp, s)
 			out.rollback(cp)
@@ -509,7 +562,7 @@ func (m *MIG) ActivityPass(inputProbs []float64) *MIG {
 				best, bestAct = cand, act
 			}
 		}
-		s := out.buildCand(&best)
+		s := out.buildCand(&best, nil)
 		extend(out)
 		return s
 	})

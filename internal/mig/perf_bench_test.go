@@ -72,13 +72,39 @@ func BenchmarkRebuildWith(b *testing.B) {
 }
 
 // BenchmarkEliminatePass measures the Algorithm 1 elimination sweep,
-// including candidate probing with checkpoint/rollback.
+// including the dry candidate probes (Ω.D R→L and Ψ.R).
 func BenchmarkEliminatePass(b *testing.B) {
 	m := benchMIG(b, "b9")
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if out := m.EliminatePass(3); out.Size() == 0 {
+			b.Fatal("empty result")
+		}
+	}
+}
+
+// BenchmarkPushUpPass measures one Algorithm 2 push-up sweep, whose Ω.A,
+// Ψ.C and Ω.D L→R candidates are all costed by dry probes.
+func BenchmarkPushUpPass(b *testing.B) {
+	m := benchMIG(b, "b9")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if out := m.PushUpPass(); out.Size() == 0 {
+			b.Fatal("empty result")
+		}
+	}
+}
+
+// BenchmarkReshapePass measures one reshape sweep without substitution:
+// the Ψ.R relevance probes, which dry-build a replacement cone.
+func BenchmarkReshapePass(b *testing.B) {
+	m := benchMIG(b, "b9")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if out := m.ReshapePass(3, false); out.Size() == 0 {
 			b.Fatal("empty result")
 		}
 	}

@@ -2,9 +2,12 @@ package mig
 
 // Rewrite infrastructure. Optimization passes rebuild the MIG node by node
 // in topological order, applying local transformation rules from the Ω and Ψ
-// systems while the new graph is constructed. Candidate constructions are
-// probed with checkpoint/rollback so a pass can pick the cheapest of several
-// functionally equivalent local structures.
+// systems while the new graph is constructed. A pass picks the cheapest of
+// several functionally equivalent local structures: the Ω/Ψ passes cost
+// each one by a dry build that only looks keys up (probeCand, opt.go), and
+// the passes that need the built nodes themselves (ActivityPass, cut
+// rewriting, the window engine) build and take them back with
+// checkpoint/rollback.
 
 // checkpoint returns a token for rollback.
 func (m *MIG) checkpoint() int { return len(m.nodes) }
@@ -112,11 +115,13 @@ func (m *MIG) criticalMask() []bool {
 // scratch) keeps the traversal linear in the cone size without allocating;
 // memoization across different residual depths can only cause fewer
 // occurrences to be replaced, which remains sound.
-func (m *MIG) replaceInCone(root, from, to Signal, depth int) Signal {
-	return m.replaceRec(root, from, to, depth, m.scr.begin(len(m.nodes)))
+//
+// A non-nil p builds the replacement inside that dry probe (see probeCand).
+func (m *MIG) replaceInCone(p *probe, root, from, to Signal, depth int) Signal {
+	return m.replaceRec(p, root, from, to, depth, m.scr.begin(len(m.nodes)))
 }
 
-func (m *MIG) replaceRec(root, from, to Signal, depth int, memo *scratch) Signal {
+func (m *MIG) replaceRec(p *probe, root, from, to Signal, depth int, memo *scratch) Signal {
 	if root == from {
 		return to
 	}
@@ -136,14 +141,14 @@ func (m *MIG) replaceRec(root, from, to Signal, depth int, memo *scratch) Signal
 	if !ok {
 		return root
 	}
-	na := m.replaceRec(a, from, to, depth-1, memo)
-	nb := m.replaceRec(b, from, to, depth-1, memo)
-	nc := m.replaceRec(c, from, to, depth-1, memo)
+	na := m.replaceRec(p, a, from, to, depth-1, memo)
+	nb := m.replaceRec(p, b, from, to, depth-1, memo)
+	nc := m.replaceRec(p, c, from, to, depth-1, memo)
 	var res Signal
 	if na == a && nb == b && nc == c {
 		res = pos
 	} else {
-		res = m.Maj(na, nb, nc)
+		res = m.maj(p, na, nb, nc)
 	}
 	memo.put(root.Node(), res)
 	return res.NotIf(root.Neg())
@@ -195,8 +200,8 @@ func relevanceCandidates(x, y, z Signal) [][3]Signal {
 // replacing variable v by u (and u') in the cone of root, bounded by depth.
 // The result is functionally equal to root for any choice of u and v.
 func (m *MIG) SubstituteVar(root, v, u Signal, depth int) Signal {
-	kU := m.replaceInCone(root, v, u, depth)
-	kUn := m.replaceInCone(root, v, u.Not(), depth)
+	kU := m.replaceInCone(nil, root, v, u, depth)
+	kUn := m.replaceInCone(nil, root, v, u.Not(), depth)
 	left := m.Maj(v.Not(), kU, u)
 	right := m.Maj(v.Not(), kUn, u.Not())
 	return m.Maj(v, left, right)

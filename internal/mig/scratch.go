@@ -4,16 +4,18 @@ package mig
 // the optimization inner loops allocation-free:
 //
 //   - epoch-stamped dense arrays (scratch) replace the per-call
-//     map[int]Signal / map[int]bool memos of the cone traversals: a slot is
-//     valid only when its stamp equals the current epoch, so "clearing" the
-//     structure is a counter increment;
+//     map[int]Signal / map[int]bool memos of the cone traversals and the
+//     window engine's per-window remap: a slot is valid only when its stamp
+//     equals the current epoch, so "clearing" the structure is a counter
+//     increment, however small the window and large the graph;
 //   - sync.Pool-backed slices (signalSlab, boolSlab) replace the per-pass
 //     remap and liveness allocations of the topological rebuilds. Pools are
 //     goroutine-safe, which the window-parallel rewriting relies on.
 //
-// Each MIG owns one scratch. It is used only by single-threaded traversals
-// over that MIG instance (the window-parallel pass gives every worker a
-// private clone), and it is intentionally not carried over by Clone.
+// Each MIG owns one scratch, used only by single-threaded traversals over
+// that MIG instance and intentionally not carried over by Clone. Each
+// window-engine worker owns another for its remap (winWorker, window.go),
+// allocated once per pass.
 
 import "sync"
 

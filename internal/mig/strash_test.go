@@ -3,11 +3,13 @@ package mig
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 // strashConsistent verifies the structural-hash invariants: every entry
 // maps a canonical fanin triple to a live node index with exactly those
-// fanins, and every majority node is findable.
+// fanins, every majority node is findable, and every fanin of a majority
+// node is flagged used (Maj skips the lookup of keys with an unused fanin).
 func strashConsistent(t *testing.T, m *MIG) {
 	t.Helper()
 	for i := range m.nodes {
@@ -15,6 +17,11 @@ func strashConsistent(t *testing.T, m *MIG) {
 			continue
 		}
 		f := m.nodes[i].fanin
+		for _, s := range f {
+			if !m.nodes[s.Node()].used {
+				t.Fatalf("fanin %d of node %d is not flagged used", s.Node(), i)
+			}
+		}
 		idx, ok := m.strash.Get([3]uint32{uint32(f[0]), uint32(f[1]), uint32(f[2])})
 		if !ok {
 			t.Fatalf("node %d (%v) missing from strash", i, f)
@@ -97,8 +104,9 @@ func TestRollbackGuardedDelete(t *testing.T) {
 	strashConsistent(t, m)
 }
 
-// Strash invariants must hold after every optimization pass on a real
-// circuit (the passes are rollback-heavy).
+// Strash invariants, used flags included, must hold after every
+// optimization pass on a real circuit (the window engine and ActivityPass
+// roll back; the Ω/Ψ passes probe dry) and on a clone.
 func TestStrashConsistentAfterPasses(t *testing.T) {
 	m := migFor(t, "b9")
 	for _, res := range []*MIG{
@@ -107,10 +115,21 @@ func TestStrashConsistentAfterPasses(t *testing.T) {
 		m.ReshapePass(3, true),
 		m.RewritePass(),
 		m.WindowRewritePass(4, 5, 2),
+		m.NPNRewritePass(4, 5, 2),
+		m.ActivityPass(nil),
+		m.Clone(),
 		m.Cleanup(),
 	} {
 		strashConsistent(t, res)
 	}
 	// The input graph itself must be unchanged by all of the above.
 	strashConsistent(t, m)
+}
+
+// The used flag sits in the padding after kind, so it costs no memory: a
+// node stays 20 bytes.
+func TestNodeSize(t *testing.T) {
+	if got := unsafe.Sizeof(node{}); got != 20 {
+		t.Errorf("node is %d bytes, want 20", got)
+	}
 }

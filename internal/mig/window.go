@@ -159,7 +159,7 @@ func (m *MIG) windowRewriteCtx(ctx context.Context, k, maxCuts, jobs int, npn bo
 	}
 	if err := opt.ForEachCtx(ctx, len(windows), jobs, func(wi int) {
 		wk := <-workers
-		wk.cl.evalWindow(windows[wi], cuts, choices, npn, wk.refs)
+		wk.evalWindow(windows[wi], cuts, choices, npn)
 		workers <- wk
 	}); err != nil {
 		return m, err
@@ -217,9 +217,13 @@ func (m *MIG) windowRewriteCtx(ctx context.Context, k, maxCuts, jobs int, npn bo
 // winWorker pairs a worker-private clone with a worker-private copy of the
 // input graph's fanout counts. freedBy mutates refs transiently (and
 // restores it exactly), so sharing one slice across workers would race.
+// remap is the worker's window-local remap (see evalWindow): epoch-stamped,
+// so it is allocated once per pass and starting a window costs a counter
+// increment, not a graph-sized clear.
 type winWorker struct {
-	cl   *MIG
-	refs []int
+	cl    *MIG
+	refs  []int
+	remap scratch
 }
 
 // freedScratch holds the reusable traversal buffers of freedBy so the
@@ -318,16 +322,15 @@ func (cl *MIG) freedBy(i int, s Signal, leaves []int32, refs []int, fs *freedScr
 // cache of the original graph; node indices are identical in the clone.
 // refs is the worker-private fanout-count copy backing the freed-node
 // credit of the net-gain scoring.
-func (cl *MIG) evalWindow(window []int, cuts *cut.Cache, choices []windowChoice, npn bool, refs []int) {
+func (wk *winWorker) evalWindow(window []int, cuts *cut.Cache, choices []windowChoice, npn bool) {
+	cl, refs := wk.cl, wk.refs
 	wcp := cl.checkpoint()
 	// Window-local remap: nodes of this window already rewritten, so later
 	// window nodes are costed against the structure they will actually
-	// have.
-	wp := takeSignals(len(cl.nodes), badSignal)
-	wremap := *wp
-	defer releaseSignals(wp)
+	// have. Only input-graph nodes (below wcp) are ever looked up.
+	wremap := wk.remap.begin(wcp)
 	remapped := func(s Signal) Signal {
-		if r := wremap[s.Node()]; r != badSignal {
+		if r, ok := wremap.get(s.Node()); ok {
 			return r.NotIf(s.Neg())
 		}
 		return s
@@ -399,11 +402,11 @@ func (cl *MIG) evalWindow(window []int, cuts *cut.Cache, choices []windowChoice,
 		// Commit the winner into the clone so later window nodes see it.
 		switch {
 		case haveBest && choice.npn:
-			wremap[i] = cl.synthNPN(bestW, bestN, bestSigs)
+			wremap.put(i, cl.synthNPN(bestW, bestN, bestSigs))
 		case haveBest:
-			wremap[i] = cl.synthW(bestW, bestN, bestSigs)
+			wremap.put(i, cl.synthW(bestW, bestN, bestSigs))
 		default:
-			wremap[i] = cl.Maj(a, b, c)
+			wremap.put(i, cl.Maj(a, b, c))
 		}
 	}
 	cl.rollback(wcp)

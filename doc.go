@@ -114,14 +114,18 @@
 // The data plane of both graph packages is allocation-free on its hot
 // paths:
 //
-//   - Structural hashing (strash) is an open-addressing hash table
-//     (internal/hashed) keyed on packed fanin signals, with linear probing
-//     over power-of-two capacities and tombstone-free backward-shift
-//     deletion. The probes that build a candidate and roll it back (the
-//     window engine, ActivityPass, cut-rewrite and the AIG passes) delete
-//     as often as they insert; deletion is value-guarded (DeleteAbove), so
-//     a rollback can never evict a surviving node's entry, and graph Clone
-//     is a flat slice copy.
+//   - Structural hashing (strash) is threaded through the nodes, as ABC
+//     threads its AIG strash through the node objects: every node heads
+//     the chain of the majority (AND) nodes whose largest canonical fanin
+//     it is, newest first, and each of those links to the next-older one.
+//     Maj and And walk the chain of the key's largest fanin, whose node
+//     they read anyway for its level, so there is no table to size, grow,
+//     copy or miss in the cache. The probes that build a candidate and roll it
+//     back (the window engine, ActivityPass, cut-rewrite and the AIG
+//     passes) unlink by node index: nodes are appended in order and chains
+//     prepended, so each removed node heads its chain. Graph Clone copies
+//     the nodes and with them the strash, and a rebuild reserves its node
+//     slice.
 //   - Every old→new remap of the topological rebuilds is a dense []Signal
 //     slice drawn from pooled slabs, and the cone traversals
 //     (replaceInCone, coneContains, local activity, truth-table walks) and

@@ -10,7 +10,6 @@ import (
 	"fmt"
 
 	"repro/internal/cut"
-	"repro/internal/hashed"
 	"repro/internal/netlist"
 )
 
@@ -58,10 +57,15 @@ const (
 	kindAnd
 )
 
+// node is a single AIG node. The structural hash is threaded through the
+// nodes as in the MIG: head is the newest AND node whose larger fanin
+// (fanin[1]) is this node, next the next-older node of the chain this AND
+// node is on, and 0 ends a chain.
 type node struct {
-	fanin [2]Signal
-	level int32
-	kind  nodeKind
+	fanin      [2]Signal
+	level      int32
+	head, next int32
+	kind       nodeKind
 }
 
 // Output is a named primary output.
@@ -77,9 +81,6 @@ type AIG struct {
 	inputs  []int
 	names   []string
 	Outputs []Output
-	// strash is the structural-hashing index (canonical fanin pair ->
-	// node index) as an open-addressing table; see internal/hashed.
-	strash hashed.Table2
 	// cutCache lazily holds the k-feasible cuts of this graph (extended
 	// incrementally, truncated on rollback; see cuts.go).
 	cutCache *cut.Cache
@@ -154,17 +155,16 @@ func (a *AIG) And(x, y Signal) Signal {
 	if x > y {
 		x, y = y, x
 	}
-	key := [2]uint32{uint32(x), uint32(y)}
-	if idx, ok := a.strash.Get(key); ok {
-		return MakeSignal(int(idx), false)
+	yn := y.Node()
+	for i := a.nodes[yn].head; i != 0; i = a.nodes[i].next {
+		if a.nodes[i].fanin == [2]Signal{x, y} {
+			return MakeSignal(int(i), false)
+		}
 	}
-	lv := a.nodes[x.Node()].level
-	if l := a.nodes[y.Node()].level; l > lv {
-		lv = l
-	}
+	lv := max(a.nodes[x.Node()].level, a.nodes[yn].level)
 	idx := len(a.nodes)
-	a.nodes = append(a.nodes, node{fanin: [2]Signal{x, y}, level: lv + 1, kind: kindAnd})
-	a.strash.Put(key, int32(idx))
+	a.nodes = append(a.nodes, node{fanin: [2]Signal{x, y}, level: lv + 1, next: a.nodes[yn].head, kind: kindAnd})
+	a.nodes[yn].head = int32(idx) // after the append, which may move nodes
 	return MakeSignal(idx, false)
 }
 
@@ -315,9 +315,9 @@ func (a *AIG) Activity(inputProbs []float64) float64 {
 	return total
 }
 
-// Clone returns a deep copy of the AIG. The structural hash is cloned as
-// a flat slice copy; scratch memory and the cut cache are not carried
-// over (mirrors the MIG's Clone).
+// Clone returns a deep copy of the AIG. The structural hash lives in the
+// nodes, so copying them copies it; scratch memory and the cut cache are
+// not carried over (mirrors the MIG's Clone).
 func (a *AIG) Clone() *AIG {
 	return &AIG{
 		Name:    a.Name,
@@ -325,7 +325,6 @@ func (a *AIG) Clone() *AIG {
 		inputs:  append([]int(nil), a.inputs...),
 		names:   append([]string(nil), a.names...),
 		Outputs: append([]Output(nil), a.Outputs...),
-		strash:  a.strash.Clone(),
 	}
 }
 

@@ -1,6 +1,7 @@
 package aig
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/sop"
@@ -16,15 +17,14 @@ import (
 // checkpoint returns a rollback token.
 func (a *AIG) checkpoint() int { return len(a.nodes) }
 
-// rollback removes nodes created after the checkpoint. Strash deletion is
-// value-guarded so an entry of a surviving node can never be evicted (see
-// the MIG twin in internal/mig/rewrite.go), and the cut cache is truncated
+// rollback removes nodes created after the checkpoint, unlinking each AND
+// node from its strash chain from the top down (each then heads its chain;
+// see the MIG twin in internal/mig/rewrite.go), and truncates the cut cache
 // back to the checkpoint.
 func (a *AIG) rollback(cp int) {
 	for i := len(a.nodes) - 1; i >= cp; i-- {
-		if a.nodes[i].kind == kindAnd {
-			f := a.nodes[i].fanin
-			a.strash.DeleteAbove([2]uint32{uint32(f[0]), uint32(f[1])}, int32(cp))
+		if nd := &a.nodes[i]; nd.kind == kindAnd {
+			a.nodes[nd.fanin[1].Node()].head = nd.next
 		}
 	}
 	a.nodes = a.nodes[:cp]
@@ -190,7 +190,7 @@ const badSignal = ^Signal(0)
 func (a *AIG) cutResynth(k, maxCuts int) *AIG {
 	cuts := a.CutSet(k, maxCuts)
 	out := New(a.Name)
-	out.strash.Reserve(len(a.nodes))
+	out.nodes = slices.Grow(out.nodes, len(a.nodes))
 	remap := make([]Signal, len(a.nodes))
 	for i := range remap {
 		remap[i] = badSignal

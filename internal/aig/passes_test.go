@@ -113,3 +113,45 @@ func BenchmarkRewrite(b *testing.B) {
 		}
 	}
 }
+
+func benchAIG(b *testing.B, name string) *AIG {
+	b.Helper()
+	n, err := mcnc.Generate(name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return FromNetwork(n)
+}
+
+// BenchmarkStrashLookup measures hit-path structural hashing: every And
+// call re-resolves an existing node.
+func BenchmarkStrashLookup(b *testing.B) {
+	a := benchAIG(b, "C6288")
+	var keys [][2]Signal
+	for i := 0; i < a.NumNodes(); i++ {
+		if a.IsAnd(MakeSignal(i, false)) {
+			keys = append(keys, a.Fanins(i))
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		k := keys[i%len(keys)]
+		if s := a.And(k[0], k[1]); s.Node() == 0 {
+			b.Fatal("lookup lost node")
+		}
+	}
+}
+
+// BenchmarkStrashBuild measures miss-path hashing: constructing a fresh AIG
+// node by node.
+func BenchmarkStrashBuild(b *testing.B) {
+	src := benchAIG(b, "C6288")
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if c := src.Cleanup(); c.Size() == 0 {
+			b.Fatal("empty rebuild")
+		}
+	}
+}

@@ -21,7 +21,6 @@ import (
 	"fmt"
 
 	"repro/internal/cut"
-	"repro/internal/hashed"
 	"repro/internal/netlist"
 )
 
@@ -70,16 +69,26 @@ const (
 )
 
 // node is a single MIG node. Fanins are only meaningful for majority nodes.
+//
+// The structural hash (strash) is threaded through the nodes: head is the
+// newest majority node whose largest canonical fanin (fanin[2]) is this
+// node, and next is the next-older node of the chain this majority node is
+// on; 0 ends a chain (node 0 is the constant, never a majority node). A
+// lookup walks the chain of the key's largest fanin, whose node Maj reads
+// anyway for its level and used flag, so there is no table to size, grow
+// or copy.
+//
 // used is set once the node is a fanin of a majority node that Maj built;
 // nothing clears it. Maj is the only creator of majority nodes and Clone
 // copies nodes, so a key with an unused fanin cannot be in the strash and
 // its lookup is skipped (a flag left set by a rolled-back node costs only
 // a lookup).
 type node struct {
-	fanin [3]Signal
-	level int32
-	kind  nodeKind
-	used  bool
+	fanin      [3]Signal
+	level      int32
+	head, next int32
+	kind       nodeKind
+	used       bool
 }
 
 // Output is a named primary output.
@@ -95,10 +104,6 @@ type MIG struct {
 	inputs  []int // node indices of PIs in declaration order
 	names   []string
 	Outputs []Output
-	// strash is the structural-hashing index: canonical fanin triple ->
-	// node index. Open addressing (internal/hashed) keeps the rewrite
-	// inner loop free of map allocations and makes Clone a flat copy.
-	strash hashed.Table3
 	// scr is reusable traversal scratch (epoch-stamped memos); see
 	// scratch.go. Never shared across goroutines.
 	scr scratch
@@ -176,17 +181,18 @@ func (m *MIG) Maj(a, b, c Signal) Signal {
 		return a
 	}
 	if m.mayExist(a, b, c) {
-		if idx, ok := m.strash.Get(strashKey(a, b, c)); ok {
+		if idx := m.lookup(a, b, c); idx != 0 {
 			return MakeSignal(int(idx), outNeg)
 		}
 	}
-	lv := max(m.nodes[a.Node()].level, m.nodes[b.Node()].level, m.nodes[c.Node()].level)
+	cn := c.Node()
+	lv := max(m.nodes[a.Node()].level, m.nodes[b.Node()].level, m.nodes[cn].level)
 	m.nodes[a.Node()].used = true
 	m.nodes[b.Node()].used = true
-	m.nodes[c.Node()].used = true
+	m.nodes[cn].used = true
 	idx := len(m.nodes)
-	m.nodes = append(m.nodes, node{fanin: [3]Signal{a, b, c}, level: lv + 1, kind: kindMaj})
-	m.strash.Put(strashKey(a, b, c), int32(idx))
+	m.nodes = append(m.nodes, node{fanin: [3]Signal{a, b, c}, level: lv + 1, next: m.nodes[cn].head, kind: kindMaj})
+	m.nodes[cn].head = int32(idx) // after the append, which may move nodes
 	return MakeSignal(idx, outNeg)
 }
 
@@ -241,7 +247,16 @@ func (m *MIG) mayExist(a, b, c Signal) bool {
 	return m.nodes[a.Node()].used && m.nodes[b.Node()].used && m.nodes[c.Node()].used
 }
 
-func strashKey(a, b, c Signal) [3]uint32 { return [3]uint32{uint32(a), uint32(b), uint32(c)} }
+// lookup returns the majority node with the canonical fanins (a, b, c), or
+// 0 when there is none, by walking the strash chain of c's node.
+func (m *MIG) lookup(a, b, c Signal) int32 {
+	for i := m.nodes[c.Node()].head; i != 0; i = m.nodes[i].next {
+		if m.nodes[i].fanin == [3]Signal{a, b, c} {
+			return i
+		}
+	}
+	return 0
+}
 
 // And returns a AND b, built as M(a, b, 0).
 func (m *MIG) And(a, b Signal) Signal { return m.Maj(a, b, Const0) }
@@ -378,8 +393,9 @@ func (m *MIG) OutputWords(inputs []uint64) []uint64 {
 	return out
 }
 
-// Clone returns a deep copy of the MIG. The structural hash is cloned as a
-// flat slice copy; scratch memory and the cut cache are not carried over.
+// Clone returns a deep copy of the MIG. The structural hash lives in the
+// nodes, so copying them copies it; scratch memory and the cut cache are
+// not carried over.
 func (m *MIG) Clone() *MIG {
 	return &MIG{
 		Name:    m.Name,
@@ -387,31 +403,12 @@ func (m *MIG) Clone() *MIG {
 		inputs:  append([]int(nil), m.inputs...),
 		names:   append([]string(nil), m.names...),
 		Outputs: append([]Output(nil), m.Outputs...),
-		strash:  m.strash.Clone(),
 	}
 }
 
 // Cleanup rebuilds the MIG dropping dead nodes. Returns the compacted MIG.
 func (m *MIG) Cleanup() *MIG {
-	out := New(m.Name)
-	remap := make([]Signal, len(m.nodes))
-	for idx, in := range m.inputs {
-		remap[in] = out.AddInput(m.names[idx])
-	}
-	live := m.LiveMask()
-	for i, nd := range m.nodes {
-		if !live[i] || nd.kind != kindMaj {
-			continue
-		}
-		a := remap[nd.fanin[0].Node()].NotIf(nd.fanin[0].Neg())
-		b := remap[nd.fanin[1].Node()].NotIf(nd.fanin[1].Neg())
-		c := remap[nd.fanin[2].Node()].NotIf(nd.fanin[2].Neg())
-		remap[i] = out.Maj(a, b, c)
-	}
-	for _, o := range m.Outputs {
-		out.AddOutput(o.Name, remap[o.Sig.Node()].NotIf(o.Sig.Neg()))
-	}
-	return out
+	return m.rebuildWith(func(out *MIG, _ int, a, b, c Signal) Signal { return out.Maj(a, b, c) })
 }
 
 // FanoutCounts returns, for every node, the number of live references to it

@@ -106,7 +106,7 @@ func (m *MIG) dryMaj(p *probe, a, b, c Signal) Signal {
 		}
 	}
 	if c.Node() < p.base && m.mayExist(a, b, c) {
-		if idx, ok := m.strash.Get(strashKey(a, b, c)); ok {
+		if idx := m.lookup(a, b, c); idx != 0 {
 			return MakeSignal(int(idx), outNeg)
 		}
 	}

@@ -42,8 +42,49 @@ func BenchmarkStrashLookup(b *testing.B) {
 	}
 }
 
+// BenchmarkStrashLongChain measures the worst case of a strash chained
+// off the largest fanin: one node is the largest fanin of 1024 nodes. A hit
+// re-resolves one of them, walking half the chain on average; a miss is a
+// key absent from the graph whose fanins are all used, so it walks the
+// whole chain before the node is built and rolled back.
+func BenchmarkStrashLongChain(b *testing.B) {
+	m := New("hub")
+	var in []Signal
+	for i := 0; i < 47; i++ {
+		in = append(in, m.AddInput("x"))
+	}
+	hub := in[len(in)-1]
+	var keys [][3]Signal
+	for i := 0; i < len(in)-1 && len(keys) < 1024; i++ {
+		for j := i + 1; j < len(in)-1 && len(keys) < 1024; j++ {
+			keys = append(keys, [3]Signal{in[i], in[j], hub})
+			m.Maj(in[i], in[j], hub)
+		}
+	}
+	b.Run("hit", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			k := keys[i%len(keys)]
+			if s := m.Maj(k[0], k[1], k[2]); s.Node() == 0 {
+				b.Fatal("lookup lost node")
+			}
+		}
+	})
+	b.Run("miss", func(b *testing.B) {
+		cp := m.checkpoint()
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			k := keys[i%len(keys)]
+			if s := m.Maj(k[0], k[1].Not(), k[2]); s.Node() != cp {
+				b.Fatal("miss found a node")
+			}
+			m.rollback(cp)
+		}
+	})
+}
+
 // BenchmarkStrashBuild measures miss-path hashing: constructing a fresh MIG
-// node by node (insert-heavy, includes table growth).
+// node by node (insert-heavy, includes the node slice's reservation).
 func BenchmarkStrashBuild(b *testing.B) {
 	src := benchMIG(b, "C6288")
 	b.ReportAllocs()

@@ -80,7 +80,7 @@ func randomCandidate(r *rand.Rand, m *MIG, shape candShape) candidate {
 
 // A dry probe must cost every candidate exactly as a trial build does —
 // same added nodes, same level, same result signal — and must leave the
-// MIG, its strash and its cut cache untouched.
+// MIG, its strash links and its cut cache untouched.
 func TestProbeMatchesTrialBuild(t *testing.T) {
 	r := rand.New(rand.NewSource(20))
 	var created [4]int // candidates per shape whose build adds nodes
@@ -93,14 +93,11 @@ func TestProbeMatchesTrialBuild(t *testing.T) {
 		for k := 0; k < 200; k++ {
 			shape := candShape(k % 4)
 			c := randomCandidate(r, m, shape)
-			nodes, entries := len(m.nodes), m.strash.Len()
+			nodes, snap := len(m.nodes), links(m)
 
 			dry := c
 			m.probeCand(&dry)
-			if len(m.nodes) != nodes || m.strash.Len() != entries {
-				t.Fatalf("trial %d: probeCand changed the MIG: %d nodes/%d strash entries, was %d/%d",
-					trial, len(m.nodes), m.strash.Len(), nodes, entries)
-			}
+			sameLinks(t, m, snap, "after probeCand")
 			if m.cutCache != cuts || cuts.NumNodes() != nodes {
 				t.Fatalf("trial %d: probeCand changed the cut cache", trial)
 			}

@@ -9,21 +9,22 @@ package mig
 // rewriting, the window engine) build and take them back with
 // checkpoint/rollback.
 
+import "slices"
+
 // checkpoint returns a token for rollback.
 func (m *MIG) checkpoint() int { return len(m.nodes) }
 
-// rollback removes all majority nodes created after the checkpoint,
-// including their structural-hash entries. Deletion is value-guarded
-// (DeleteAbove): an entry is evicted only when it maps to a node at or past
-// the checkpoint, so a key that aliases a surviving node — possible if a
-// caller ever mutated fanins in place — can never leave the strash without
-// the survivor's entry. A dangling entry would let a later Maj call
-// "resurrect" a rolled-back node index; see TestRollbackNeverResurrects.
+// rollback removes all nodes created after the checkpoint, unlinking each
+// majority node from its strash chain. Nodes are appended in index order
+// and chains are prepended, so walking from the top down, node i heads its
+// chain when it goes, and setting the head back to next leaves every chain
+// as it was at the checkpoint; no key is hashed. A head left pointing past
+// the end would let a later Maj call "resurrect" a rolled-back node index;
+// see TestRollbackNeverResurrects.
 func (m *MIG) rollback(cp int) {
 	for i := len(m.nodes) - 1; i >= cp; i-- {
-		if m.nodes[i].kind == kindMaj {
-			f := m.nodes[i].fanin
-			m.strash.DeleteAbove([3]uint32{uint32(f[0]), uint32(f[1]), uint32(f[2])}, int32(cp))
+		if nd := &m.nodes[i]; nd.kind == kindMaj {
+			m.nodes[nd.fanin[2].Node()].head = nd.next
 		}
 	}
 	m.nodes = m.nodes[:cp]
@@ -41,7 +42,7 @@ type rebuildFunc func(out *MIG, oldIdx int, a, b, c Signal) Signal
 // the shared slabs, so a rebuild allocates only the output graph itself.
 func (m *MIG) rebuildWith(f rebuildFunc) *MIG {
 	out := New(m.Name)
-	out.strash.Reserve(len(m.nodes))
+	out.nodes = slices.Grow(out.nodes, len(m.nodes))
 	rp := takeSignals(len(m.nodes), 0)
 	remap := *rp
 	defer releaseSignals(rp)

@@ -17,6 +17,8 @@ package mig
 //     f = M(M(x', f1, 1), M(x, f0, 1), 0) on the most binate variable.
 
 import (
+	"slices"
+
 	"repro/internal/tt"
 )
 
@@ -41,7 +43,7 @@ const badSignal = ^Signal(0)
 func (m *MIG) RewritePass() *MIG {
 	cuts := m.CutSet(4, 5)
 	out := New(m.Name)
-	out.strash.Reserve(len(m.nodes))
+	out.nodes = slices.Grow(out.nodes, len(m.nodes))
 	rp := takeSignals(len(m.nodes), badSignal)
 	remap := *rp
 	defer releaseSignals(rp)

@@ -41,6 +41,7 @@ package mig
 
 import (
 	"context"
+	"slices"
 
 	"repro/internal/cut"
 	"repro/internal/opt"
@@ -167,7 +168,7 @@ func (m *MIG) windowRewriteCtx(ctx context.Context, k, maxCuts, jobs int, npn bo
 
 	// Phase 2: serial deterministic commit.
 	out := New(m.Name)
-	out.strash.Reserve(len(m.nodes))
+	out.nodes = slices.Grow(out.nodes, len(m.nodes))
 	rp := takeSignals(len(m.nodes), badSignal)
 	remap := *rp
 	defer releaseSignals(rp)

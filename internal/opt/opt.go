@@ -301,15 +301,21 @@ func (p *Pipeline[G]) RunContext(ctx context.Context, g G) (G, Trace, error) {
 	obs := ObserverFrom(ctx)
 	trace := make(Trace, 0, len(p.Passes))
 	cur := g
-	for _, ps := range p.Passes {
+	// A step's before-metrics are the previous step's after-metrics on the
+	// same graph, so only the first step measures its input.
+	var st Step
+	for i, ps := range p.Passes {
 		if err := ctx.Err(); err != nil {
 			return cur, trace, err
 		}
-		st := Step{
+		if i == 0 {
+			st.SizeAfter, st.DepthAfter, st.ActivityAfter = cur.Size(), cur.Depth(), cur.Activity(nil)
+		}
+		st = Step{
 			Pass:           ps.Name(),
-			SizeBefore:     cur.Size(),
-			DepthBefore:    cur.Depth(),
-			ActivityBefore: cur.Activity(nil),
+			SizeBefore:     st.SizeAfter,
+			DepthBefore:    st.DepthAfter,
+			ActivityBefore: st.ActivityAfter,
 		}
 		start := time.Now()
 		next, err := Apply(ctx, ps, cur)

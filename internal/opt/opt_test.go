@@ -68,6 +68,52 @@ func TestPipelineTrace(t *testing.T) {
 	}
 }
 
+// counting is a fake that counts its Size, Depth and Activity calls.
+type counting struct {
+	fake
+	evals *[3]int
+}
+
+func (c counting) Size() int                  { c.evals[0]++; return c.size }
+func (c counting) Depth() int                 { c.evals[1]++; return c.depth }
+func (c counting) Activity([]float64) float64 { c.evals[2]++; return c.act }
+
+// A step's before-metrics are the previous step's after-metrics on the same
+// graph, so a run of N passes evaluates each metric N+1 times (none when
+// there is no pass), and the trace still chains.
+func TestRunMeasuresEachGraphOnce(t *testing.T) {
+	grow := New("grow", func(g counting) counting {
+		g.size++
+		g.depth += 2
+		g.act += 0.5
+		return g
+	})
+	for _, n := range []int{0, 1, 4} {
+		var evals [3]int
+		p := &Pipeline[counting]{}
+		for i := 0; i < n; i++ {
+			p.Append(grow)
+		}
+		_, trace, err := p.Run(counting{fake{size: 10, depth: 3, act: 1.5}, &evals})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := n + 1
+		if n == 0 {
+			want = 0
+		}
+		if evals != [3]int{want, want, want} {
+			t.Errorf("%d passes: Size/Depth/Activity evaluated %v times, want %d each", n, evals, want)
+		}
+		for i, st := range trace {
+			if st.SizeBefore != 10+i || st.DepthBefore != 3+2*i || st.ActivityBefore != 1.5+0.5*float64(i) ||
+				st.SizeAfter != 11+i || st.DepthAfter != 5+2*i || st.ActivityAfter != 2+0.5*float64(i) {
+				t.Errorf("%d passes: step %d = %+v", n, i, st)
+			}
+		}
+	}
+}
+
 func TestPipelineCheckAborts(t *testing.T) {
 	calls := 0
 	p := &Pipeline[fake]{

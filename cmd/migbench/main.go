@@ -60,22 +60,6 @@
 // proves the SAT-sweeping pass sound over the whole suite. -fraig appends
 // the fraig pass to the canned MIG and AIG flows instead of replacing them.
 //
-// -partition k runs the partition experiment: one circuit — a file
-// (-input, BLIF decoding through the streaming reader), a generated mesh
-// (-nodes), or a single named benchmark (-only) — is split by the
-// deterministic k-way partitioner and synthesized per-window under mixed
-// MIG/AIG flows with -jobs workers. The report (use -json for the
-// PART_<sha>.json CI snapshot) carries the SHA-256 of the output BLIF, so
-// byte-identity across worker counts is asserted by comparing two runs'
-// hashes:
-//
-//	miggen -nodes 100000 -format blif > mesh.blif
-//	migbench -partition 8 -jobs 2 -input mesh.blif -json
-//
-// With -verify the stitched output is checked against the input (a
-// mismatch exits 1); -fraig and -npn do not apply to the partitioned flow
-// and exit 2.
-//
 // -cpuprofile writes a runtime/pprof CPU profile of the whole run for `go
 // tool pprof`; it is complete when the run exits without error.
 package main
@@ -119,9 +103,6 @@ func main() {
 	tuneSeed := flag.String("tune-seed", "", "starting script for the tuner (default \"cleanup\")")
 	tuneName := flag.String("tune-name", "", "name for the emitted strategy (default tuned-<objective>)")
 	passProfile := flag.Bool("pass-profile", false, "run the MIG flow over the suite and print a per-pass time profile (total/mean time, % of wall clock, size/depth deltas)")
-	partitionK := flag.Int("partition", 0, "run the partition experiment with k partitions on -input, -nodes or a single -only circuit; output bytes are identical for any -jobs value")
-	inputPath := flag.String("input", "", "circuit file (.blif or .v) for the partition experiment; BLIF decodes through the streaming reader")
-	meshNodes := flag.Int("nodes", 0, "generate the heterogeneous tiled mesh with at least this many gates as the partition-experiment circuit")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 	flag.Parse()
 
@@ -164,8 +145,7 @@ func main() {
 		os.Exit(2)
 	}
 	cfg := bench.Config{
-		Effort: *effort, AIGRounds: *rounds,
-		Verify: verifyEngine != "", VerifyEngine: verifyEngine,
+		Effort: *effort, AIGRounds: *rounds, VerifyEngine: verifyEngine,
 		MIGScript: *migScript, Fraig: *fraig, NPN: *npn,
 	}
 	cfg.Defaults()
@@ -197,10 +177,6 @@ func main() {
 		}()
 	}
 
-	if *partitionK > 0 {
-		runPartition(*partitionK, *inputPath, *meshNodes, names, cfg)
-		return
-	}
 	if *passProfile {
 		runPassProfile(names, cfg)
 		return

@@ -10,7 +10,7 @@
 //
 // The -nodes flag emits the heterogeneous tiled mesh (logic/bench.Mesh):
 // a deterministic large design — adder, cube-logic and parity tiles with
-// cross-tile wiring — sized for exercising the partition subsystem.
+// cross-tile wiring — sized for whole-design scale checks.
 package main
 
 import (

@@ -35,12 +35,6 @@
 // verification) with a context deadline; expiry interrupts long solves
 // promptly.
 //
-// -partition k routes the run through the partition subsystem: the
-// circuit is split into k windows by a deterministic multilevel
-// partitioner, every window is optimized under both a MIG and an AIG flow
-// in parallel (worker budget from -jobs), and the per-objective winners
-// are stitched back. Output bytes are identical for any -jobs value.
-//
 // -cpuprofile writes a runtime/pprof CPU profile of the run (decode,
 // optimization, verification and encoding) for `go tool pprof`; it is
 // complete when the run exits without error.
@@ -69,7 +63,6 @@ func main() {
 	stats := flag.Bool("stats", false, "print metrics only, no netlist output")
 	verify := flag.String("verify", "auto", "equivalence engine for verification: auto|exact|bdd|sim|sat, or none/off/false to skip")
 	jobs := flag.Int("jobs", 1, "worker budget for parallel passes (window-rewrite, rewrite-npn, fraig); results are identical for any value")
-	partitions := flag.Int("partition", 0, "split the circuit into k partitions and synthesize them in parallel (mixed MIG/AIG per window); 0 = off")
 	timeout := flag.Duration("timeout", 0, "optimization deadline (0 = none), e.g. 30s")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this file (go tool pprof)")
 	flag.Parse()
@@ -128,7 +121,6 @@ func main() {
 		logic.WithEffort(*effort),
 		logic.WithVerify(verifyEngine),
 		logic.WithWorkers(*jobs),
-		logic.WithPartitions(*partitions),
 	}
 	if *strategy != "" {
 		opts = append(opts, logic.WithStrategy(*strategy))
@@ -154,18 +146,6 @@ func main() {
 	}
 	if res.VerifyMethod != "" {
 		fmt.Fprintf(os.Stderr, "mighty: equivalence verified (%s)\n", res.VerifyMethod)
-	}
-	if p := res.Partition; p != nil {
-		mig, aig := 0, 0
-		for _, part := range p.Parts {
-			if part.Rep == "aig" {
-				aig++
-			} else {
-				mig++
-			}
-		}
-		fmt.Fprintf(os.Stderr, "mighty: partitioned k=%d cut=%d (mig %d, aig %d windows; partition %.2fs, stitch %.2fs)\n",
-			p.K, p.Cut, mig, aig, p.PartitionSeconds, p.StitchSeconds)
 	}
 
 	// Both halves of the line count the same unit: a flat input's Before is

@@ -10,7 +10,6 @@ package part
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"time"
 
@@ -39,14 +38,12 @@ type Config struct {
 	// Flow.MIG(); the AIG candidate runs the same spec without its script
 	// (a script replaces only the MIG flow). The objective also scores
 	// the MIG-vs-AIG duel ("none" skips the AIG candidate: there is
-	// nothing to score). Flow.Probs must be empty: a window's inputs are
-	// boundary signals, not the circuit's inputs.
+	// nothing to score).
 	Flow flow.Spec
 }
 
-// PartStat reports one window's optimization. It is the public wire
-// record logic.PartitionStat aliases, so its JSON tags (in field order)
-// are the window format of migd responses and migbench -partition -json.
+// PartStat reports one window's optimization. It is the public record
+// logic.PartitionStat aliases.
 type PartStat struct {
 	Part    int `json:"part"`
 	Gates   int `json:"gates"`
@@ -63,8 +60,8 @@ type PartStat struct {
 	Seconds     float64 `json:"seconds"`
 }
 
-// Report describes one partitioned run. It is the public wire record
-// logic.PartitionReport aliases (see PartStat).
+// Report describes one partitioned run. It is the public record
+// logic.PartitionReport aliases.
 type Report struct {
 	// K is the effective partition count; Cut the (λ-1) connectivity of
 	// the cut.
@@ -76,10 +73,6 @@ type Report struct {
 	// StitchSeconds the serial stitch-back.
 	PartitionSeconds float64 `json:"partition_seconds"`
 	StitchSeconds    float64 `json:"stitch_seconds"`
-	// Steps is the per-pass trace re-emitted to the run's observer: the
-	// winning flow of every window with "p<part>/"-prefixed pass names,
-	// then the final "stitch" step.
-	Steps opt.Trace `json:"-"`
 }
 
 // winResult is one window's parallel-phase outcome.
@@ -97,9 +90,6 @@ type winResult struct {
 func Optimize(ctx context.Context, n *netlist.Network, cfg Config) (*netlist.Network, *Report, error) {
 	if cfg.K <= 0 {
 		cfg.K = 4
-	}
-	if len(cfg.Flow.Probs) > 0 {
-		return nil, nil, errors.New("part: an input probability profile does not apply to partitioned runs (window inputs are boundary signals)")
 	}
 	// Resolve the flow once, up front: an unknown objective or a script
 	// error should fail the run before any parallel work starts.
@@ -137,11 +127,10 @@ func Optimize(ctx context.Context, n *netlist.Network, cfg Config) (*netlist.Net
 	// observer stream is deterministic), then stitch.
 	obs := opt.ObserverFrom(ctx)
 	for i := range results {
-		prefix := fmt.Sprintf("p%d/", windows[i].Part)
-		for _, st := range results[i].trace {
-			st.Pass = prefix + st.Pass
-			report.Steps = append(report.Steps, st)
-			if obs != nil {
+		if obs != nil {
+			prefix := fmt.Sprintf("p%d/", windows[i].Part)
+			for _, st := range results[i].trace {
+				st.Pass = prefix + st.Pass
 				obs(st)
 			}
 		}
@@ -153,17 +142,15 @@ func Optimize(ctx context.Context, n *netlist.Network, cfg Config) (*netlist.Net
 		return nil, report, err
 	}
 	report.StitchSeconds = time.Since(sstart).Seconds()
-	stitchStep := opt.Step{
-		Pass:        "stitch",
-		SizeBefore:  n.NumGates(),
-		SizeAfter:   out.NumGates(),
-		DepthBefore: n.Depth(),
-		DepthAfter:  out.Depth(),
-		Seconds:     report.StitchSeconds,
-	}
-	report.Steps = append(report.Steps, stitchStep)
 	if obs != nil {
-		obs(stitchStep)
+		obs(opt.Step{
+			Pass:        "stitch",
+			SizeBefore:  n.NumGates(),
+			SizeAfter:   out.NumGates(),
+			DepthBefore: n.Depth(),
+			DepthAfter:  out.Depth(),
+			Seconds:     report.StitchSeconds,
+		})
 	}
 	return out, report, nil
 }

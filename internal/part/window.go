@@ -25,12 +25,6 @@ import (
 	"repro/internal/netlist"
 )
 
-// Windows lifts every partition of r into a self-contained sub-network.
-// Empty partitions produce no window; the slice is in partition order.
-func Windows(n *netlist.Network, r *Result) []*Window {
-	return extractWindows(n, r.Assign, r.K)
-}
-
 // Window is one partition lifted into a self-contained sub-network.
 type Window struct {
 	// Part is the partition index this window came from.

@@ -70,7 +70,7 @@ func TestBatchSynthDeterminism(t *testing.T) {
 // part of each row's work item.
 func TestBatchVerifyParallel(t *testing.T) {
 	nets := batchNets(t)[:2]
-	cfg := Config{Effort: 1, AIGRounds: 1, Verify: true}
+	cfg := Config{Effort: 1, AIGRounds: 1, VerifyEngine: "auto"}
 	rows := RunOptRows(nets, cfg, 2)
 	for _, r := range rows {
 		if r.VerifyErr != "" {

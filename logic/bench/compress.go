@@ -40,7 +40,7 @@ func RunCompress(words int, cfg Config, jobs int) (OptRow, *logic.Netlist) {
 	}
 	row.MIG, row.AIG = mm, am
 
-	if cfg.Verify {
+	if cfg.VerifyEngine != "" {
 		var labels []string
 		var nets []*netlist.Network
 		if mm.OK {

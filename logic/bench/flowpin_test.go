@@ -32,8 +32,8 @@ type flowPin struct {
 }
 
 // TestFlowOutputPinned pins every entry point that turns an objective
-// into a pass pipeline — Session (MIG, netlist and AIG inputs, with and
-// without partitions), partition.Optimize and the two benchmark legs —
+// into a pass pipeline — Session (MIG, netlist and AIG inputs),
+// partition.Optimize and the two benchmark legs —
 // by the SHA-256 over its circuits of the BLIF output followed by the
 // trace's pass names. A digest may change only with an intended change
 // of what a flow runs or how its passes are named: per-pass metrics key
@@ -121,7 +121,6 @@ func flowPins() []flowPin {
 		flowPin{name: "aig/resyn2+fraig", run: aigSession(logic.WithFraig(true))},
 		flowPin{name: "aig/aigscript", run: aigSession(logic.WithStrategy("aigscript"))},
 		flowPin{name: "migscript3", mesh: true, run: session(logic.WithStrategy("migscript3"))},
-		flowPin{name: "session/partitions4", mesh: true, run: session(logic.WithPartitions(4))},
 	)
 	for _, o := range []string{"size", "depth", "activity", "flow", "none"} {
 		pins = append(pins, flowPin{name: "partition/" + o, mesh: true, run: partitionRun(o)})
@@ -142,34 +141,33 @@ func flowPins() []flowPin {
 
 // flowDigests holds each case's pinned digest.
 var flowDigests = map[string]string{
-	"size/e2":             "b1cfb9ff6649118b46f476e86dd352ca12b36ff8ce84d4dd9e09016ab6f23b58",
-	"size/e3":             "b1cfb9ff6649118b46f476e86dd352ca12b36ff8ce84d4dd9e09016ab6f23b58",
-	"depth/e2":            "2b1b036a9c208d60d08213bb893f43aeacc432ba2c439f52e75160481fa4f7b7",
-	"depth/e3":            "6000002dcc7a9d011c79f111d90d4c21e0aa2381656209a5cd62927b75c35d93",
-	"activity/e2":         "086cecd851ceb3d36a46e34bd61e5f87695e38e734ee122412c4b84dd8551bd2",
-	"activity/e3":         "086cecd851ceb3d36a46e34bd61e5f87695e38e734ee122412c4b84dd8551bd2",
-	"flow/e2":             "84b1828449fcab18592de61e91ba2016c7407c0737fd75d2d6b75ade5ebda9af",
-	"flow/e3":             "95ed030eac05c4c5c1466d69b6c6ca1fa9765ddac14cb0740b54c87efd8d8580",
-	"none/e2":             "b0ba6b19ab24b12f2a0f11f456dbfae85b975f8035761b3fb41512ba04dbfa46",
-	"none/e3":             "b0ba6b19ab24b12f2a0f11f456dbfae85b975f8035761b3fb41512ba04dbfa46",
-	"activity+probs":      "a94d6a55384917d9a9da99ad65a953edac4a3882e90672a1bceb84bb6c2c6c33",
-	"flow+fraig":          "baf56be52377a114e681c31d521ff05c84b0b087010020ccbc15c64c30c1ba95",
-	"aig/resyn2":          "994f27d967bd3e88946d9c7f74c657304b86f2f94d5714a72036f43bcaa2b538",
-	"aig/resyn2+fraig":    "6fb63ada8386d28201259afbd6d5e43e6b49c61c83bb13c41186566ce4687024",
-	"aig/aigscript":       "862cb45aca04f515a8db3880919c88893811ad352747f16efc4a2a33ed36967b",
-	"migscript3":          "b8aa99a7d402c943f4d8d1ff0ad067151d9eb787b957c1619c155d89460b8f6e",
-	"session/partitions4": "b2727f45e7c7f1e6c2b6a9586328bddfd77961309b0f9e3bbf59c57a638c9915",
-	"partition/size":      "867d81a0ce5d4b72a9a0c1e0d1f55cbec6f67a6320e7a2ea5028c4ca1194f5df",
-	"partition/depth":     "14cb21684301d932fea6017aca85f517f807df416d648f44f3028ad8bd4a47c5",
-	"partition/activity":  "e71f0f2c7b469f4b43f809da7861b895606c1f9fc4fe26b101aaff8b560b03c9",
-	"partition/flow":      "4a6852fee0f91120f0907f47b00c90d602005b75a9f5a957d2c323300363325f",
-	"partition/none":      "7ed2383fd6ca71cccfc6fdce1f1d2a552fd0c761a61fd125745f6e28dcef4789",
-	"bench/mig":           "7d2f20887dbf33c96599d615e4e59d794b5c1c527cd2d5bd819acc35eeb575c6",
-	"bench/mig+npn":       "210d3de4bf9e1adde2d25d8b1fc183cf3c88e740ffae0f4af624ab88d9f66014",
-	"bench/mig+fraig":     "baf56be52377a114e681c31d521ff05c84b0b087010020ccbc15c64c30c1ba95",
-	"bench/mig-script":    "a8849fbfc7e68db898c3db89a7d9e873e0b83427d0d93e6ccd9c1fe4af6285ca",
-	"bench/aig":           "994f27d967bd3e88946d9c7f74c657304b86f2f94d5714a72036f43bcaa2b538",
-	"bench/aig+fraig":     "6fb63ada8386d28201259afbd6d5e43e6b49c61c83bb13c41186566ce4687024",
+	"size/e2":            "b1cfb9ff6649118b46f476e86dd352ca12b36ff8ce84d4dd9e09016ab6f23b58",
+	"size/e3":            "b1cfb9ff6649118b46f476e86dd352ca12b36ff8ce84d4dd9e09016ab6f23b58",
+	"depth/e2":           "2b1b036a9c208d60d08213bb893f43aeacc432ba2c439f52e75160481fa4f7b7",
+	"depth/e3":           "6000002dcc7a9d011c79f111d90d4c21e0aa2381656209a5cd62927b75c35d93",
+	"activity/e2":        "086cecd851ceb3d36a46e34bd61e5f87695e38e734ee122412c4b84dd8551bd2",
+	"activity/e3":        "086cecd851ceb3d36a46e34bd61e5f87695e38e734ee122412c4b84dd8551bd2",
+	"flow/e2":            "84b1828449fcab18592de61e91ba2016c7407c0737fd75d2d6b75ade5ebda9af",
+	"flow/e3":            "95ed030eac05c4c5c1466d69b6c6ca1fa9765ddac14cb0740b54c87efd8d8580",
+	"none/e2":            "b0ba6b19ab24b12f2a0f11f456dbfae85b975f8035761b3fb41512ba04dbfa46",
+	"none/e3":            "b0ba6b19ab24b12f2a0f11f456dbfae85b975f8035761b3fb41512ba04dbfa46",
+	"activity+probs":     "a94d6a55384917d9a9da99ad65a953edac4a3882e90672a1bceb84bb6c2c6c33",
+	"flow+fraig":         "baf56be52377a114e681c31d521ff05c84b0b087010020ccbc15c64c30c1ba95",
+	"aig/resyn2":         "994f27d967bd3e88946d9c7f74c657304b86f2f94d5714a72036f43bcaa2b538",
+	"aig/resyn2+fraig":   "6fb63ada8386d28201259afbd6d5e43e6b49c61c83bb13c41186566ce4687024",
+	"aig/aigscript":      "862cb45aca04f515a8db3880919c88893811ad352747f16efc4a2a33ed36967b",
+	"migscript3":         "b8aa99a7d402c943f4d8d1ff0ad067151d9eb787b957c1619c155d89460b8f6e",
+	"partition/size":     "867d81a0ce5d4b72a9a0c1e0d1f55cbec6f67a6320e7a2ea5028c4ca1194f5df",
+	"partition/depth":    "14cb21684301d932fea6017aca85f517f807df416d648f44f3028ad8bd4a47c5",
+	"partition/activity": "e71f0f2c7b469f4b43f809da7861b895606c1f9fc4fe26b101aaff8b560b03c9",
+	"partition/flow":     "4a6852fee0f91120f0907f47b00c90d602005b75a9f5a957d2c323300363325f",
+	"partition/none":     "7ed2383fd6ca71cccfc6fdce1f1d2a552fd0c761a61fd125745f6e28dcef4789",
+	"bench/mig":          "7d2f20887dbf33c96599d615e4e59d794b5c1c527cd2d5bd819acc35eeb575c6",
+	"bench/mig+npn":      "210d3de4bf9e1adde2d25d8b1fc183cf3c88e740ffae0f4af624ab88d9f66014",
+	"bench/mig+fraig":    "baf56be52377a114e681c31d521ff05c84b0b087010020ccbc15c64c30c1ba95",
+	"bench/mig-script":   "a8849fbfc7e68db898c3db89a7d9e873e0b83427d0d93e6ccd9c1fe4af6285ca",
+	"bench/aig":          "994f27d967bd3e88946d9c7f74c657304b86f2f94d5714a72036f43bcaa2b538",
+	"bench/aig+fraig":    "6fb63ada8386d28201259afbd6d5e43e6b49c61c83bb13c41186566ce4687024",
 }
 
 // session runs a Session built from opts on the circuit's netlist.

@@ -1,6 +1,6 @@
 package bench
 
-// Mesh: a synthetic large-design generator for the partition subsystem.
+// Mesh: a synthetic large-design generator for scale checks.
 // The circuit is a rows×columns grid of heterogeneous tiles — carry-chain
 // adder tiles (majority logic: the MIG candidate flow wins them),
 // redundant cube-logic control tiles (and/or SOP structure the AIG resyn2
@@ -9,8 +9,8 @@ package bench
 // column block, so the regions a min-cut partitioner discovers are
 // representationally homogeneous and mixed synthesis has a real choice to
 // make per partition. Generation is deterministic: Mesh(n) emits the same
-// netlist in every process, so partition benchmarks and the CI smoke job
-// can byte-compare results across worker counts.
+// netlist in every process, so the benchmark's mesh workloads and the CI
+// mesh100k job can byte-compare results across worker counts.
 
 import (
 	"fmt"

@@ -15,12 +15,13 @@ import (
 
 // Config controls an experiment run.
 type Config struct {
-	Effort    int  // MIG optimization effort (Alg. 1/2 cycles)
-	AIGRounds int  // resyn2 iterations
-	BDDLimit  int  // global BDD node budget before windowed fallback
-	Verify    bool // check functional equivalence of every optimized result
-	// VerifyEngine selects the equivalence engine when verifying:
-	// auto (default), exact, bdd, sim or sat (see equiv.Options.Engine).
+	Effort    int // MIG optimization effort (Alg. 1/2 cycles)
+	AIGRounds int // resyn2 iterations
+	BDDLimit  int // global BDD node budget before windowed fallback
+	// VerifyEngine checks the functional equivalence of every optimized
+	// result with the given engine: auto (the layered check), exact,
+	// bdd, sim or sat (see equiv.Options.Engine). Empty turns
+	// verification off.
 	VerifyEngine string
 	SimRounds    int    // equivalence simulation rounds when verifying
 	MIGScript    string // optional pass script replacing the canned MIG flow
@@ -61,7 +62,8 @@ type OptRow struct {
 	BDS       OptMetrics `json:"bds"`
 	VerifyErr string     `json:"verify_err,omitempty"`
 	// Verification cost across the row's checks (zero and omitted when
-	// Verify is off): wall milliseconds, SAT conflicts, solver restarts.
+	// verification is off): wall milliseconds, SAT conflicts, solver
+	// restarts.
 	VerifyMS       float64 `json:"verify_ms,omitempty"`
 	Conflicts      int64   `json:"conflicts,omitempty"`
 	SolverRestarts int64   `json:"solver_restarts,omitempty"`
@@ -87,7 +89,7 @@ func runOptRow(n *netlist.Network, cfg Config, concurrent bool) OptRow {
 		func() { d, row.BDS = BDSOptimize(n, cfg.BDDLimit) },
 	)
 
-	if cfg.Verify {
+	if cfg.VerifyEngine != "" {
 		var labels []string
 		var nets []*netlist.Network
 		if row.MIG.OK {

@@ -136,7 +136,7 @@ func TestMIGDepthBeatsAIGOnAdder(t *testing.T) {
 
 func TestRunOptRowWithVerify(t *testing.T) {
 	n := getNet(t, "b9")
-	row := RunOptRow(n, Config{Effort: 2, AIGRounds: 1, Verify: true, SimRounds: 16})
+	row := RunOptRow(n, Config{Effort: 2, AIGRounds: 1, VerifyEngine: "auto", SimRounds: 16})
 	if row.VerifyErr != "" {
 		t.Errorf("verification failed: %s", row.VerifyErr)
 	}

@@ -2,7 +2,6 @@ package logic_test
 
 import (
 	"context"
-	"fmt"
 	"slices"
 	"strings"
 	"testing"
@@ -28,28 +27,6 @@ func passNames(tr logic.Trace) []string {
 	return names
 }
 
-// TestSessionPartitionedFraig: WithFraig reaches both window candidates of
-// a partitioned session, so every window's winning flow ends in fraig.
-func TestSessionPartitionedFraig(t *testing.T) {
-	_, res, err := optimize(t, circuit(t, "my_adder"), logic.WithPartitions(2), logic.WithFraig(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	names := passNames(res.Trace)
-	migWins := 0
-	for _, p := range res.Partition.Parts {
-		if want := fmt.Sprintf("p%d/%s:fraig", p.Part, p.Rep); !slices.Contains(names, want) {
-			t.Errorf("trace lacks %s: %v", want, names)
-		}
-		if p.Rep == "mig" {
-			migWins++
-		}
-	}
-	if migWins == 0 {
-		t.Errorf("no window chose the MIG flow: %v", names)
-	}
-}
-
 // TestSessionAIGNoneFraig: on AIG inputs too, WithFraig appends to the
 // "none" flow.
 func TestSessionAIGNoneFraig(t *testing.T) {
@@ -63,17 +40,12 @@ func TestSessionAIGNoneFraig(t *testing.T) {
 }
 
 // TestSessionActivityProfileErrors: a profile must have one probability
-// per input, and a partitioned run takes none (window inputs are boundary
-// signals). Neither may panic.
+// per input; a short one is an error, not a panic.
 func TestSessionActivityProfileErrors(t *testing.T) {
 	b9 := circuit(t, "b9") // 41 inputs
 	short := logic.WithActivityProbs([]float64{0.1, 0.9, 0.3})
 	if _, _, err := optimize(t, b9, logic.WithObjective("activity"), short); err == nil || !strings.Contains(err.Error(), "activity profile") {
 		t.Errorf("short profile: err = %v", err)
-	}
-	full := logic.WithActivityProbs(make([]float64, b9.NumInputs()))
-	if _, _, err := optimize(t, b9, full, logic.WithPartitions(2)); err == nil || !strings.Contains(err.Error(), "probability profile") {
-		t.Errorf("profile with partitions: err = %v", err)
 	}
 }
 

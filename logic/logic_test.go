@@ -58,9 +58,9 @@ func TestSessionDefaultsMatchCLI(t *testing.T) {
 }
 
 // TestBeforeCountsStartNetwork pins Result.Before to the network the run
-// starts from. For a flat input that is the remajorized MIG, on the
-// partitioned path too, so an objective that optimizes nothing reports no
-// change and the flow's Before is its first step's input.
+// starts from. For a flat input that is the remajorized MIG, so an
+// objective that optimizes nothing reports no change and the flow's
+// Before is its first step's input.
 func TestBeforeCountsStartNetwork(t *testing.T) {
 	net := circuit(t, "my_adder")
 	run := func(opts ...logic.Option) *logic.Result {
@@ -87,9 +87,6 @@ func TestBeforeCountsStartNetwork(t *testing.T) {
 	if st := flow.Trace[0]; flow.Before.Size != st.SizeBefore || flow.Before.Depth != st.DepthBefore {
 		t.Fatalf("flow: before %d/%d, first step starts at %d/%d",
 			flow.Before.Size, flow.Before.Depth, st.SizeBefore, st.DepthBefore)
-	}
-	if part := run(logic.WithPartitions(2)); part.Before != none.Before {
-		t.Fatalf("partitioned: before %+v, want %+v", part.Before, none.Before)
 	}
 }
 

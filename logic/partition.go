@@ -1,8 +1,7 @@
 package logic
 
-// The partition subsystem's report, exposed as is: internal/part fills it
-// and a partitioned Session.Optimize, logic/partition.Optimize and the
-// optimization service return that same value.
+// The partition engine's report, exposed as is: internal/part fills it and
+// logic/partition.Optimize returns that same value.
 
 import "repro/internal/part"
 
@@ -16,11 +15,9 @@ import "repro/internal/part"
 // snake_case field names, in field order.
 type PartitionStat = part.PartStat
 
-// PartitionReport describes one partitioned Optimize call: K (the
+// PartitionReport describes one logic/partition.Optimize call: K (the
 // effective partition count, the requested k clamped so parts stay
 // optimizable), Cut (the (λ-1) connectivity of the cut), Parts (each
 // non-empty window in partition order), PartitionSeconds (partitioning
 // plus window extraction) and StitchSeconds (the serial stitch-back).
-// Steps, the per-pass trace of the run, is not part of its JSON; a
-// partitioned Session.Optimize returns it as Result.Trace.
 type PartitionReport = part.Report

@@ -2,6 +2,7 @@ package partition_test
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -18,40 +19,6 @@ func load(t *testing.T, name string) logic.Network {
 		t.Fatalf("generate %s: %v", name, err)
 	}
 	return logic.FromNetlist(n)
-}
-
-// TestCutDeterministicForSeed: the partitioner's determinism contract at
-// the public surface — a fixed seed yields the same cut, part sizes and
-// window set every time.
-func TestCutDeterministicForSeed(t *testing.T) {
-	n := load(t, "my_adder")
-	a, err := partition.Cut(n, partition.Options{K: 4, Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := partition.Cut(n, partition.Options{K: 4, Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Cut != b.Cut || !reflect.DeepEqual(a.Parts, b.Parts) {
-		t.Fatalf("same seed cut differently: %d/%v vs %d/%v", a.Cut, a.Parts, b.Cut, b.Parts)
-	}
-	wa, err := partition.Windows(n, a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wb, err := partition.Windows(n, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(wa) != len(wb) {
-		t.Fatalf("window counts differ: %d vs %d", len(wa), len(wb))
-	}
-	for i := range wa {
-		if wa[i].Net.EncodeBLIF() != wb[i].Net.EncodeBLIF() {
-			t.Fatalf("window %d differs between identical cuts", i)
-		}
-	}
 }
 
 // TestOptimizeWorkerAndKInvariance: for every k, the partitioned result is
@@ -118,92 +85,44 @@ func TestWholeVsPartitionedEquivalence(t *testing.T) {
 	}
 }
 
-// TestSessionWithPartitions drives the session-integrated form and checks
-// the report lands in the Result, the trace carries window-prefixed steps,
-// and worker count does not change the bytes.
-func TestSessionWithPartitions(t *testing.T) {
+// TestOptimizeObserverStream pins the step stream Optimize sends to a
+// context observer: each window's winning steps, named
+// "p<part>/<rep>:<pass>", in window order, then exactly one "stitch" step.
+// The stream is the same for any worker count (wall times aside).
+func TestOptimizeObserverStream(t *testing.T) {
 	n := load(t, "my_adder")
-	var ref string
-	for _, jobs := range []int{1, 4} {
-		sess, err := logic.NewSession(
-			logic.WithPartitions(4),
-			logic.WithEffort(1),
-			logic.WithWorkers(jobs),
-			logic.WithVerify("auto"),
-		)
+	var ref []logic.Step
+	for _, jobs := range []int{1, 2} {
+		var steps []logic.Step
+		ctx := logic.ContextWithObserver(context.Background(), func(st logic.Step) {
+			st.Seconds = 0
+			steps = append(steps, st)
+		})
+		_, rep, err := partition.Optimize(ctx, n, partition.Config{K: 4, Effort: 1, Workers: jobs})
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("jobs=%d: %v", jobs, err)
 		}
-		out, res, err := sess.Optimize(context.Background(), n)
-		if err != nil {
-			t.Fatal(err)
+		i := 0
+		for j, p := range rep.Parts {
+			if j > 0 && p.Part <= rep.Parts[j-1].Part {
+				t.Fatalf("jobs=%d: windows out of partition order: %+v", jobs, rep.Parts)
+			}
+			prefix := fmt.Sprintf("p%d/%s:", p.Part, p.Rep)
+			start := i
+			for i < len(steps) && strings.HasPrefix(steps[i].Pass, prefix) && len(steps[i].Pass) > len(prefix) {
+				i++
+			}
+			if i == start {
+				t.Fatalf("jobs=%d: want a %s<pass> step at position %d: %v", jobs, prefix, i, steps)
+			}
 		}
-		if res.Partition == nil || res.Partition.K < 2 || len(res.Partition.Parts) == 0 {
-			t.Fatalf("missing partition report: %+v", res.Partition)
+		if i != len(steps)-1 || steps[i].Pass != "stitch" {
+			t.Fatalf("jobs=%d: want exactly one stitch step after the %d windows' steps: %v", jobs, len(rep.Parts), steps[i:])
 		}
-		if res.VerifyMethod == "" {
-			t.Fatal("verification did not run")
-		}
-		if len(res.Trace) == 0 {
-			t.Fatal("empty trace")
-		}
-		if res.Trace[len(res.Trace)-1].Pass != "stitch" {
-			t.Fatalf("last trace step %q, want stitch", res.Trace[len(res.Trace)-1].Pass)
-		}
-		enc := out.EncodeBLIF()
 		if jobs == 1 {
-			ref = enc
-		} else if enc != ref {
-			t.Fatal("session partitioned output depends on worker count")
+			ref = steps
+		} else if !reflect.DeepEqual(steps, ref) {
+			t.Fatalf("jobs=%d stream differs from jobs=1:\n%v\n%v", jobs, steps, ref)
 		}
-	}
-}
-
-// TestSessionPartitionsRejectsAIGStrategy: an AIG-targeted strategy cannot
-// drive the partition path's MIG candidate flow.
-func TestSessionPartitionsRejectsAIGStrategy(t *testing.T) {
-	sess, err := logic.NewSession(logic.WithPartitions(2), logic.WithStrategy("aigscript"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := load(t, "my_adder")
-	if _, _, err := sess.Optimize(context.Background(), n); err == nil {
-		t.Fatal("AIG strategy accepted on the partition path")
-	}
-}
-
-// TestWithPartitionsValidates bounds the option's argument.
-func TestWithPartitionsValidates(t *testing.T) {
-	if _, err := logic.NewSession(logic.WithPartitions(-1)); err == nil {
-		t.Fatal("negative partitions accepted")
-	}
-	if _, err := logic.NewSession(logic.WithPartitions(partition.MaxK + 1)); err == nil {
-		t.Fatal("partitions > MaxK accepted")
-	}
-	if _, err := logic.NewSession(logic.WithPartitions(0)); err != nil {
-		t.Fatalf("partitions=0 (disabled) rejected: %v", err)
-	}
-}
-
-// TestScriptedPartitionPass drives the registered "partition(k)" pass from
-// a session script — the scriptable face of the subsystem.
-func TestScriptedPartitionPass(t *testing.T) {
-	n := load(t, "my_adder")
-	sess, err := logic.NewSession(logic.WithScript("partition(2, 1); cleanup"), logic.WithVerify("auto"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, res, err := sess.Optimize(context.Background(), n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, st := range res.Trace {
-		if strings.HasPrefix(st.Pass, "partition") {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("no partition step in trace: %v", res.Trace)
 	}
 }

@@ -16,7 +16,6 @@ import (
 	"repro/internal/flow"
 	"repro/internal/mig"
 	"repro/internal/opt"
-	"repro/internal/part"
 )
 
 // Session is an immutable optimizer configuration. Build one with
@@ -32,7 +31,6 @@ type Session struct {
 	strategyKind string
 	verify       string // equivalence engine; "" = verification off
 	verifyOn     bool
-	partitions   int
 }
 
 // Option configures a Session.
@@ -101,31 +99,6 @@ func WithWorkers(n int) Option {
 			return fmt.Errorf("logic: workers %d, must be >= 0", n)
 		}
 		s.workers = n
-		return nil
-	}
-}
-
-// WithPartitions routes Optimize through the partition subsystem: the
-// circuit is split into k windows by a deterministic multilevel
-// partitioner, every window is optimized under both a MIG and an AIG flow
-// in parallel (worker budget from WithWorkers), and the per-objective
-// winners are stitched back. Results are byte-identical for any worker
-// count. 0 or 1 (the default) disables partitioning. The session's
-// objective, effort, script and WithFraig configure the per-window MIG
-// flow; the AIG candidate runs the resyn2 baseline (WithAIGRounds), plus
-// fraig under WithFraig. Partitioned runs require a MIG-family
-// configuration — an AIG strategy from WithStrategy is rejected at
-// Optimize time — and take no WithActivityProbs profile: a window's
-// inputs are boundary signals, not the circuit's inputs.
-func WithPartitions(k int) Option {
-	return func(s *Session) error {
-		if k < 0 {
-			return fmt.Errorf("logic: partitions %d, must be >= 0", k)
-		}
-		if k > part.MaxK {
-			return fmt.Errorf("logic: partitions %d exceeds the maximum of %d", k, part.MaxK)
-		}
-		s.partitions = k
 		return nil
 	}
 }
@@ -212,9 +185,6 @@ type Result struct {
 	// ("" when verification was off).
 	VerifyMethod string `json:"verify_method,omitempty"`
 	VerifyDetail string `json:"verify_detail,omitempty"`
-	// Partition reports the partitioned run (nil unless WithPartitions
-	// routed this call through the partition subsystem).
-	Partition *PartitionReport `json:"partition,omitempty"`
 }
 
 // Optimize runs the session's configuration on net and returns the
@@ -230,8 +200,8 @@ func (s *Session) Optimize(ctx context.Context, net Network) (Network, *Result, 
 	}
 	start := time.Now()
 	// The run starts from net itself for MIG and AIG inputs and from the
-	// remajorized MIG for flat ones. Before is measured there, on the
-	// partitioned path too, so both sides of the result count one unit.
+	// remajorized MIG for flat ones. Before is measured there, so both
+	// sides of the result count one unit.
 	in := net
 	if k := net.Kind(); k != KindMIG && k != KindAIG {
 		in = &MIG{g: mig.FromNetwork(net.flat().Remajorize())}
@@ -243,14 +213,11 @@ func (s *Session) Optimize(ctx context.Context, net Network) (Network, *Result, 
 
 	var optimized Network
 	var err error
-	switch {
-	case s.partitions > 1:
-		optimized, res.Partition, res.Trace, err = s.optimizePartitioned(ctx, net)
-	case in.Kind() == KindAIG:
+	if in.Kind() == KindAIG {
 		var out *aig.AIG
 		out, res.Trace, err = runFlow(ctx, s, KindAIG, flow.Spec.AIG, in.(*AIG).g)
 		optimized = &AIG{g: out}
-	default:
+	} else {
 		var out *mig.MIG
 		out, res.Trace, err = runFlow(ctx, s, KindMIG, flow.Spec.MIG, in.(*MIG).g)
 		optimized = &MIG{g: out}
@@ -274,29 +241,6 @@ func (s *Session) Optimize(ctx context.Context, net Network) (Network, *Result, 
 	res.Seconds = time.Since(start).Seconds()
 	res.After = optimized.Stats()
 	return optimized, res, nil
-}
-
-// optimizePartitioned runs the partition subsystem on net's flat view:
-// k-way cut, parallel per-window mixed MIG/AIG synthesis, deterministic
-// stitch. The output stays in the input's representation family (AIG in →
-// AIG out, MIG/netlist in → MIG out). The session's flow configures both
-// window candidates; per-pass script checking does not apply (windows are
-// verified end-to-end by the whole-run check when verification is on).
-func (s *Session) optimizePartitioned(ctx context.Context, net Network) (Network, *PartitionReport, Trace, error) {
-	if err := s.checkStrategyKind(KindMIG); err != nil {
-		return nil, nil, nil, err
-	}
-	out, rep, err := part.Optimize(ctx, net.flat(), part.Config{K: s.partitions, Flow: s.flow})
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	var result Network
-	if net.Kind() == KindAIG {
-		result = &AIG{g: aig.FromNetwork(out)}
-	} else {
-		result = &MIG{g: mig.FromNetwork(out)}
-	}
-	return result, rep, rep.Steps, nil
 }
 
 // runFlow resolves the session's flow for one representation (kind

@@ -8,10 +8,10 @@ import (
 )
 
 // TestWireShapePinned pins the JSON shape of an optimization result: the
-// field names, their order and their omitempty behaviour. migd responses,
-// its SSE "step" events and migbench -partition -json all carry these
-// bytes, so a renamed tag or a reordered field is a wire break. Every
-// field is set, so none is hidden by omitempty.
+// field names, their order and their omitempty behaviour. migd responses
+// and its SSE "step" events carry these bytes, so a renamed tag or a
+// reordered field is a wire break. Every field is set, so none is hidden
+// by omitempty.
 func TestWireShapePinned(t *testing.T) {
 	stats := func(name string, size int) logic.Stats {
 		return logic.Stats{Kind: logic.KindMIG, Name: name, Inputs: 3, Outputs: 2, Size: size, Depth: 4, Activity: 1.5}
@@ -30,14 +30,6 @@ func TestWireShapePinned(t *testing.T) {
 		Seconds:      1.25,
 		VerifyMethod: "sat",
 		VerifyDetail: "proved",
-		Partition: &logic.PartitionReport{
-			K:   2,
-			Cut: 3,
-			Parts: []logic.PartitionStat{{Part: 1, Gates: 6, Inputs: 4, Outputs: 2, Rep: "aig",
-				SizeBefore: 6, SizeAfter: 5, DepthBefore: 3, DepthAfter: 2, Seconds: 0.125}},
-			PartitionSeconds: 0.0625,
-			StitchSeconds:    0.03125,
-		},
 	}
 	got, err := json.MarshalIndent(res, "", "  ")
 	if err != nil {
@@ -94,27 +86,7 @@ func TestWireShapePinned(t *testing.T) {
   ],
   "seconds": 1.25,
   "verify_method": "sat",
-  "verify_detail": "proved",
-  "partition": {
-    "k": 2,
-    "cut": 3,
-    "parts": [
-      {
-        "part": 1,
-        "gates": 6,
-        "inputs": 4,
-        "outputs": 2,
-        "rep": "aig",
-        "size_before": 6,
-        "size_after": 5,
-        "depth_before": 3,
-        "depth_after": 2,
-        "seconds": 0.125
-      }
-    ],
-    "partition_seconds": 0.0625,
-    "stitch_seconds": 0.03125
-  }
+  "verify_detail": "proved"
 }`
 	if string(got) != want {
 		t.Fatalf("logic.Result wire shape changed:\ngot:\n%s\nwant:\n%s", got, want)

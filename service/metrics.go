@@ -47,13 +47,6 @@ type serverMetrics struct {
 	passVerifySecs *metrics.CounterVec
 	passConflicts  *metrics.CounterVec
 	passRestarts   *metrics.CounterVec
-
-	// Partition subsystem, recorded once per partitioned run.
-	partitionRuns       *metrics.Counter
-	partitionWindows    *metrics.CounterVec // migd_partition_windows_total{rep}
-	partitionCut        *metrics.Histogram  // migd_partition_cut
-	partitionSeconds    *metrics.Counter    // cutting + window extraction
-	partitionStitchSecs *metrics.Counter
 }
 
 // queueWaitBuckets resolve the short waits admission typically produces
@@ -102,17 +95,6 @@ func newServerMetrics() *serverMetrics {
 			"SAT conflicts reported by per-pass equivalence checks, by pass name.", "pass"),
 		passRestarts: reg.CounterVec("migd_pass_sat_restarts_total",
 			"SAT restarts reported by per-pass equivalence checks, by pass name.", "pass"),
-		partitionRuns: reg.Counter("migd_partition_runs_total",
-			"Optimize requests that ran through the partition subsystem."),
-		partitionWindows: reg.CounterVec("migd_partition_windows_total",
-			"Partition windows synthesized, by the representation that won the window (mig or aig).", "rep"),
-		partitionCut: reg.Histogram("migd_partition_cut",
-			"Cut size ((λ-1) connectivity) of partitioned runs.",
-			[]float64{10, 100, 1000, 10_000, 100_000}),
-		partitionSeconds: reg.Counter("migd_partition_seconds_total",
-			"Wall-clock seconds spent cutting circuits and extracting windows."),
-		partitionStitchSecs: reg.Counter("migd_partition_stitch_seconds_total",
-			"Wall-clock seconds spent serially stitching optimized windows back."),
 	}
 }
 
@@ -207,43 +189,6 @@ func (m *serverMetrics) observeStep(st logic.Step) {
 	if st.SolverRestarts > 0 {
 		m.passRestarts.With(st.Pass).Add(float64(st.SolverRestarts))
 	}
-}
-
-// observePartition records one partitioned run's report. Called once per
-// partitioned request on the optimizing goroutine.
-func (m *serverMetrics) observePartition(rep *logic.PartitionReport) {
-	if m == nil {
-		return
-	}
-	m.partitionRuns.Inc()
-	m.partitionCut.Observe(float64(rep.Cut))
-	m.partitionSeconds.Add(rep.PartitionSeconds)
-	m.partitionStitchSecs.Add(rep.StitchSeconds)
-	for _, p := range rep.Parts {
-		m.partitionWindows.With(p.Rep).Inc()
-	}
-}
-
-// partitionStats assembles the /v1/stats partition section from the same
-// instruments /metrics scrapes; nil when no partitioned run has happened.
-func (m *serverMetrics) partitionStats() *PartitionStats {
-	runs := uint64(m.partitionRuns.Value())
-	if runs == 0 {
-		return nil
-	}
-	out := &PartitionStats{
-		Runs:             runs,
-		PartitionSeconds: m.partitionSeconds.Value(),
-		StitchSeconds:    m.partitionStitchSecs.Value(),
-	}
-	windows := m.partitionWindows.Snapshot()
-	if len(windows) > 0 {
-		out.Windows = make(map[string]uint64, len(windows))
-		for rep, n := range windows {
-			out.Windows[rep] = uint64(n)
-		}
-	}
-	return out
 }
 
 // passStats assembles the /v1/stats per-pass aggregates from the registry

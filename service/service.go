@@ -58,7 +58,8 @@ import (
 	"repro/logic/script"
 )
 
-// OptimizeRequest is the /v1/optimize request body.
+// OptimizeRequest is the /v1/optimize request body. A body with a field
+// it does not declare is rejected with a 400 naming the field.
 type OptimizeRequest struct {
 	// Format of Source: "blif" (default) or "verilog".
 	Format string `json:"format,omitempty"`
@@ -80,11 +81,6 @@ type OptimizeRequest struct {
 	Fraig bool `json:"fraig,omitempty"`
 	// Workers is the per-request parallel-pass budget (0 = server default).
 	Workers int `json:"workers,omitempty"`
-	// Partitions routes the request through the partition subsystem: the
-	// circuit is split into this many windows, each synthesized under
-	// mixed MIG/AIG flows in parallel, and stitched back (0 or 1 = off).
-	// Results are byte-identical for any Workers value.
-	Partitions int `json:"partitions,omitempty"`
 	// Output selects the response network format (default: same as Format).
 	Output string `json:"output,omitempty"`
 	// TimeoutMS bounds this request end to end — queue wait plus
@@ -107,10 +103,6 @@ type OptimizeResponse struct {
 	Format       string      `json:"format"`
 	VerifyMethod string      `json:"verify_method,omitempty"`
 	Seconds      float64     `json:"seconds"`
-	// Partition reports the partitioned run: effective k, cut size, and
-	// the per-window duel outcomes (nil unless the request set
-	// partitions > 1).
-	Partition *logic.PartitionReport `json:"partition,omitempty"`
 	// Cached reports that the result was served from the result cache
 	// (Seconds then reports the original computation's time).
 	Cached bool `json:"cached"`
@@ -300,21 +292,6 @@ type ServerStats struct {
 	// Passes aggregates every committed pipeline step by pass name, also
 	// sourced from the metrics registry.
 	Passes map[string]PassStats `json:"passes,omitempty"`
-	// Partitions aggregates the partition subsystem's activity (nil until
-	// a request with partitions > 1 has run).
-	Partitions *PartitionStats `json:"partitions,omitempty"`
-}
-
-// PartitionStats is the partition-subsystem section of ServerStats.
-type PartitionStats struct {
-	// Runs counts partitioned optimize requests; Windows the synthesized
-	// partition windows by the representation that won each ("mig"/"aig").
-	Runs    uint64            `json:"runs"`
-	Windows map[string]uint64 `json:"windows,omitempty"`
-	// PartitionSeconds aggregates cutting + window extraction wall time;
-	// StitchSeconds the serial stitch-back.
-	PartitionSeconds float64 `json:"partition_seconds"`
-	StitchSeconds    float64 `json:"stitch_seconds"`
 }
 
 // CacheStats is the result-cache section of ServerStats.
@@ -360,8 +337,7 @@ func (s *Server) Stats() ServerStats {
 			Misses:    uint64(s.mtx.cacheMisses.Value()),
 			Evictions: uint64(s.mtx.cacheEvictions.Value()),
 		},
-		Passes:     s.mtx.passStats(),
-		Partitions: s.mtx.partitionStats(),
+		Passes: s.mtx.passStats(),
 	}
 	if s.cache != nil {
 		st.CacheEntries = s.cache.len()
@@ -432,9 +408,12 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	// Unknown fields are a 400 naming the field: a misspelled or retired
+	// option silently ignored would run a different job than asked for.
 	var req OptimizeRequest
-	body := http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes)
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
 		status := http.StatusBadRequest
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
@@ -545,7 +524,6 @@ func (s *Server) prepare(req *OptimizeRequest) (*prepared, error) {
 		logic.WithVerify(req.Verify),
 		logic.WithFraig(req.Fraig),
 		logic.WithWorkers(req.Workers),
-		logic.WithPartitions(req.Partitions),
 	}
 	if req.Objective != "" {
 		opts = append(opts, logic.WithObjective(req.Objective))
@@ -664,9 +642,6 @@ func (s *Server) run(ctx context.Context, p *prepared, publish func(logic.Step))
 	if err != nil {
 		return nil, err
 	}
-	if result.Partition != nil {
-		s.mtx.observePartition(result.Partition)
-	}
 	rendered, err := logic.Encode(optimized, p.outFormat)
 	if err != nil {
 		return nil, errStatus(http.StatusInternalServerError, err)
@@ -680,7 +655,6 @@ func (s *Server) run(ctx context.Context, p *prepared, publish func(logic.Step))
 		Format:       string(p.outFormat),
 		VerifyMethod: result.VerifyMethod,
 		Seconds:      result.Seconds,
-		Partition:    result.Partition,
 	}, nil
 }
 
@@ -704,8 +678,8 @@ func (s *Server) asHTTPError(runCtx context.Context, timeout time.Duration, err 
 // effective script (the inline Script, or the ScriptName resolution).
 func cacheKey(net logic.Network, req *OptimizeRequest, scriptText string, outFormat logic.Format) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "v3\x00%s\x00%s\x00%s\x00%d\x00%s\x00%v\x00%s\x00%d\x00",
-		net.EncodeBLIF(), scriptText, req.Objective, req.Effort, req.Verify, req.Fraig, outFormat, req.Partitions)
+	fmt.Fprintf(h, "v4\x00%s\x00%s\x00%s\x00%d\x00%s\x00%v\x00%s\x00",
+		net.EncodeBLIF(), scriptText, req.Objective, req.Effort, req.Verify, req.Fraig, outFormat)
 	return hex.EncodeToString(h.Sum(nil))
 }
 

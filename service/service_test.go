@@ -2,6 +2,9 @@ package service
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -419,96 +422,45 @@ func TestScriptNameRequestValidation(t *testing.T) {
 	}
 }
 
-// TestOptimizePartitioned drives the partitions field end to end: the
-// response carries the partition report, repeated identical requests hit
-// the cache (partitions participates in the key), and the stats/metrics
-// surfaces expose the partition families.
-func TestOptimizePartitioned(t *testing.T) {
-	srv, client := testServer(t, Config{Workers: 2})
-	req := OptimizeRequest{
-		Format:     "blif",
-		Source:     circuitBLIF(t, "my_adder"),
-		Partitions: 4,
-		Effort:     1,
-		Verify:     "auto",
-	}
-	resp, err := client.Optimize(context.Background(), req)
+// TestOptimizeRejectsUnknownFields: a request field the server does not
+// know — a retired option such as "partitions", or a misspelling — is a
+// 400 that names it, never silently ignored. A valid body still runs, and
+// /metrics carries no partition families.
+func TestOptimizeRejectsUnknownFields(t *testing.T) {
+	srv, client := testServer(t, Config{Workers: 1})
+	src, err := json.Marshal(circuitBLIF(t, "my_adder"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.Partition == nil || resp.Partition.K < 2 || len(resp.Partition.Parts) == 0 {
-		t.Fatalf("missing partition report: %+v", resp.Partition)
+	post := func(body string) (int, string) {
+		t.Helper()
+		resp, err := client.HTTPClient.Post(client.BaseURL+"/v1/optimize", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		msg, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(msg)
 	}
-	if resp.VerifyMethod == "" {
-		t.Fatal("verification did not run")
+	for field, body := range map[string]string{
+		"partitions": fmt.Sprintf(`{"source": %s, "partitions": 4}`, src),
+		"scirpt":     fmt.Sprintf(`{"source": %s, "scirpt": "eliminate"}`, src),
+	} {
+		code, msg := post(body)
+		if code != http.StatusBadRequest || !strings.Contains(msg, `unknown field \"`+field+`\"`) {
+			t.Errorf("%s: HTTP %d %s, want 400 naming the field", field, code, msg)
+		}
 	}
-
-	// Same source without partitions must NOT share a cache entry.
-	plain, err := client.Optimize(context.Background(), OptimizeRequest{
-		Format: "blif", Source: req.Source, Effort: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Cached {
-		t.Fatal("unpartitioned request hit the partitioned entry")
-	}
-	if plain.Partition != nil {
-		t.Fatal("unpartitioned run reported a partition")
-	}
-
-	again, err := client.Optimize(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !again.Cached {
-		t.Fatal("identical partitioned request missed the cache")
-	}
-	if again.Network != resp.Network {
-		t.Fatal("cached partitioned network differs")
+	if code, msg := post(fmt.Sprintf(`{"source": %s, "script": "eliminate"}`, src)); code != http.StatusOK {
+		t.Fatalf("valid body: HTTP %d %s", code, msg)
 	}
 
-	st := srv.Stats()
-	if st.Partitions == nil || st.Partitions.Runs != 1 {
-		t.Fatalf("stats partition section: %+v", st.Partitions)
-	}
-	total := uint64(0)
-	for _, n := range st.Partitions.Windows {
-		total += n
-	}
-	if total != uint64(len(resp.Partition.Parts)) {
-		t.Fatalf("window counters %v, want %d windows", st.Partitions.Windows, len(resp.Partition.Parts))
-	}
-
-	// The metrics endpoint exposes the partition families.
 	rec := httptest.NewRecorder()
 	srv.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-	body := rec.Body.String()
-	for _, family := range []string{
-		"migd_partition_runs_total",
-		"migd_partition_windows_total",
-		"migd_partition_cut",
-		"migd_partition_stitch_seconds_total",
-	} {
-		if !strings.Contains(body, family) {
-			t.Fatalf("/metrics missing %s", family)
-		}
-	}
-}
-
-// TestOptimizePartitionedRejectsBadCount: negative and over-limit
-// partition counts are 400s, before any work is queued.
-func TestOptimizePartitionedRejectsBadCount(t *testing.T) {
-	_, client := testServer(t, Config{Workers: 1})
-	for _, k := range []int{-1, 1000} {
-		_, err := client.Optimize(context.Background(), OptimizeRequest{
-			Format: "blif", Source: circuitBLIF(t, "my_adder"), Partitions: k,
-		})
-		if err == nil {
-			t.Fatalf("partitions=%d accepted", k)
-		}
-		if !strings.Contains(err.Error(), "partitions") {
-			t.Fatalf("partitions=%d: unhelpful error %v", k, err)
-		}
+	if strings.Contains(rec.Body.String(), "migd_partition_") {
+		t.Fatal("/metrics still exposes a migd_partition_ family")
 	}
 }

@@ -121,6 +121,8 @@ func flowPins() []flowPin {
 		flowPin{name: "aig/resyn2+fraig", run: aigSession(logic.WithFraig(true))},
 		flowPin{name: "aig/aigscript", run: aigSession(logic.WithStrategy("aigscript"))},
 		flowPin{name: "migscript3", mesh: true, run: session(logic.WithStrategy("migscript3"))},
+		flowPin{name: "migscript", mesh: true, run: session(logic.WithStrategy("migscript"))},
+		flowPin{name: "tuned-size", run: session(logic.WithStrategy("tuned-size"))},
 	)
 	for _, o := range []string{"size", "depth", "activity", "flow", "none"} {
 		pins = append(pins, flowPin{name: "partition/" + o, mesh: true, run: partitionRun(o)})
@@ -157,6 +159,8 @@ var flowDigests = map[string]string{
 	"aig/resyn2+fraig":   "6fb63ada8386d28201259afbd6d5e43e6b49c61c83bb13c41186566ce4687024",
 	"aig/aigscript":      "862cb45aca04f515a8db3880919c88893811ad352747f16efc4a2a33ed36967b",
 	"migscript3":         "b8aa99a7d402c943f4d8d1ff0ad067151d9eb787b957c1619c155d89460b8f6e",
+	"migscript":          "a1d112feadfcb2debc19b1a3498deac0da18e45dbdcc7c854731ee786c692201",
+	"tuned-size":         "b8c615426dffd2b950565221cb34cfb70f8d32afa8afff9e7d364dd953694947",
 	"partition/size":     "867d81a0ce5d4b72a9a0c1e0d1f55cbec6f67a6320e7a2ea5028c4ca1194f5df",
 	"partition/depth":    "14cb21684301d932fea6017aca85f517f807df416d648f44f3028ad8bd4a47c5",
 	"partition/activity": "e71f0f2c7b469f4b43f809da7861b895606c1f9fc4fe26b101aaff8b560b03c9",

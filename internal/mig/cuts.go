@@ -19,10 +19,9 @@ func (m *MIG) classifyCut(i int) (cut.Role, [3]int32, int) {
 }
 
 // CutSet returns the MIG's arena-backed cut cache for the given parameters,
-// enumerating only nodes appended since the previous call (the cache is
-// truncated on rollback, so the dirty region is always the tail). The
-// returned cache is owned by the MIG; its views are invalidated by Maj and
-// rollback.
+// enumerating only nodes appended since the previous call (nodes are only
+// ever appended, so the dirty region is always the tail). The returned
+// cache is owned by the MIG; its views are invalidated by Maj.
 func (m *MIG) CutSet(k, maxCuts int) *cut.Cache {
 	if m.cutCache == nil || m.cutCache.K() != k || m.cutCache.MaxCuts() != maxCuts {
 		m.cutCache = cut.NewCache(k, maxCuts)

@@ -79,10 +79,9 @@ const (
 // or copy.
 //
 // used is set once the node is a fanin of a majority node that Maj built;
-// nothing clears it. Maj is the only creator of majority nodes and Clone
-// copies nodes, so a key with an unused fanin cannot be in the strash and
-// its lookup is skipped (a flag left set by a rolled-back node costs only
-// a lookup).
+// nothing clears it. Maj is the only creator of majority nodes, no node is
+// ever taken back and Clone copies nodes, so a key with an unused fanin
+// cannot be in the strash and its lookup is skipped.
 type node struct {
 	fanin      [3]Signal
 	level      int32
@@ -108,8 +107,7 @@ type MIG struct {
 	// scratch.go. Never shared across goroutines.
 	scr scratch
 	// cutCache lazily holds the k-feasible cuts of this graph; it is
-	// extended incrementally as nodes are appended and truncated on
-	// rollback (see cuts.go).
+	// extended incrementally as nodes are appended (see cuts.go).
 	cutCache *cut.Cache
 	// wscr memoizes the word-level cone walks that compute cut functions
 	// of at most six leaves (cutFuncW, synth6.go); it is the MIG's only
@@ -118,8 +116,8 @@ type MIG struct {
 	// synthMemo is the reusable memo of one synthesis call (synth6.go),
 	// keyed by truth-table word.
 	synthMemo map[uint64]Signal
-	// dry is the reusable state of the Ω/Ψ passes' lookup-only candidate
-	// probes (probeCand, opt.go).
+	// dry is the reusable state of the lookup-only candidate probes
+	// (probe, opt.go).
 	dry probe
 }
 
@@ -259,15 +257,23 @@ func (m *MIG) lookup(a, b, c Signal) int32 {
 }
 
 // And returns a AND b, built as M(a, b, 0).
-func (m *MIG) And(a, b Signal) Signal { return m.Maj(a, b, Const0) }
+func (m *MIG) And(a, b Signal) Signal { return m.and(nil, a, b) }
 
 // Or returns a OR b, built as M(a, b, 1).
-func (m *MIG) Or(a, b Signal) Signal { return m.Maj(a, b, Const1) }
+func (m *MIG) Or(a, b Signal) Signal { return m.or(nil, a, b) }
 
 // Xor returns a XOR b (three majority nodes).
-func (m *MIG) Xor(a, b Signal) Signal {
+func (m *MIG) Xor(a, b Signal) Signal { return m.xor(nil, a, b) }
+
+// and, or and xor are And, Or and Xor built through maj: for real when p
+// is nil, otherwise inside the dry probe p.
+func (m *MIG) and(p *probe, a, b Signal) Signal { return m.maj(p, a, b, Const0) }
+
+func (m *MIG) or(p *probe, a, b Signal) Signal { return m.maj(p, a, b, Const1) }
+
+func (m *MIG) xor(p *probe, a, b Signal) Signal {
 	// a ⊕ b = (a + b)·(a·b)' = M(M(a,b,1), M(a,b,0)', 0)
-	return m.And(m.Or(a, b), m.And(a, b).Not())
+	return m.and(p, m.or(p, a, b), m.and(p, a, b).Not())
 }
 
 // Mux returns ITE(sel, hi, lo).

@@ -6,15 +6,15 @@ package mig
 // heuristically (synthW's decomposition rules), rewrite-npn looks the
 // function up in the checked-in database of SAT-proven size-optimal MIG
 // implementations for all 222 4-input NPN classes (internal/npndb,
-// generated offline by cmd/npngen). Per cut the pass probes both the
-// database implementation and the heuristic one against the worker's
-// private clone — the database entry is optimal in isolation, but the
-// heuristic can win under structural sharing — and keeps whichever adds
-// fewer nodes (then lower level), falling back to the node's default
-// reconstruction when neither helps. Evaluation parallelizes over the
-// same fanout-free-cone windows as window-rewrite, and the serial commit
-// replays the recorded winners, so the output is byte-identical for every
-// worker count.
+// generated offline by cmd/npngen). Per cut the pass dry-probes both the
+// database implementation and the heuristic one against the input graph
+// plus the window's winners so far — the database entry is optimal in
+// isolation, but the heuristic can win under structural sharing — and
+// keeps whichever adds fewer nodes (then lower level), falling back to the
+// node's default reconstruction when neither helps. Evaluation
+// parallelizes over the same fanout-free-cone windows as window-rewrite,
+// and the serial commit replays the recorded winners, so the output is
+// byte-identical for every worker count.
 
 import (
 	"context"
@@ -38,8 +38,9 @@ func expand16(w uint64, n int) uint16 {
 // realizes its representative on all 16 minterms. The NPN transform
 // returned by Lookup is undone structurally: implementation input Perm[i]
 // receives leaf i complemented per the flip mask, and the root is
-// complemented per the output flip.
-func (m *MIG) synthNPN(w uint64, n int, leaves []Signal) Signal {
+// complemented per the output flip. The gates are built in the MIG when p
+// is nil, otherwise inside the dry probe p.
+func (m *MIG) synthNPN(p *probe, w uint64, n int, leaves []Signal) Signal {
 	e, tr := npndb.Lookup(expand16(w, n))
 	var sigs [32]Signal
 	sigs[0] = Const0
@@ -51,7 +52,7 @@ func (m *MIG) synthNPN(w uint64, n int, leaves []Signal) Signal {
 		sigs[1+int(tr.Perm[i])] = l.NotIf(tr.Flip&(1<<uint(i)) != 0)
 	}
 	for j, g := range e.Gates {
-		sigs[5+j] = m.Maj(
+		sigs[5+j] = m.maj(p,
 			sigs[g[0].Index()].NotIf(g[0].Neg()),
 			sigs[g[1].Index()].NotIf(g[1].Neg()),
 			sigs[g[2].Index()].NotIf(g[2].Neg()),

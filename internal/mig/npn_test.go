@@ -58,7 +58,7 @@ func TestSynthNPNMatchesFunction(t *testing.T) {
 	}
 	for _, f := range fns {
 		m, leaves := build()
-		s := m.synthNPN(uint64(f), 4, leaves)
+		s := m.synthNPN(nil, uint64(f), 4, leaves)
 		if got := wordSim(m, s); got != f {
 			t.Fatalf("synthNPN(%04x) computes %04x", f, got)
 		}
@@ -67,7 +67,7 @@ func TestSynthNPNMatchesFunction(t *testing.T) {
 	for n := 2; n <= 3; n++ {
 		for w := uint64(0); w < 1<<(1<<uint(n)); w += 3 {
 			m, leaves := build()
-			s := m.synthNPN(w, n, leaves[:n])
+			s := m.synthNPN(nil, w, n, leaves[:n])
 			got := uint64(wordSim(m, s)) & wordMask(n)
 			if got != w {
 				t.Fatalf("synthNPN(%x, n=%d) computes %x", w, n, got)
@@ -194,8 +194,8 @@ func TestSynthNPNAllocationPin(t *testing.T) {
 		leaves[i] = m.AddInput(string(rune('a' + i)))
 	}
 	const f = uint64(0xCAFE)
-	_ = m.synthNPN(f, 4, leaves) // warm the lookup table and the strash
-	if got := testing.AllocsPerRun(200, func() { m.synthNPN(f, 4, leaves) }); got != 0 {
+	_ = m.synthNPN(nil, f, 4, leaves) // warm the lookup table and the strash
+	if got := testing.AllocsPerRun(200, func() { m.synthNPN(nil, f, 4, leaves) }); got != 0 {
 		t.Errorf("warm synthNPN allocates %.1f per run, want 0", got)
 	}
 	if got := testing.AllocsPerRun(200, func() { npndb.Lookup(0x1234) }); got != 0 {

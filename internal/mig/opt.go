@@ -65,8 +65,7 @@ func (m *MIG) buildCand(c *candidate, p *probe) Signal {
 // add and the level of its result — without modifying the MIG.
 func (m *MIG) probeCand(c *candidate) {
 	p := &m.dry
-	p.base = len(m.nodes)
-	p.keys, p.levels = p.keys[:0], p.levels[:0]
+	p.reset(len(m.nodes))
 	s := m.buildCand(c, p)
 	c.added = len(p.keys)
 	c.level = int(m.levelIn(p, s))
@@ -75,11 +74,22 @@ func (m *MIG) probeCand(c *candidate) {
 // probe is a dry build: the nodes a build would append stay virtual,
 // numbered from base in creation order exactly as the build would number
 // them, so every Ω.C sort sees the same signal values and a key built
-// twice shares one node.
+// twice shares one node. A virtual node's fanins are its key.
 type probe struct {
 	base   int
 	keys   [][3]Signal
 	levels []int32
+}
+
+// reset empties the probe over a graph of n nodes.
+func (p *probe) reset(n int) {
+	p.base = n
+	p.truncate(0)
+}
+
+// truncate keeps the first n virtual nodes and drops the rest.
+func (p *probe) truncate(n int) {
+	p.keys, p.levels = p.keys[:n], p.levels[:n]
 }
 
 // maj is Maj when p is nil and dryMaj inside p otherwise.
@@ -121,6 +131,15 @@ func (m *MIG) levelIn(p *probe, s Signal) int32 {
 		return p.levels[n-p.base]
 	}
 	return m.nodes[s.Node()].level
+}
+
+// faninsIn returns the fanins of node n, which may be a virtual node of p;
+// ok is false when n is not a majority node.
+func (m *MIG) faninsIn(p *probe, n int) (f [3]Signal, ok bool) {
+	if n >= p.base {
+		return p.keys[n-p.base], true
+	}
+	return m.nodes[n].fanin, m.nodes[n].kind == kindMaj
 }
 
 // better reports whether a beats b under (primary, secondary) ordering.
@@ -469,73 +488,17 @@ func (m *MIG) coneOf(s Signal, limit int) (int, []int) {
 // structure (the created nodes, the root, and the root's majority fanins)
 // is compared; a candidate may create one extra node when the fanin cone it
 // replaces is single-fanout in the old graph (the old cone dies, so the
-// live size is unchanged).
+// live size is unchanged). Candidates are costed by dry builds.
 func (m *MIG) ActivityPass(inputProbs []float64) *MIG {
 	refs := m.FanoutCounts()
-	var probs []float64
-	inIdx := 0
-	extend := func(out *MIG) {
-		for i := len(probs); i < len(out.nodes); i++ {
-			nd := &out.nodes[i]
-			switch nd.kind {
-			case kindConst:
-				probs = append(probs, 0)
-			case kindPI:
-				p := 0.5
-				if inputProbs != nil && inIdx < len(inputProbs) {
-					p = inputProbs[inIdx]
-				}
-				inIdx++
-				probs = append(probs, p)
-			case kindMaj:
-				get := func(s Signal) float64 {
-					v := probs[s.Node()]
-					if s.Neg() {
-						return 1 - v
-					}
-					return v
-				}
-				a := get(nd.fanin[0])
-				b := get(nd.fanin[1])
-				c := get(nd.fanin[2])
-				probs = append(probs, a*b+a*c+b*c-2*a*b*c)
-			}
-		}
-	}
-	// localActivity sums 2p(1-p) over the created nodes, the root, and the
-	// root's majority fanins (each node once).
-	localActivity := func(out *MIG, cp int, root Signal) float64 {
-		extend(out)
-		seen := out.scr.begin(len(out.nodes))
-		total := 0.0
-		add := func(idx int) {
-			if seen.seen(idx) || out.nodes[idx].kind != kindMaj {
-				return
-			}
-			seen.mark(idx)
-			p := probs[idx]
-			total += 2 * p * (1 - p)
-		}
-		for i := cp; i < len(out.nodes); i++ {
-			add(i)
-		}
-		add(root.Node())
-		if out.nodes[root.Node()].kind == kindMaj {
-			for _, f := range out.nodes[root.Node()].fanin {
-				add(f.Node())
-			}
-		}
-		return total
-	}
+	act := activity{inputProbs: inputProbs}
 	return m.rebuildWith(func(out *MIG, oldIdx int, a, b, c Signal) Signal {
+		p := &out.dry
 		evalAct := func(c *candidate) float64 {
-			cp := out.checkpoint()
-			s := out.buildCand(c, nil)
-			c.added = len(out.nodes) - cp
-			act := localActivity(out, cp, s)
-			out.rollback(cp)
-			probs = probs[:len(out.nodes)]
-			return act
+			p.reset(len(out.nodes))
+			s := out.buildCand(c, p)
+			c.added = len(p.keys)
+			return act.local(out, p, p.base, s)
 		}
 		def := candidate{shape: shapeMaj, sig: [5]Signal{a, b, c}}
 		defAct := evalAct(&def)
@@ -563,7 +526,84 @@ func (m *MIG) ActivityPass(inputProbs []float64) *MIG {
 			}
 		}
 		s := out.buildCand(&best, nil)
-		extend(out)
+		act.extend(out)
 		return s
 	})
+}
+
+// activity holds the output probabilities of the graph ActivityPass
+// builds, one per node, under the input profile inputProbs (nil =
+// uniform).
+type activity struct {
+	inputProbs []float64
+	probs      []float64
+	inputs     int // primary inputs seen so far
+}
+
+// prob is the probability of s being 1.
+func (a *activity) prob(s Signal) float64 {
+	v := a.probs[s.Node()]
+	if s.Neg() {
+		return 1 - v
+	}
+	return v
+}
+
+// majProb is the probability of a majority node with fanins f being 1.
+func (a *activity) majProb(f [3]Signal) float64 {
+	x, y, z := a.prob(f[0]), a.prob(f[1]), a.prob(f[2])
+	return x*y + x*z + y*z - 2*x*y*z
+}
+
+// extend computes the probabilities of g's nodes added since the last call.
+func (a *activity) extend(g *MIG) {
+	for i := len(a.probs); i < len(g.nodes); i++ {
+		nd := &g.nodes[i]
+		switch nd.kind {
+		case kindConst:
+			a.probs = append(a.probs, 0)
+		case kindPI:
+			p := 0.5
+			if a.inputProbs != nil && a.inputs < len(a.inputProbs) {
+				p = a.inputProbs[a.inputs]
+			}
+			a.inputs++
+			a.probs = append(a.probs, p)
+		case kindMaj:
+			a.probs = append(a.probs, a.majProb(nd.fanin))
+		}
+	}
+}
+
+// local sums 2p(1-p) over the nodes numbered from `from` on (the nodes a
+// candidate creates), the root, and the root's majority fanins, each node
+// once. The probe's virtual nodes take their probabilities from their keys,
+// in creation order, and leave a.probs as it was.
+func (a *activity) local(g *MIG, p *probe, from int, root Signal) float64 {
+	a.extend(g)
+	for _, k := range p.keys {
+		a.probs = append(a.probs, a.majProb(k))
+	}
+	end := p.base + len(p.keys)
+	seen := g.scr.begin(end)
+	total := 0.0
+	add := func(idx int) {
+		if _, isMaj := g.faninsIn(p, idx); seen.seen(idx) || !isMaj {
+			return
+		}
+		seen.mark(idx)
+		q := a.probs[idx]
+		total += 2 * q * (1 - q)
+	}
+	for i := from; i < end; i++ {
+		add(i)
+	}
+	add(root.Node())
+	if f, ok := g.faninsIn(p, root.Node()); ok {
+		for _, x := range f {
+			add(x.Node())
+		}
+	}
+	a.probs = a.probs[:p.base]
+	return total
 }

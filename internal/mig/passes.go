@@ -12,6 +12,7 @@ import (
 	"fmt"
 
 	"repro/internal/opt"
+	"repro/internal/sweep"
 )
 
 // Pass comparators used by the best-tracking cycles.
@@ -301,6 +302,9 @@ func buildRegistry() *opt.Registry[*MIG] {
 			a, err := opt.IntArgsMin(args, 1, 4, 2, 2000)
 			if err != nil {
 				return nil, err
+			}
+			if a[0] > sweep.MaxWords {
+				return nil, fmt.Errorf("fraig: %d simulation words exceed the bound of %d", a[0], sweep.MaxWords)
 			}
 			return passFraig(a[0], a[1], a[2]), nil
 		})

@@ -45,8 +45,8 @@ func BenchmarkStrashLookup(b *testing.B) {
 // BenchmarkStrashLongChain measures the worst case of a strash chained
 // off the largest fanin: one node is the largest fanin of 1024 nodes. A hit
 // re-resolves one of them, walking half the chain on average; a miss is a
-// key absent from the graph whose fanins are all used, so it walks the
-// whole chain before the node is built and rolled back.
+// key absent from the graph whose fanins are all used, so a dry probe of it
+// walks the whole chain before numbering a virtual node.
 func BenchmarkStrashLongChain(b *testing.B) {
 	m := New("hub")
 	var in []Signal
@@ -71,14 +71,14 @@ func BenchmarkStrashLongChain(b *testing.B) {
 		}
 	})
 	b.Run("miss", func(b *testing.B) {
-		cp := m.checkpoint()
+		p := &m.dry
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
+			p.reset(len(m.nodes))
 			k := keys[i%len(keys)]
-			if s := m.Maj(k[0], k[1].Not(), k[2]); s.Node() != cp {
+			if s := m.dryMaj(p, k[0], k[1].Not(), k[2]); s.Node() != p.base {
 				b.Fatal("miss found a node")
 			}
-			m.rollback(cp)
 		}
 	})
 }

@@ -2,17 +2,17 @@ package mig
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
+
+	"repro/internal/cut"
 )
 
-// trialCost is the reference cost of a candidate: build it into the MIG,
-// read the cost, and roll the build back.
-func trialCost(m *MIG, c *candidate) (s Signal, added, level int) {
-	cp := m.checkpoint()
-	s = m.buildCand(c, nil)
-	added, level = len(m.nodes)-cp, m.Level(s)
-	m.rollback(cp)
-	return s, added, level
+// trialBuild is the reference build of a candidate: build it for real
+// into a clone of m.
+func trialBuild(m *MIG, build func(g *MIG, p *probe) Signal) (*MIG, Signal) {
+	cl := m.Clone()
+	return cl, build(cl, nil)
 }
 
 // randomCandidate draws a candidate of the given shape over m's signals in
@@ -78,18 +78,71 @@ func randomCandidate(r *rand.Rand, m *MIG, shape candShape) candidate {
 	return c
 }
 
-// A dry probe must cost every candidate exactly as a trial build does —
-// same added nodes, same level, same result signal — and must leave the
-// MIG, its strash links and its cut cache untouched.
+// randomSynth draws a synthesized candidate as the window engine and
+// cut-rewrite probe it: a cut of a random majority node i, its cut
+// function or a random one, and leaf signals that are mostly the cut
+// leaves themselves. npn picks the database implementation (at most four
+// leaves) instead of synthW.
+func randomSynth(r *rand.Rand, m *MIG, cuts *cut.Cache, majs []int) (i int, leaves []int32, build func(*MIG, *probe) Signal, npn bool) {
+	for {
+		i = majs[r.Intn(len(majs))]
+		if leaves = cuts.Leaves(i, r.Intn(cuts.NumCuts(i))); len(leaves) >= 2 {
+			break
+		}
+	}
+	n := len(leaves)
+	w := m.cutFuncW(i, leaves)
+	if r.Intn(3) == 0 {
+		w = r.Uint64() & wordMask(n)
+	}
+	sigs := make([]Signal, n)
+	for j, l := range leaves {
+		sigs[j] = MakeSignal(int(l), false)
+		if r.Intn(5) == 0 {
+			sigs[j] = MakeSignal(r.Intn(len(m.nodes)), r.Intn(2) == 0)
+		}
+	}
+	npn = n <= 4 && r.Intn(2) == 0
+	build = func(g *MIG, p *probe) Signal {
+		if npn {
+			return g.synthNPN(p, w, n, sigs)
+		}
+		return g.synthW(p, w, n, sigs)
+	}
+	return i, leaves, build, npn
+}
+
+// A dry probe must cost every candidate exactly as a real build on a clone
+// does — same added nodes, same level, same result signal — and must leave
+// the MIG, its strash links and its cut cache untouched. That holds for
+// the four Ω/Ψ shapes with ActivityPass's local activity, and for
+// synthesized candidates (synthW, synthNPN) with the freedBy credit of
+// replacing the cut's root, probed past a prefix of earlier winners as
+// the window engine probes them.
 func TestProbeMatchesTrialBuild(t *testing.T) {
 	r := rand.New(rand.NewSource(20))
-	var created [4]int // candidates per shape whose build adds nodes
+	var created [4]int                // candidates per shape whose build adds nodes
+	var synthAdded, synthFreed [2]int // synthW, synthNPN candidates that add or free nodes
+	var fs freedScratch
 	for trial := 0; trial < 60; trial++ {
 		m := randomMIG(r, 3+r.Intn(5), 10+r.Intn(80))
 		if m.Size() == 0 {
 			continue
 		}
-		cuts := m.CutSet(4, 5)
+		var majs []int
+		for i := range m.nodes {
+			if m.nodes[i].kind == kindMaj {
+				majs = append(majs, i)
+			}
+		}
+		var inputProbs []float64
+		if trial%2 == 0 {
+			for range m.NumInputs() {
+				inputProbs = append(inputProbs, r.Float64())
+			}
+		}
+		act := activity{inputProbs: inputProbs}
+		cuts := m.CutSet(6, 8)
 		for k := 0; k < 200; k++ {
 			shape := candShape(k % 4)
 			c := randomCandidate(r, m, shape)
@@ -102,16 +155,70 @@ func TestProbeMatchesTrialBuild(t *testing.T) {
 				t.Fatalf("trial %d: probeCand changed the cut cache", trial)
 			}
 			var p probe
-			p.base = len(m.nodes)
+			p.reset(len(m.nodes))
 			ds := m.buildCand(&c, &p)
+			dAct := act.local(m, &p, p.base, ds)
 
-			ts, added, level := trialCost(m, &c)
+			cl, ts := trialBuild(m, func(g *MIG, p *probe) Signal { return g.buildCand(&c, p) })
+			added, level := len(cl.nodes)-nodes, cl.Level(ts)
 			if dry.added != added || dry.level != level || ds != ts {
 				t.Fatalf("trial %d: %+v: dry probe gives added %d, level %d, signal %d; trial build %d, %d, %d",
 					trial, c, dry.added, dry.level, ds, added, level, ts)
 			}
+			ref := activity{inputProbs: inputProbs}
+			if tAct := ref.local(cl, &probe{base: len(cl.nodes)}, nodes, ts); dAct != tAct {
+				t.Fatalf("trial %d: %+v: dry local activity %v, trial build %v", trial, c, dAct, tAct)
+			}
 			if added > 0 {
 				created[shape]++
+			}
+		}
+
+		refs := m.FanoutCounts()
+		want := append([]int(nil), refs...)
+		for k := 0; k < 100; k++ {
+			snap := links(m)
+			// Half the candidates are probed past a prefix: an earlier
+			// winner kept in the probe, built for real on the clone.
+			var p probe
+			p.reset(len(m.nodes))
+			var prefix func(*MIG, *probe) Signal
+			if k%2 == 1 {
+				_, _, prefix, _ = randomSynth(r, m, cuts, majs)
+				prefix(m, &p)
+			}
+			pre := len(p.keys)
+			i, leaves, build, npn := randomSynth(r, m, cuts, majs)
+			ds := build(m, &p)
+			dAdded, dLevel := len(p.keys)-pre, m.levelIn(&p, ds)
+			dFreed := m.freedBy(&p, i, ds, leaves, refs, &fs)
+			sameLinks(t, m, snap, "after a synthesis probe")
+
+			cl, ts := trialBuild(m, func(g *MIG, p *probe) Signal {
+				if prefix != nil {
+					prefix(g, p)
+				}
+				pre = len(g.nodes)
+				return build(g, p)
+			})
+			added, level := len(cl.nodes)-pre, int32(cl.Level(ts))
+			freed := cl.freedBy(&probe{base: len(cl.nodes)}, i, ts, leaves, refs, &fs)
+			if dAdded != added || dLevel != level || ds != ts || dFreed != freed {
+				t.Fatalf("trial %d: synthesis (npn %v) of node %d over %v: dry probe gives added %d, level %d, signal %d, freed %d; trial build %d, %d, %d, %d",
+					trial, npn, i, leaves, dAdded, dLevel, ds, dFreed, added, level, ts, freed)
+			}
+			if !slices.Equal(refs, want) {
+				t.Fatalf("trial %d: freedBy left the fanout counts changed", trial)
+			}
+			kind := 0
+			if npn {
+				kind = 1
+			}
+			if added > 0 {
+				synthAdded[kind]++
+			}
+			if freed > 0 {
+				synthFreed[kind]++
 			}
 		}
 		strashConsistent(t, m)
@@ -119,6 +226,11 @@ func TestProbeMatchesTrialBuild(t *testing.T) {
 	for shape, n := range created {
 		if n == 0 {
 			t.Errorf("shape %d: no candidate created a node; the test lost its coverage", shape)
+		}
+	}
+	for kind, name := range []string{"synthW", "synthNPN"} {
+		if synthAdded[kind] == 0 || synthFreed[kind] == 0 {
+			t.Errorf("%s: %d candidates added nodes, %d freed some; the test lost its coverage", name, synthAdded[kind], synthFreed[kind])
 		}
 	}
 }

@@ -3,35 +3,11 @@ package mig
 // Rewrite infrastructure. Optimization passes rebuild the MIG node by node
 // in topological order, applying local transformation rules from the Ω and Ψ
 // systems while the new graph is constructed. A pass picks the cheapest of
-// several functionally equivalent local structures: the Ω/Ψ passes cost
-// each one by a dry build that only looks keys up (probeCand, opt.go), and
-// the passes that need the built nodes themselves (ActivityPass, cut
-// rewriting, the window engine) build and take them back with
-// checkpoint/rollback.
+// several functionally equivalent local structures, costing each by a dry
+// build that only looks keys up (probe, opt.go), and builds only the
+// winner, so no pass ever takes a node back.
 
 import "slices"
-
-// checkpoint returns a token for rollback.
-func (m *MIG) checkpoint() int { return len(m.nodes) }
-
-// rollback removes all nodes created after the checkpoint, unlinking each
-// majority node from its strash chain. Nodes are appended in index order
-// and chains are prepended, so walking from the top down, node i heads its
-// chain when it goes, and setting the head back to next leaves every chain
-// as it was at the checkpoint; no key is hashed. A head left pointing past
-// the end would let a later Maj call "resurrect" a rolled-back node index;
-// see TestRollbackNeverResurrects.
-func (m *MIG) rollback(cp int) {
-	for i := len(m.nodes) - 1; i >= cp; i-- {
-		if nd := &m.nodes[i]; nd.kind == kindMaj {
-			m.nodes[nd.fanin[2].Node()].head = nd.next
-		}
-	}
-	m.nodes = m.nodes[:cp]
-	if m.cutCache != nil {
-		m.cutCache.Truncate(cp)
-	}
-}
 
 // rebuildFunc constructs (in out) the replacement for the old node oldIdx
 // whose fanins have been mapped to a, b, c.

@@ -1,7 +1,6 @@
 package mig
 
 import (
-	"math/rand"
 	"testing"
 	"unsafe"
 )
@@ -71,156 +70,9 @@ func sameLinks(t *testing.T, m *MIG, snap [][2]int32, context string) {
 	}
 }
 
-// TestRollbackNeverResurrects is the regression test for the stale-strash
-// hazard: after checkpoint/rollback cycles, a Maj call with the fanins of a
-// rolled-back (dead) node must build a fresh node — never return a signal
-// pointing past the end of the node table.
-func TestRollbackNeverResurrects(t *testing.T) {
-	m := New("roll")
-	var sigs []Signal
-	for i := 0; i < 6; i++ {
-		sigs = append(sigs, m.AddInput(string(rune('a'+i))))
-	}
-	rng := rand.New(rand.NewSource(99))
-	var rolledKeys [][3]Signal
-	for round := 0; round < 200; round++ {
-		cp := m.checkpoint()
-		// Build a few probe nodes.
-		for k := 0; k < 3; k++ {
-			a := sigs[rng.Intn(len(sigs))].NotIf(rng.Intn(2) == 0)
-			b := sigs[rng.Intn(len(sigs))].NotIf(rng.Intn(2) == 0)
-			c := sigs[rng.Intn(len(sigs))].NotIf(rng.Intn(2) == 0)
-			s := m.Maj(a, b, c)
-			if n := s.Node(); n >= len(m.nodes) {
-				t.Fatalf("round %d: Maj resurrected node %d past table end %d", round, n, len(m.nodes))
-			}
-			if s.Node() >= cp && m.nodes[s.Node()].kind == kindMaj {
-				rolledKeys = append(rolledKeys, m.nodes[s.Node()].fanin)
-			}
-		}
-		if rng.Intn(3) > 0 {
-			m.rollback(cp)
-		} else {
-			// Keep this round's nodes; they are now permanent.
-			rolledKeys = rolledKeys[:0]
-		}
-		// Re-probing a rolled-back key must yield an in-range node.
-		for _, f := range rolledKeys {
-			s := m.Maj(f[0], f[1], f[2])
-			if s.Node() >= len(m.nodes) {
-				t.Fatalf("round %d: dead key %v resurrected out-of-range node %d", round, f, s.Node())
-			}
-			m.rollback(cp)
-		}
-		rolledKeys = rolledKeys[:0]
-	}
-	strashConsistent(t, m)
-}
-
-// TestRollbackGuardedDelete: a rollback past a survivor must leave the
-// survivor findable, even when the rolled-back nodes share its chain (the
-// same largest fanin) and one of them repeats its key in another polarity.
-func TestRollbackGuardedDelete(t *testing.T) {
-	m := New("guard")
-	a := m.AddInput("a")
-	b := m.AddInput("b")
-	c := m.AddInput("c")
-	s := m.Maj(a, b, c) // survivor, below any later checkpoint
-	cp := m.checkpoint()
-	m.Maj(a.Not(), b, c)
-	m.Maj(a, b.Not(), c)
-	if again := m.Maj(b, c, a); again != s {
-		t.Fatalf("before rollback: Maj gave %d, want the survivor %d", again, s)
-	}
-	m.rollback(cp)
-	if again := m.Maj(c, a, b); again != s || len(m.nodes) != cp {
-		t.Fatalf("survivor lost: Maj gave %d with %d nodes, want %d with %d", again, len(m.nodes), s, cp)
-	}
-	strashConsistent(t, m)
-}
-
-// Random builds under nested checkpoints, with keys that hit surviving
-// nodes and keys whose largest fanin is a surviving node, must leave every
-// node's strash links as they were at the checkpoint after each rollback.
-// Every Maj call is also checked against a reference map of the canonical
-// keys the graph holds.
-func TestRollbackRestoresLinks(t *testing.T) {
-	r := rand.New(rand.NewSource(22))
-	for trial := 0; trial < 40; trial++ {
-		m := randomMIG(r, 2+r.Intn(5), r.Intn(40))
-		ref := map[[3]Signal]int{}
-		for i := range m.nodes {
-			if m.nodes[i].kind == kindMaj {
-				ref[m.nodes[i].fanin] = i
-			}
-		}
-		type level struct {
-			cp   int
-			snap [][2]int32
-		}
-		var stack []level
-		pop := func(roll bool) {
-			top := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if !roll {
-				return // the nodes stay, under the enclosing checkpoint
-			}
-			for i := top.cp; i < len(m.nodes); i++ {
-				if m.nodes[i].kind == kindMaj {
-					delete(ref, m.nodes[i].fanin)
-				}
-			}
-			m.rollback(top.cp)
-			sameLinks(t, m, top.snap, "after rollback")
-		}
-		for step := 0; step < 300; step++ {
-			switch k := r.Intn(10); {
-			case k == 0 && len(stack) < 5:
-				stack = append(stack, level{m.checkpoint(), links(m)})
-			case k == 1 && len(stack) > 0:
-				pop(r.Intn(4) > 0)
-			default:
-				var op [3]Signal
-				if n := r.Intn(len(m.nodes)); k == 2 && m.nodes[n].kind == kindMaj {
-					op = m.nodes[n].fanin // a hit on n, in some order and polarity
-					r.Shuffle(3, func(i, j int) { op[i], op[j] = op[j], op[i] })
-					if r.Intn(2) == 0 {
-						op = [3]Signal{op[0].Not(), op[1].Not(), op[2].Not()}
-					}
-				} else {
-					for i := range op {
-						op[i] = MakeSignal(r.Intn(len(m.nodes)), r.Intn(2) == 0)
-					}
-				}
-				nodes := len(m.nodes)
-				s := m.Maj(op[0], op[1], op[2])
-				x, y, z, _, ok := majNorm(op[0], op[1], op[2])
-				if !ok {
-					continue
-				}
-				key := [3]Signal{x, y, z}
-				if want, hit := ref[key]; hit {
-					if s.Node() != want || len(m.nodes) != nodes {
-						t.Fatalf("trial %d: key %v is node %d, Maj gave %d and grew %d -> %d", trial, key, want, s.Node(), nodes, len(m.nodes))
-					}
-				} else {
-					if s.Node() != nodes || len(m.nodes) != nodes+1 {
-						t.Fatalf("trial %d: new key %v: Maj gave %d, want a new node %d", trial, key, s.Node(), nodes)
-					}
-					ref[key] = nodes
-				}
-			}
-		}
-		for len(stack) > 0 {
-			pop(true)
-		}
-		strashConsistent(t, m)
-	}
-}
-
 // Strash invariants, used flags included, must hold after every
-// optimization pass on a real circuit (the window engine and ActivityPass
-// roll back; the Ω/Ψ passes probe dry) and on a clone.
+// optimization pass on a real circuit (every pass probes its candidates
+// dry and builds only the winners) and on a clone.
 func TestStrashConsistentAfterPasses(t *testing.T) {
 	m := migFor(t, "b9")
 	for _, res := range []*MIG{

@@ -26,7 +26,7 @@ import (
 // given leaf signals and returns the root. The synthesis runs on the
 // function's single truth-table word (synth6.go).
 func (m *MIG) SynthesizeTT(f tt.TT, leaves []Signal) Signal {
-	return m.synthW(f.Word(0), f.NumVars(), leaves)
+	return m.synthW(nil, f.Word(0), f.NumVars(), leaves)
 }
 
 // badSignal marks unset slots of dense remap tables. It is no valid signal:
@@ -38,8 +38,10 @@ const badSignal = ^Signal(0)
 // creating the fewest new nodes (exploiting structural sharing) replaces
 // the node. This is the Boolean extension of the algebraic Alg. 1.
 //
-// The pass reads the MIG's cut cache and keeps all per-node state in dense
-// pooled slices; the only allocations are the output graph itself.
+// The default reconstruction and every cut's synthesis are costed by dry
+// builds on the output graph; only the winner is built. The pass reads the
+// MIG's cut cache and keeps all per-node state in dense pooled slices; the
+// only allocations are the output graph itself.
 func (m *MIG) RewritePass() *MIG {
 	cuts := m.CutSet(4, 5)
 	out := New(m.Name)
@@ -55,6 +57,7 @@ func (m *MIG) RewritePass() *MIG {
 	live := m.liveInto(*lp)
 	defer releaseBools(lp)
 	var leafBuf, bestSigs []Signal
+	p := &out.dry
 	for i := range m.nodes {
 		nd := &m.nodes[i]
 		if !live[i] || nd.kind != kindMaj {
@@ -64,11 +67,9 @@ func (m *MIG) RewritePass() *MIG {
 		b := remap[nd.fanin[1].Node()].NotIf(nd.fanin[1].Neg())
 		c := remap[nd.fanin[2].Node()].NotIf(nd.fanin[2].Neg())
 
-		cp := out.checkpoint()
-		def := out.Maj(a, b, c)
-		defAdded := len(out.nodes) - cp
-		defLevel := out.Level(def)
-		out.rollback(cp)
+		p.reset(len(out.nodes))
+		def := out.dryMaj(p, a, b, c)
+		defAdded, defLevel := len(p.keys), out.levelIn(p, def)
 
 		var bestW uint64
 		bestN := 0
@@ -93,11 +94,9 @@ func (m *MIG) RewritePass() *MIG {
 				continue
 			}
 			w := m.cutFuncW(i, leaves)
-			cp := out.checkpoint()
-			s := out.synthW(w, len(leafBuf), leafBuf)
-			added := len(out.nodes) - cp
-			level := out.Level(s)
-			out.rollback(cp)
+			p.reset(len(out.nodes))
+			s := out.synthW(p, w, len(leafBuf), leafBuf)
+			added, level := len(p.keys), out.levelIn(p, s)
 			if added < bestAdded || (added == bestAdded && level < bestLevel) {
 				bestW = w
 				bestN = len(leafBuf)
@@ -107,7 +106,7 @@ func (m *MIG) RewritePass() *MIG {
 			}
 		}
 		if haveBest {
-			remap[i] = out.synthW(bestW, bestN, bestSigs)
+			remap[i] = out.synthW(nil, bestW, bestN, bestSigs)
 		} else {
 			remap[i] = out.Maj(a, b, c)
 		}

@@ -52,8 +52,9 @@ func flipw(w uint64, i int) uint64 {
 	return (w&varMask6[i])>>s | (w&^varMask6[i])<<s
 }
 
-// synthW builds the word-encoded function w over n <= 6 leaf signals.
-func (m *MIG) synthW(w uint64, n int, leaves []Signal) Signal {
+// synthW builds the word-encoded function w over n <= 6 leaf signals: in
+// the MIG when p is nil, otherwise inside the dry probe p.
+func (m *MIG) synthW(p *probe, w uint64, n int, leaves []Signal) Signal {
 	if n > 6 || n != len(leaves) {
 		panic("mig: synthW needs at most six leaves, one per variable")
 	}
@@ -62,10 +63,10 @@ func (m *MIG) synthW(w uint64, n int, leaves []Signal) Signal {
 	} else {
 		clear(m.synthMemo)
 	}
-	return m.synthRec6(w, n, leaves)
+	return m.synthRec6(p, w, n, leaves)
 }
 
-func (m *MIG) synthRec6(w uint64, n int, leaves []Signal) Signal {
+func (m *MIG) synthRec6(p *probe, w uint64, n int, leaves []Signal) Signal {
 	mask := wordMask(n)
 	w &= mask
 	if w == 0 {
@@ -120,23 +121,23 @@ func (m *MIG) synthRec6(w uint64, n int, leaves []Signal) Signal {
 				}
 				switch w {
 				case la & lb:
-					s := m.And(leaves[a].NotIf(pa), leaves[b].NotIf(pb))
+					s := m.and(p, leaves[a].NotIf(pa), leaves[b].NotIf(pb))
 					memo[w] = s
 					return s
 				case la | lb:
-					s := m.Or(leaves[a].NotIf(pa), leaves[b].NotIf(pb))
+					s := m.or(p, leaves[a].NotIf(pa), leaves[b].NotIf(pb))
 					memo[w] = s
 					return s
 				}
 			}
 		}
 		if w == wa^wb {
-			s := m.Xor(leaves[a], leaves[b])
+			s := m.xor(p, leaves[a], leaves[b])
 			memo[w] = s
 			return s
 		}
 		if w == ^(wa^wb)&mask {
-			s := m.Xor(leaves[a], leaves[b]).Not()
+			s := m.xor(p, leaves[a], leaves[b]).Not()
 			memo[w] = s
 			return s
 		}
@@ -163,7 +164,7 @@ func (m *MIG) synthRec6(w uint64, n int, leaves []Signal) Signal {
 				g = ^g & mask
 			}
 			if w == g {
-				s := m.Maj(
+				s := m.maj(p,
 					leaves[a].NotIf(variant&1 != 0),
 					leaves[b].NotIf(variant&2 != 0),
 					leaves[c].NotIf(variant&4 != 0),
@@ -175,7 +176,7 @@ func (m *MIG) synthRec6(w uint64, n int, leaves []Signal) Signal {
 		// Three-input parity.
 		par := varWord(n, a) ^ varWord(n, b) ^ varWord(n, c)
 		if w == par || w == ^par&mask {
-			s := m.Xor(m.Xor(leaves[a], leaves[b]), leaves[c]).NotIf(w == ^par&mask)
+			s := m.xor(p, m.xor(p, leaves[a], leaves[b]), leaves[c]).NotIf(w == ^par&mask)
 			memo[w] = s
 			return s
 		}
@@ -199,14 +200,14 @@ func (m *MIG) synthRec6(w uint64, n int, leaves []Signal) Signal {
 			var s Signal
 			if f0&^f1 == 0 {
 				// f0 ⊆ f1: f = M(x, f1, f0).
-				g := m.synthRec6(f1, n, leaves)
-				h := m.synthRec6(f0, n, leaves)
-				s = m.Maj(leaves[v], g, h)
+				g := m.synthRec6(p, f1, n, leaves)
+				h := m.synthRec6(p, f0, n, leaves)
+				s = m.maj(p, leaves[v], g, h)
 			} else {
 				// f1 ⊆ f0: f = M(x', f0, f1).
-				g := m.synthRec6(f0, n, leaves)
-				h := m.synthRec6(f1, n, leaves)
-				s = m.Maj(leaves[v].Not(), g, h)
+				g := m.synthRec6(p, f0, n, leaves)
+				h := m.synthRec6(p, f1, n, leaves)
+				s = m.maj(p, leaves[v].Not(), g, h)
 			}
 			memo[w] = s
 			return s
@@ -223,11 +224,11 @@ func (m *MIG) synthRec6(w uint64, n int, leaves []Signal) Signal {
 	}
 	f0 := cof0w(w, bestV) & mask
 	f1 := cof1w(w, bestV) & mask
-	g1 := m.synthRec6(f1, n, leaves)
-	g0 := m.synthRec6(f0, n, leaves)
+	g1 := m.synthRec6(p, f1, n, leaves)
+	g0 := m.synthRec6(p, f0, n, leaves)
 	x := leaves[bestV]
 	// f = (x' + f1)(x + f0) = M(M(x', f1, 1), M(x, f0, 1), 0).
-	s := m.And(m.Or(x.Not(), g1), m.Or(x, g0))
+	s := m.and(p, m.or(p, x.Not(), g1), m.or(p, x, g0))
 	memo[w] = s
 	return s
 }

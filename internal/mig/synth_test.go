@@ -62,9 +62,9 @@ func TestSynthesizeTTSpecialShapes(t *testing.T) {
 		{"xor3", tt.Var(n, 0).Xor(tt.Var(n, 1)).Xor(tt.Var(n, 2)), 7},
 	}
 	for _, c := range cases {
-		cp := m.checkpoint()
+		before := len(m.nodes)
 		s := m.SynthesizeTT(c.f, leaves)
-		added := len(m.nodes) - cp
+		added := len(m.nodes) - before
 		if added > c.max {
 			t.Errorf("%s: %d nodes, want <= %d", c.name, added, c.max)
 		}

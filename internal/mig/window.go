@@ -11,12 +11,13 @@ package mig
 //     maximal fanout-free cones (every node with a single live fanout
 //     belongs to the window of its unique parent; multi-fanout nodes and
 //     output drivers root their own window). Windows are distributed over a
-//     worker pool; each worker owns a private clone of the input graph and,
-//     per window, probes every cut candidate of every window node against
-//     that clone (checkpoint/commit inside the window, rollback at window
-//     end). A window's decisions therefore depend only on the input graph
-//     and the window's own earlier decisions — never on another window or
-//     on worker scheduling.
+//     worker pool. The workers share the input graph, which none of them
+//     writes: per window, a worker dry-probes every cut candidate of every
+//     window node against the input graph plus the window's winners so
+//     far, which stay in the worker's probe as virtual nodes until the
+//     window ends. A window's decisions therefore depend only on the input
+//     graph and the window's own earlier decisions — never on another
+//     window or on worker scheduling.
 //
 //  2. Commit (serial). A single topological rebuild replays the chosen
 //     candidate of every node with full structural hashing, exactly as a
@@ -139,7 +140,8 @@ func (m *MIG) windowRewriteCtx(ctx context.Context, k, maxCuts, jobs int, npn bo
 	defer releaseBools(lp)
 	windows := m.windows(live, refs)
 
-	// Phase 1: evaluate windows on worker-private clones.
+	// Phase 1: evaluate windows, every worker probing the shared input
+	// graph through a view that owns the worker's memos.
 	choices := make([]windowChoice, len(m.nodes))
 	if jobs > len(windows) {
 		jobs = len(windows)
@@ -149,14 +151,11 @@ func (m *MIG) windowRewriteCtx(ctx context.Context, k, maxCuts, jobs int, npn bo
 	}
 	workers := make(chan winWorker, jobs)
 	for w := 0; w < jobs; w++ {
-		if w == 0 && jobs == 1 {
-			// A serial run can probe on m itself: every probe is rolled
-			// back and freedBy restores the reference counts exactly, so
-			// both the graph and refs are unchanged on return.
-			workers <- winWorker{cl: m, refs: refs}
-		} else {
-			workers <- winWorker{cl: m.Clone(), refs: append([]int(nil), refs...)}
+		wrefs := refs // freedBy restores it exactly, so one worker may own it
+		if w > 0 {
+			wrefs = slices.Clone(refs)
 		}
+		workers <- winWorker{g: &MIG{nodes: m.nodes}, refs: wrefs}
 	}
 	if err := opt.ForEachCtx(ctx, len(windows), jobs, func(wi int) {
 		wk := <-workers
@@ -197,9 +196,9 @@ func (m *MIG) windowRewriteCtx(ctx context.Context, k, maxCuts, jobs int, npn bo
 			}
 			if ok {
 				if ch.npn {
-					remap[i] = out.synthNPN(ch.w, int(ch.nvars), leafBuf)
+					remap[i] = out.synthNPN(nil, ch.w, int(ch.nvars), leafBuf)
 				} else {
-					remap[i] = out.synthW(ch.w, int(ch.nvars), leafBuf)
+					remap[i] = out.synthW(nil, ch.w, int(ch.nvars), leafBuf)
 				}
 				continue
 			}
@@ -215,14 +214,17 @@ func (m *MIG) windowRewriteCtx(ctx context.Context, k, maxCuts, jobs int, npn bo
 	return out, nil
 }
 
-// winWorker pairs a worker-private clone with a worker-private copy of the
-// input graph's fanout counts. freedBy mutates refs transiently (and
-// restores it exactly), so sharing one slice across workers would race.
-// remap is the worker's window-local remap (see evalWindow): epoch-stamped,
-// so it is allocated once per pass and starting a window costs a counter
+// winWorker is one evaluation worker. g is a view of the input graph: it
+// shares the input's nodes, which no worker writes, and owns the memos its
+// probes write — the probe itself (g.dry), the cone memo of freedBy
+// (g.scr), the cut-function memo (g.wscr) and the synthesis memo
+// (g.synthMemo). refs is the worker's copy of the input graph's fanout
+// counts, which freedBy changes transiently (and restores exactly). remap
+// is the worker's window-local remap (see evalWindow): epoch-stamped, so it
+// is allocated once per pass and starting a window costs a counter
 // increment, not a graph-sized clear.
 type winWorker struct {
-	cl    *MIG
+	g     *MIG
 	refs  []int
 	remap scratch
 }
@@ -237,16 +239,17 @@ type freedScratch struct {
 // last reference if node i were replaced by the cone rooted at s built
 // over the given cut leaves: the maximum fanout-free cone of i with the
 // leaves as absolute barriers, computed after protecting every old node
-// the new cone reuses. refs holds the input graph's fanout counts and is
-// restored exactly before returning, so determinism only needs refs to be
-// worker-private. Nodes at or past len(refs) are probe- or window-local
-// and carry no reference bookkeeping. Returns 0 when the new cone
-// contains i itself — then nothing dies.
-func (cl *MIG) freedBy(i int, s Signal, leaves []int32, refs []int, fs *freedScratch) int {
+// the new cone reuses. The new cone may hold virtual nodes of the probe p.
+// refs holds the input graph's fanout counts and is restored exactly
+// before returning, so determinism only needs refs to be worker-private.
+// Nodes at or past len(refs) are probe- or window-local and carry no
+// reference bookkeeping. Returns 0 when the new cone contains i itself —
+// then nothing dies.
+func (g *MIG) freedBy(p *probe, i int, s Signal, leaves []int32, refs []int, fs *freedScratch) int {
 	if s.Node() == i {
 		return 0
 	}
-	scr := cl.scr.begin(len(cl.nodes))
+	scr := g.scr.begin(p.base + len(p.keys))
 	for _, l := range leaves {
 		scr.put(int(l), 1) // leaf: barrier for the dereference walk below
 	}
@@ -260,7 +263,8 @@ func (cl *MIG) freedBy(i int, s Signal, leaves []int32, refs []int, fs *freedScr
 	for len(fs.stack) > 0 {
 		n := fs.stack[len(fs.stack)-1]
 		fs.stack = fs.stack[:len(fs.stack)-1]
-		if scr.seen(n) || cl.nodes[n].kind != kindMaj {
+		f, isMaj := g.faninsIn(p, n)
+		if scr.seen(n) || !isMaj {
 			continue
 		}
 		scr.put(n, 2)
@@ -274,8 +278,8 @@ func (cl *MIG) freedBy(i int, s Signal, leaves []int32, refs []int, fs *freedScr
 			recurse = refs[n] == 1 // revived dead node
 		}
 		if recurse {
-			for _, f := range cl.nodes[n].fanin {
-				fs.stack = append(fs.stack, f.Node())
+			for _, x := range f {
+				fs.stack = append(fs.stack, x.Node())
 			}
 		}
 	}
@@ -290,9 +294,9 @@ func (cl *MIG) freedBy(i int, s Signal, leaves []int32, refs []int, fs *freedScr
 		for len(fs.stack) > 0 {
 			n := fs.stack[len(fs.stack)-1]
 			fs.stack = fs.stack[:len(fs.stack)-1]
-			for _, f := range cl.nodes[n].fanin {
+			for _, f := range g.nodes[n].fanin {
 				fn := f.Node()
-				if fn >= len(refs) || cl.nodes[fn].kind != kindMaj {
+				if fn >= len(refs) || g.nodes[fn].kind != kindMaj {
 					continue
 				}
 				if v, ok := scr.get(fn); ok && v == 1 {
@@ -316,20 +320,22 @@ func (cl *MIG) freedBy(i int, s Signal, leaves []int32, refs []int, fs *freedScr
 	return freed
 }
 
-// evalWindow probes the cut candidates of every node of one window against
-// the worker's private clone cl and records the winning choices. cl is
-// rolled back to its entry state before returning, so the next window on
-// this worker sees the unmodified input graph. cuts is the (read-only) cut
-// cache of the original graph; node indices are identical in the clone.
-// refs is the worker-private fanout-count copy backing the freed-node
-// credit of the net-gain scoring.
+// evalWindow probes the cut candidates of every node of one window and
+// records the winning choices. Every probe is dry: it runs in the worker's
+// probe on top of the window's earlier winners, which are kept there as a
+// virtual prefix (so later window nodes are costed against the structure
+// they will actually have), and is then cut back to that prefix. The
+// prefix is dropped with the next window's reset, so every window starts
+// from the input graph. cuts is the (read-only) cut cache of the input
+// graph; refs is the worker-private fanout-count copy backing the
+// freed-node credit of the net-gain scoring.
 func (wk *winWorker) evalWindow(window []int, cuts *cut.Cache, choices []windowChoice, npn bool) {
-	cl, refs := wk.cl, wk.refs
-	wcp := cl.checkpoint()
-	// Window-local remap: nodes of this window already rewritten, so later
-	// window nodes are costed against the structure they will actually
-	// have. Only input-graph nodes (below wcp) are ever looked up.
-	wremap := wk.remap.begin(wcp)
+	g, refs := wk.g, wk.refs
+	p := &g.dry
+	p.reset(len(g.nodes))
+	// Window-local remap: nodes of this window already rewritten. Only
+	// input-graph nodes are ever looked up.
+	wremap := wk.remap.begin(p.base)
 	remapped := func(s Signal) Signal {
 		if r, ok := wremap.get(s.Node()); ok {
 			return r.NotIf(s.Neg())
@@ -340,26 +346,44 @@ func (wk *winWorker) evalWindow(window []int, cuts *cut.Cache, choices []windowC
 	var leafBuf, bestSigs []Signal
 	var fs freedScratch
 	for _, i := range window {
-		a := remapped(cl.nodes[i].fanin[0])
-		b := remapped(cl.nodes[i].fanin[1])
-		c := remapped(cl.nodes[i].fanin[2])
+		a := remapped(g.nodes[i].fanin[0])
+		b := remapped(g.nodes[i].fanin[1])
+		c := remapped(g.nodes[i].fanin[2])
+		prefix := len(p.keys)
 
 		// The default reconstruction is the baseline every candidate must
 		// strictly beat on net gain (added minus freed). The default takes
 		// no freed credit: with unremapped fanins it strash-hits node i
 		// itself (added 0, freed 0), which forces candidates to actually
 		// shrink the graph before they displace existing structure.
-		cp := cl.checkpoint()
-		def := cl.Maj(a, b, c)
-		defAdded := len(cl.nodes) - cp
-		defLevel := cl.Level(def)
-		cl.rollback(cp)
+		def := g.dryMaj(p, a, b, c)
+		defAdded, defLevel := len(p.keys)-prefix, g.levelIn(p, def)
+		p.truncate(prefix)
 
 		choice := windowChoice{cutIdx: -1}
 		var bestW uint64
 		bestN := 0
 		haveBest := false
 		bestNet, bestLevel := defAdded, defLevel
+		// try scores one candidate built by synth and keeps it if it wins.
+		try := func(ci int, w uint64, leaves []int32, useNPN bool) {
+			var s Signal
+			if useNPN {
+				s = g.synthNPN(p, w, len(leafBuf), leafBuf)
+			} else {
+				s = g.synthW(p, w, len(leafBuf), leafBuf)
+			}
+			added, level := len(p.keys)-prefix, g.levelIn(p, s)
+			net := added - g.freedBy(p, i, s, leaves, refs, &fs)
+			p.truncate(prefix)
+			if net < bestNet || (net == bestNet && level < bestLevel) {
+				bestW, bestN = w, len(leafBuf)
+				bestSigs = append(bestSigs[:0], leafBuf...)
+				choice = windowChoice{cutIdx: int32(ci), nvars: int32(len(leafBuf)), w: w, npn: useNPN}
+				haveBest = true
+				bestNet, bestLevel = net, level
+			}
+		}
 		for ci := 0; ci < cuts.NumCuts(i); ci++ {
 			leaves := cuts.Leaves(i, ci)
 			if len(leaves) < 2 || len(leaves) > 6 {
@@ -369,46 +393,21 @@ func (wk *winWorker) evalWindow(window []int, cuts *cut.Cache, choices []windowC
 			for _, l := range leaves {
 				leafBuf = append(leafBuf, remapped(MakeSignal(int(l), false)))
 			}
-			w := cl.cutFuncW(i, leaves)
-			cp := cl.checkpoint()
-			s := cl.synthW(w, len(leafBuf), leafBuf)
-			added := len(cl.nodes) - cp
-			level := cl.Level(s)
-			net := added - cl.freedBy(i, s, leaves, refs, &fs)
-			cl.rollback(cp)
-			if net < bestNet || (net == bestNet && level < bestLevel) {
-				bestW, bestN = w, len(leafBuf)
-				bestSigs = append(bestSigs[:0], leafBuf...)
-				choice = windowChoice{cutIdx: int32(ci), nvars: int32(len(leafBuf)), w: w}
-				haveBest = true
-				bestNet, bestLevel = net, level
-			}
+			w := g.cutFuncW(i, leaves)
+			try(ci, w, leaves, false)
 			if npn && len(leafBuf) <= 4 {
-				cp := cl.checkpoint()
-				s := cl.synthNPN(w, len(leafBuf), leafBuf)
-				added := len(cl.nodes) - cp
-				level := cl.Level(s)
-				net := added - cl.freedBy(i, s, leaves, refs, &fs)
-				cl.rollback(cp)
-				if net < bestNet || (net == bestNet && level < bestLevel) {
-					bestW, bestN = w, len(leafBuf)
-					bestSigs = append(bestSigs[:0], leafBuf...)
-					choice = windowChoice{cutIdx: int32(ci), nvars: int32(len(leafBuf)), w: w, npn: true}
-					haveBest = true
-					bestNet, bestLevel = net, level
-				}
+				try(ci, w, leaves, true)
 			}
 		}
 		choices[i] = choice
-		// Commit the winner into the clone so later window nodes see it.
+		// Keep the winner in the probe so later window nodes see it.
 		switch {
 		case haveBest && choice.npn:
-			wremap.put(i, cl.synthNPN(bestW, bestN, bestSigs))
+			wremap.put(i, g.synthNPN(p, bestW, bestN, bestSigs))
 		case haveBest:
-			wremap.put(i, cl.synthW(bestW, bestN, bestSigs))
+			wremap.put(i, g.synthW(p, bestW, bestN, bestSigs))
 		default:
-			wremap.put(i, cl.Maj(a, b, c))
+			wremap.put(i, g.dryMaj(p, a, b, c))
 		}
 	}
-	cl.rollback(wcp)
 }

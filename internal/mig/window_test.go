@@ -75,8 +75,8 @@ func TestWindowRewriteParallelIdentity(t *testing.T) {
 	}
 }
 
-// WindowRewritePass must not mutate its input graph (jobs=1 probes on the
-// input itself and relies on rollback restoring it exactly).
+// WindowRewritePass must not mutate its input graph, which its workers
+// share and only probe dry.
 func TestWindowRewriteLeavesInputIntact(t *testing.T) {
 	m := migFor(t, "count")
 	before := fingerprint(m)

@@ -7,8 +7,10 @@ package aig
 
 import (
 	"context"
+	"fmt"
 
 	"repro/internal/opt"
+	"repro/internal/sweep"
 )
 
 func betterBySizeDepth(cand, best *AIG) bool {
@@ -108,6 +110,9 @@ func buildRegistry() *opt.Registry[*AIG] {
 			a, err := opt.IntArgsMin(args, 1, 4, 2, 2000)
 			if err != nil {
 				return nil, err
+			}
+			if a[0] > sweep.MaxWords {
+				return nil, fmt.Errorf("fraig: %d simulation words exceed the bound of %d", a[0], sweep.MaxWords)
 			}
 			return passFraig(a[0], a[1], a[2]), nil
 		})

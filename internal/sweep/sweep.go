@@ -66,6 +66,12 @@ func (s *Scratch[T]) Get(i int) T {
 	return s.val[i]
 }
 
+// MaxWords is the largest words argument a fraig pass accepts. Memory
+// grows with it on every graph, however small: Rows allocates one row per
+// word, each round simulates every row over every node, and the signature
+// key of a node is 8 bytes per word. Every shipped flow uses at most 4.
+const MaxWords = 64
+
 // Rows builds stimulus rows for a graph with nin inputs: words rows of
 // rng-driven random values, preceded by enough rows to carry one bit per
 // accumulated counterexample pattern (remaining bits of those rows are

@@ -174,6 +174,19 @@ func TestSessionScriptBadScript(t *testing.T) {
 	}
 }
 
+// fraig's words argument sizes its simulation memory on any graph, so
+// both registries cap it at parse time.
+func TestValidateScriptFraigWords(t *testing.T) {
+	for _, kind := range []logic.Kind{logic.KindMIG, logic.KindAIG} {
+		if err := logic.ValidateScript(kind, "fraig(64)"); err != nil {
+			t.Errorf("%s: fraig(64): %v", kind, err)
+		}
+		if err := logic.ValidateScript(kind, "fraig(65)"); err == nil || !strings.Contains(err.Error(), "bound of 64") {
+			t.Errorf("%s: fraig(65): err = %v, want the bound of 64", kind, err)
+		}
+	}
+}
+
 func TestSessionScriptTraceAndPerPassVerify(t *testing.T) {
 	sess, err := logic.NewSession(
 		logic.WithScript("eliminate(8); reshape-depth; eliminate"),

@@ -49,6 +49,7 @@ import (
 	"log"
 	"log/slog"
 	"net/http"
+	"runtime"
 	"runtime/debug"
 	"strings"
 	"sync/atomic"
@@ -478,6 +479,12 @@ func (s *Server) prepare(req *OptimizeRequest) (*prepared, error) {
 	if req.TimeoutMS < 0 {
 		return nil, badRequestf("timeout_ms must be non-negative (got %d)", req.TimeoutMS)
 	}
+	// Every worker of a parallel pass holds graph-sized scratch, and the
+	// result is byte-identical for any worker count, so a budget beyond
+	// the cores buys nothing.
+	if limit := runtime.GOMAXPROCS(0); req.Workers > limit {
+		return nil, badRequestf("workers must be at most %d, the server's GOMAXPROCS (got %d)", limit, req.Workers)
+	}
 	inFormat := logic.FormatBLIF
 	if req.Format != "" {
 		var err error
@@ -542,8 +549,8 @@ func (s *Server) prepare(req *OptimizeRequest) (*prepared, error) {
 	// a BLIF and a Verilog submission of the same circuit don't collide
 	// when their defaulted outputs differ. Named strategies key by their
 	// resolved script text, so script_name "migscript" and the identical
-	// inline script share one entry (the library is append-only within a
-	// process, so a name can never silently change its script). Stream is
+	// inline script share one entry (the library is the checked-in table,
+	// so a name cannot change its script within a process). Stream is
 	// deliberately not keyed: a streamed and a plain request for the same
 	// work share one entry.
 	return &prepared{

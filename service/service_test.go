@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -176,7 +177,7 @@ func TestDeadlineInterruptsSATVerify(t *testing.T) {
 }
 
 func TestBadRequests(t *testing.T) {
-	_, client := testServer(t, Config{Workers: 1})
+	srv, client := testServer(t, Config{Workers: 1})
 	ctx := context.Background()
 	cases := []struct {
 		name string
@@ -194,6 +195,11 @@ func TestBadRequests(t *testing.T) {
 			"unknown verify engine"},
 		{"negative timeout", OptimizeRequest{Format: "blif", Source: circuitBLIF(t, "b9"), TimeoutMS: -50},
 			"timeout_ms must be non-negative"},
+		// The two values that size memory are capped.
+		{"workers over GOMAXPROCS", OptimizeRequest{Format: "blif", Source: circuitBLIF(t, "b9"), ScriptName: "migscript3",
+			Workers: runtime.GOMAXPROCS(0) + 1}, fmt.Sprintf("workers must be at most %d", runtime.GOMAXPROCS(0))},
+		{"fraig words", OptimizeRequest{Format: "blif", Source: circuitBLIF(t, "b9"), Script: "fraig(100000000)"},
+			"bound of 64"},
 	}
 	for _, c := range cases {
 		_, err := client.Optimize(ctx, c.req)
@@ -203,6 +209,13 @@ func TestBadRequests(t *testing.T) {
 		if err != nil && !strings.Contains(err.Error(), "HTTP 400") {
 			t.Errorf("%s: err = %v, want HTTP 400", c.name, err)
 		}
+	}
+	// Every case is rejected before admission, so no pass ran.
+	if n := srv.mtx.admitted.Value(); n != 0 {
+		t.Errorf("%v requests were admitted", n)
+	}
+	if runs := srv.mtx.passRuns.Snapshot(); len(runs) != 0 {
+		t.Errorf("passes ran: %v", runs)
 	}
 }
 

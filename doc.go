@@ -38,8 +38,8 @@
 //     script_name; script.Tune searches pass-script space (greedy
 //     pass-append plus local search under wall-clock/trial/ctx budgets)
 //     for new strategies — the shipped tuned-* entries are its output on
-//     the MCNC suite. script.Register adds site-local strategies at
-//     runtime.
+//     the MCNC suite. The library is the checked-in table; it has no
+//     runtime extension point.
 //   - logic/bench is the experiment harness: the paper's benchmark
 //     circuits (Circuit, Compress), the Table I flows and batch engine
 //     (RunOptRows, RunSynthRows, RunCompress), report JSON, the
@@ -119,12 +119,11 @@
 //     it is, newest first, and each of those links to the next-older one.
 //     Maj and And walk the chain of the key's largest fanin, whose node
 //     they read anyway for its level, so there is no table to size, grow,
-//     copy or miss in the cache. The probes that build a candidate and roll it
-//     back (the window engine, ActivityPass, cut-rewrite and the AIG
-//     passes) unlink by node index: nodes are appended in order and chains
-//     prepended, so each removed node heads its chain. Graph Clone copies
-//     the nodes and with them the strash, and a rebuild reserves its node
-//     slice.
+//     copy or miss in the cache. The AIG passes, which build a candidate
+//     and roll it back, unlink by node index: nodes are appended in order
+//     and chains prepended, so each removed node heads its chain. The MIG
+//     never takes a node back. Graph Clone copies the nodes and with them
+//     the strash, and a rebuild reserves its node slice.
 //   - Every old→new remap of the topological rebuilds is a dense []Signal
 //     slice drawn from pooled slabs, and the cone traversals
 //     (replaceInCone, coneContains, local activity, truth-table walks) and
@@ -135,28 +134,29 @@
 //     passes and baselines read cuts: all leaves in one flat array, spans
 //     per cut, offsets per node. The cache lives on
 //     the graph and is maintained incrementally — appended nodes are
-//     enumerated on demand (Extend) and rolled-back nodes are dropped in
-//     O(1) (Truncate) — so repeated passes over an unchanged region never
-//     re-enumerate the whole graph.
+//     enumerated on demand (Extend), and the AIG drops its rolled-back
+//     nodes in O(1) (Truncate) — so repeated passes over an unchanged
+//     region never re-enumerate the whole graph.
 //   - Functions of up to six variables (every 4-input cut) are synthesized
 //     and extracted as single uint64 words (internal/mig synth6.go):
 //     cofactors, projections and matching are pure word arithmetic.
 //     Resynthesis takes at most six variables, so the word path is its
 //     only implementation.
-//   - The Ω/Ψ passes cost a candidate without building it, in the style
+//   - Every MIG pass costs a candidate without building it, in the style
 //     of ABC's lookup-only DAG-aware rewriting (Mishchenko, Chatterjee and
-//     Brayton, DAC 2006). A candidate is a (shape, parameters) record; its
-//     dry build applies Maj's own normalization and only looks keys up, and
-//     a miss becomes a virtual node numbered as the real build would number
+//     Brayton, DAC 2006). An Ω/Ψ candidate is a (shape, parameters) record
+//     and a cut-rewriting candidate a synthesized cut function; its dry
+//     build applies Maj's own normalization and only looks keys up, and a
+//     miss becomes a virtual node numbered as the real build would number
 //     it. Each node's used flag (set on the fanins of every node Maj
 //     creates) skips the lookup of a key that cannot be in the strash.
-//     Probing modifies nothing and allocates nothing.
+//     Probing modifies nothing, and a warm Ω/Ψ probe allocates nothing.
 //
 // Window-parallel rewriting (mig.WindowRewritePass, pass name
 // "window-rewrite") partitions the live nodes into maximal fanout-free
-// cones, evaluates cut candidates per cone on a worker pool (each worker
-// probes against a private clone), and commits the chosen rewrites in one
-// serial topological rebuild. Results are byte-identical for every worker
+// cones, evaluates cut candidates per cone on a worker pool (the workers
+// share the input graph and probe it dry), and commits the chosen rewrites
+// in one serial topological rebuild. Results are byte-identical for every worker
 // count; opt.SetWorkers (the CLIs' -jobs flag) sets the process budget and
 // logic.WithWorkers carries a per-session budget through the context, so
 // concurrent server requests do not share one global knob. The pipeline
@@ -176,8 +176,8 @@
 // Go source plus a canonical text mirror (internal/npndb), so runtime
 // lookups are a table index away: canonize the cut function, fetch the
 // class entry, replay the inverse NPN transform onto the cut leaves. The
-// pass rides the window-rewrite machinery — per-cone probing on worker
-// clones, serial deterministic commit, positive DAG-aware net gain
+// pass rides the window-rewrite machinery — per-cone dry probing on a
+// worker pool, serial deterministic commit, positive DAG-aware net gain
 // required (nodes added after strashing minus the replaced cone's freed
 // fanout-free interior) — so it is byte-identical for every worker count
 // and never size-increasing. CI regenerates a database sample and fails on drift

@@ -25,9 +25,9 @@ package script
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/aig"
 	"repro/internal/mig"
@@ -74,44 +74,37 @@ func (s Strategy) String() string {
 	return fmt.Sprintf("%-16s %s/%s effort=%d  %s", s.Name, s.Kind, s.Objective, s.Effort, s.Script)
 }
 
-// library is the name-keyed strategy registry, built and validated at init
-// from the checked-in tables; Register may extend it at runtime (a migd
-// embedder serving site-local strategies), so access is mutex-guarded.
-var (
-	libMu   sync.RWMutex
-	library = map[string]Strategy{}
-)
+// library is the name-keyed strategy table, and names its sorted keys.
+// Both are built once at init from the checked-in tables (strategies.go,
+// tuned.go) and never change.
+var library, names = build(curated, tuned)
 
-// Register validates a strategy — non-empty name, known kind, script that
-// parses against the live pass registry — canonicalizes its script, and
-// adds it to the library, where WithStrategy, the CLIs and the service's
-// /v1/scripts resolve it. Registering an existing name is an error; the
-// shipped entries cannot be replaced.
-func Register(s Strategy) error {
-	if s.Name == "" {
-		return fmt.Errorf("script: strategy has no name")
+// build validates every entry — a non-empty, unique name and a script that
+// parses against the live pass registry of its kind — and canonicalizes
+// its script. An invalid entry is a build-time defect caught by panicking
+// (the package tests exercise every entry).
+func build(tables ...[]Strategy) (map[string]Strategy, []string) {
+	lib := map[string]Strategy{}
+	var names []string
+	for _, table := range tables {
+		for _, s := range table {
+			if s.Name == "" {
+				panic("script: strategy has no name")
+			}
+			canon, err := Canonical(s.Kind, s.Script)
+			if err != nil {
+				panic(fmt.Sprintf("script: strategy %q does not validate: %v", s.Name, err))
+			}
+			if _, dup := lib[s.Name]; dup {
+				panic(fmt.Sprintf("script: duplicate strategy %q", s.Name))
+			}
+			s.Script = canon
+			lib[s.Name] = s
+			names = append(names, s.Name)
+		}
 	}
-	canon, err := Canonical(s.Kind, s.Script)
-	if err != nil {
-		return fmt.Errorf("script: strategy %q does not validate: %w", s.Name, err)
-	}
-	s.Script = canon
-	libMu.Lock()
-	defer libMu.Unlock()
-	if _, dup := library[s.Name]; dup {
-		return fmt.Errorf("script: duplicate strategy %q", s.Name)
-	}
-	library[s.Name] = s
-	return nil
-}
-
-// register is Register for the checked-in tables: registration happens at
-// package init, so a failure is a build-time defect caught by panicking
-// (and the package tests exercise every entry).
-func register(s Strategy) {
-	if err := Register(s); err != nil {
-		panic(err.Error())
-	}
+	sort.Strings(names)
+	return lib, names
 }
 
 // Canonical validates a pass script against the registry of the given kind
@@ -129,29 +122,15 @@ func Canonical(kind, script string) (string, error) {
 
 // Lookup resolves a strategy by name.
 func Lookup(name string) (Strategy, bool) {
-	libMu.RLock()
-	defer libMu.RUnlock()
 	s, ok := library[name]
 	return s, ok
 }
 
 // Names lists the library's strategy names in lexicographic order.
-func Names() []string {
-	libMu.RLock()
-	defer libMu.RUnlock()
-	names := make([]string, 0, len(library))
-	for n := range library {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
+func Names() []string { return slices.Clone(names) }
 
-// All returns every registered strategy, sorted by name.
+// All returns every strategy, sorted by name.
 func All() []Strategy {
-	names := Names()
-	libMu.RLock()
-	defer libMu.RUnlock()
 	out := make([]Strategy, 0, len(names))
 	for _, n := range names {
 		out = append(out, library[n])

@@ -70,46 +70,19 @@ func TestLibraryListing(t *testing.T) {
 	}
 }
 
-// TestRegisterRejects proves runtime registration validates like init does.
-func TestRegisterRejects(t *testing.T) {
-	cases := []script.Strategy{
-		{Name: "", Kind: script.KindMIG, Script: "cleanup"},
-		{Name: "bad-kind", Kind: "netlist", Script: "cleanup"},
-		{Name: "bad-script", Kind: script.KindMIG, Script: "cleanup; nope"},
-		{Name: "wrong-registry", Kind: script.KindAIG, Script: "eliminate"},
-		{Name: "migscript", Kind: script.KindMIG, Script: "cleanup"}, // duplicate
+// TestCanonicalRejects proves Canonical, which validates every library
+// entry at init, rejects an unknown kind, an unknown pass and a pass of
+// the other registry.
+func TestCanonicalRejects(t *testing.T) {
+	cases := []struct{ kind, script string }{
+		{"netlist", "cleanup"},
+		{script.KindMIG, "cleanup; nope"},
+		{script.KindAIG, "eliminate"},
 	}
 	for _, c := range cases {
-		if err := script.Register(c); err == nil {
-			t.Errorf("Register(%q) accepted an invalid strategy", c.Name)
+		if canon, err := script.Canonical(c.kind, c.script); err == nil {
+			t.Errorf("Canonical(%q, %q) = %q, want an error", c.kind, c.script, canon)
 		}
-	}
-}
-
-// TestRegisterCustom registers a valid user strategy and resolves it
-// through the library and a Session.
-func TestRegisterCustom(t *testing.T) {
-	st := script.Strategy{
-		Name:        "test-custom",
-		Kind:        script.KindMIG,
-		Objective:   "size",
-		Description: "test-only",
-		Effort:      1,
-		Script:      "cleanup ; eliminate( 8 )", // canonicalized on registration
-		Source:      script.SourceCurated,
-	}
-	if err := script.Register(st); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := script.Lookup("test-custom")
-	if !ok {
-		t.Fatal("registered strategy not found")
-	}
-	if want := "cleanup; eliminate(8)"; got.Script != want {
-		t.Errorf("registered script = %q, want canonical %q", got.Script, want)
-	}
-	if _, err := logic.NewSession(logic.WithStrategy("test-custom")); err != nil {
-		t.Errorf("WithStrategy on a registered custom strategy: %v", err)
 	}
 }
 
@@ -119,9 +92,6 @@ func TestRegisterCustom(t *testing.T) {
 func TestStrategiesEquivalentOnMCNC(t *testing.T) {
 	sample := []string{"my_adder", "alu4"}
 	for _, s := range script.All() {
-		if s.Source == "" { // skip test-registered leftovers
-			continue
-		}
 		for _, name := range sample {
 			net, err := bench.Circuit(name)
 			if err != nil {
@@ -149,9 +119,6 @@ func TestStrategiesEquivalentOnMCNC(t *testing.T) {
 // shipped strategy on an MCNC circuit.
 func TestWithStrategyMatchesWithScript(t *testing.T) {
 	for _, s := range script.All() {
-		if s.Source == "" {
-			continue
-		}
 		net, err := bench.Circuit("b9")
 		if err != nil {
 			t.Fatal(err)

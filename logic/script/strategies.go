@@ -3,13 +3,14 @@ package script
 // The shipped strategy library. Curated entries are LSOracle/ABC-style
 // compositions of the registered passes; tuned entries (tuned.go) were
 // discovered by Tune on the MCNC suite and checked in. Scripts are written
-// in canonical statement form — register re-canonicalizes and panics on
-// drift, and TestShippedStrategiesCanonical pins it.
+// in canonical statement form — build re-canonicalizes them at init, and
+// TestShippedStrategiesValidate pins the form.
 
-func init() {
-	// MIG strategies (flat netlists optimize through the MIG, so these
-	// also serve netlist inputs — and every migd request).
-	register(Strategy{
+// curated is the hand-written part of the library. The MIG strategies also
+// serve netlist inputs, which optimize through the MIG — and every migd
+// request.
+var curated = []Strategy{
+	{
 		Name:      "migscript",
 		Kind:      KindMIG,
 		Objective: "size",
@@ -18,8 +19,8 @@ func init() {
 		Effort: 2,
 		Script: "cleanup; eliminate; reshape-size; eliminate; cut-rewrite; eliminate; reshape-size; eliminate",
 		Source: SourceCurated,
-	})
-	register(Strategy{
+	},
+	{
 		Name:      "migscript-depth",
 		Kind:      KindMIG,
 		Objective: "depth",
@@ -28,8 +29,8 @@ func init() {
 		Effort: 2,
 		Script: "cleanup; pushup; reshape-depth; eliminate; pushup; reshape-depth; eliminate; pushup; eliminate-budget",
 		Source: SourceCurated,
-	})
-	register(Strategy{
+	},
+	{
 		Name:      "migscript2",
 		Kind:      KindMIG,
 		Objective: "balanced",
@@ -38,8 +39,8 @@ func init() {
 		Effort: 3,
 		Script: "cleanup; eliminate; window-rewrite; eliminate; reshape-depth; eliminate-budget; fraig; pushup",
 		Source: SourceCurated,
-	})
-	register(Strategy{
+	},
+	{
 		Name:      "migscript3",
 		Kind:      KindMIG,
 		Objective: "size",
@@ -49,8 +50,8 @@ func init() {
 		Effort: 2,
 		Script: "cleanup; eliminate; rewrite-npn; eliminate; reshape-size; eliminate; rewrite-npn; eliminate",
 		Source: SourceCurated,
-	})
-	register(Strategy{
+	},
+	{
 		Name:      "aigscript",
 		Kind:      KindAIG,
 		Objective: "size",
@@ -59,8 +60,8 @@ func init() {
 		Effort: 2,
 		Script: "cleanup; balance; rewrite; refactor; balance; rewrite; balance",
 		Source: SourceCurated,
-	})
-	register(Strategy{
+	},
+	{
 		Name:      "compress2rs",
 		Kind:      KindAIG,
 		Objective: "size",
@@ -69,5 +70,5 @@ func init() {
 		Effort: 3,
 		Script: "balance; refactor; balance; rewrite; balance; rewrite; refactor; balance; rewrite; balance",
 		Source: SourceCurated,
-	})
+	},
 }

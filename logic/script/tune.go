@@ -77,9 +77,9 @@ type Trial struct {
 
 // TuneResult is the outcome of a Tune run.
 type TuneResult struct {
-	// Best is the winning script packaged as a registrable Strategy
-	// (Source "tuned"). It is NOT added to the library; call Register to
-	// serve it, or check it in.
+	// Best is the winning script packaged as a Strategy (Source
+	// "tuned"). It is not added to the library; check it in (tuned.go)
+	// to ship it.
 	Best Strategy `json:"best"`
 	// BestSize and BestDepth are the suite geomeans of Best.
 	BestSize  float64 `json:"best_size"`

@@ -7,8 +7,8 @@ package script
 // flow at effort 3 on the same circuits; logic/bench's
 // TestTunedStrategyBeatsFlow pins the per-circuit wins.
 
-func init() {
-	register(Strategy{
+var tuned = []Strategy{
+	{
 		Name:      "tuned-depth",
 		Kind:      KindMIG,
 		Objective: "depth",
@@ -18,8 +18,8 @@ func init() {
 		Effort: 1,
 		Script: "cut-rewrite; pushup; fraig",
 		Source: SourceTuned,
-	})
-	register(Strategy{
+	},
+	{
 		Name:      "tuned-size",
 		Kind:      KindMIG,
 		Objective: "size",
@@ -29,5 +29,5 @@ func init() {
 		Effort: 1,
 		Script: "cleanup; fraig; cut-rewrite",
 		Source: SourceTuned,
-	})
+	},
 }

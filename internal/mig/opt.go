@@ -491,7 +491,7 @@ func (m *MIG) coneOf(s Signal, limit int) (int, []int) {
 // live size is unchanged). Candidates are costed by dry builds.
 func (m *MIG) ActivityPass(inputProbs []float64) *MIG {
 	refs := m.FanoutCounts()
-	act := activity{inputProbs: inputProbs}
+	act := activity{in: inputProbs}
 	return m.rebuildWith(func(out *MIG, oldIdx int, a, b, c Signal) Signal {
 		p := &out.dry
 		evalAct := func(c *candidate) float64 {
@@ -525,62 +525,50 @@ func (m *MIG) ActivityPass(inputProbs []float64) *MIG {
 				best, bestAct = cand, act
 			}
 		}
-		s := out.buildCand(&best, nil)
-		act.extend(out)
-		return s
+		return out.buildCand(&best, nil)
 	})
 }
 
 // activity holds the output probabilities of the graph ActivityPass
-// builds, one per node, under the input profile inputProbs (nil =
-// uniform).
+// builds, one per node, under the input profile in (nil = uniform).
 type activity struct {
-	inputProbs []float64
-	probs      []float64
-	inputs     int // primary inputs seen so far
-}
-
-// prob is the probability of s being 1.
-func (a *activity) prob(s Signal) float64 {
-	v := a.probs[s.Node()]
-	if s.Neg() {
-		return 1 - v
-	}
-	return v
+	in, probs []float64
+	inputs    int // primary inputs seen so far
 }
 
 // majProb is the probability of a majority node with fanins f being 1.
 func (a *activity) majProb(f [3]Signal) float64 {
-	x, y, z := a.prob(f[0]), a.prob(f[1]), a.prob(f[2])
-	return x*y + x*z + y*z - 2*x*y*z
-}
-
-// extend computes the probabilities of g's nodes added since the last call.
-func (a *activity) extend(g *MIG) {
-	for i := len(a.probs); i < len(g.nodes); i++ {
-		nd := &g.nodes[i]
-		switch nd.kind {
-		case kindConst:
-			a.probs = append(a.probs, 0)
-		case kindPI:
-			p := 0.5
-			if a.inputProbs != nil && a.inputs < len(a.inputProbs) {
-				p = a.inputProbs[a.inputs]
-			}
-			a.inputs++
-			a.probs = append(a.probs, p)
-		case kindMaj:
-			a.probs = append(a.probs, a.majProb(nd.fanin))
+	var v [3]float64
+	for j, s := range f {
+		if v[j] = a.probs[s.Node()]; s.Neg() {
+			v[j] = 1 - v[j]
 		}
 	}
+	x, y, z := v[0], v[1], v[2]
+	return x*y + x*z + y*z - 2*x*y*z
 }
 
 // local sums 2p(1-p) over the nodes numbered from `from` on (the nodes a
 // candidate creates), the root, and the root's majority fanins, each node
-// once. The probe's virtual nodes take their probabilities from their keys,
-// in creation order, and leave a.probs as it was.
+// once. It first computes the probabilities of g's nodes added since the
+// last call, then those of p's virtual nodes from their keys, in creation
+// order; the virtual ones are dropped again before returning.
 func (a *activity) local(g *MIG, p *probe, from int, root Signal) float64 {
-	a.extend(g)
+	for i := len(a.probs); i < len(g.nodes); i++ {
+		switch nd := &g.nodes[i]; nd.kind {
+		case kindConst:
+			a.probs = append(a.probs, 0)
+		case kindPI:
+			q := 0.5
+			if a.inputs < len(a.in) {
+				q = a.in[a.inputs]
+			}
+			a.inputs++
+			a.probs = append(a.probs, q)
+		case kindMaj:
+			a.probs = append(a.probs, a.majProb(nd.fanin))
+		}
+	}
 	for _, k := range p.keys {
 		a.probs = append(a.probs, a.majProb(k))
 	}

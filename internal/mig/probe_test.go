@@ -141,7 +141,7 @@ func TestProbeMatchesTrialBuild(t *testing.T) {
 				inputProbs = append(inputProbs, r.Float64())
 			}
 		}
-		act := activity{inputProbs: inputProbs}
+		act := activity{in: inputProbs}
 		cuts := m.CutSet(6, 8)
 		for k := 0; k < 200; k++ {
 			shape := candShape(k % 4)
@@ -165,7 +165,7 @@ func TestProbeMatchesTrialBuild(t *testing.T) {
 				t.Fatalf("trial %d: %+v: dry probe gives added %d, level %d, signal %d; trial build %d, %d, %d",
 					trial, c, dry.added, dry.level, ds, added, level, ts)
 			}
-			ref := activity{inputProbs: inputProbs}
+			ref := activity{in: inputProbs}
 			if tAct := ref.local(cl, &probe{base: len(cl.nodes)}, nodes, ts); dAct != tAct {
 				t.Fatalf("trial %d: %+v: dry local activity %v, trial build %v", trial, c, dAct, tAct)
 			}

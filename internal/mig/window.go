@@ -195,11 +195,7 @@ func (m *MIG) windowRewriteCtx(ctx context.Context, k, maxCuts, jobs int, npn bo
 				leafBuf = append(leafBuf, s)
 			}
 			if ok {
-				if ch.npn {
-					remap[i] = out.synthNPN(nil, ch.w, int(ch.nvars), leafBuf)
-				} else {
-					remap[i] = out.synthW(nil, ch.w, int(ch.nvars), leafBuf)
-				}
+				remap[i] = out.synthCut(nil, ch, leafBuf)
 				continue
 			}
 		}
@@ -361,26 +357,17 @@ func (wk *winWorker) evalWindow(window []int, cuts *cut.Cache, choices []windowC
 		p.truncate(prefix)
 
 		choice := windowChoice{cutIdx: -1}
-		var bestW uint64
-		bestN := 0
-		haveBest := false
 		bestNet, bestLevel := defAdded, defLevel
-		// try scores one candidate built by synth and keeps it if it wins.
-		try := func(ci int, w uint64, leaves []int32, useNPN bool) {
-			var s Signal
-			if useNPN {
-				s = g.synthNPN(p, w, len(leafBuf), leafBuf)
-			} else {
-				s = g.synthW(p, w, len(leafBuf), leafBuf)
-			}
+		// try scores the candidate ch over the cut leaves and keeps it if
+		// it wins.
+		try := func(ch windowChoice, leaves []int32) {
+			s := g.synthCut(p, ch, leafBuf)
 			added, level := len(p.keys)-prefix, g.levelIn(p, s)
 			net := added - g.freedBy(p, i, s, leaves, refs, &fs)
 			p.truncate(prefix)
 			if net < bestNet || (net == bestNet && level < bestLevel) {
-				bestW, bestN = w, len(leafBuf)
+				choice = ch
 				bestSigs = append(bestSigs[:0], leafBuf...)
-				choice = windowChoice{cutIdx: int32(ci), nvars: int32(len(leafBuf)), w: w, npn: useNPN}
-				haveBest = true
 				bestNet, bestLevel = net, level
 			}
 		}
@@ -393,21 +380,29 @@ func (wk *winWorker) evalWindow(window []int, cuts *cut.Cache, choices []windowC
 			for _, l := range leaves {
 				leafBuf = append(leafBuf, remapped(MakeSignal(int(l), false)))
 			}
-			w := g.cutFuncW(i, leaves)
-			try(ci, w, leaves, false)
+			ch := windowChoice{cutIdx: int32(ci), nvars: int32(len(leafBuf)), w: g.cutFuncW(i, leaves)}
+			try(ch, leaves)
 			if npn && len(leafBuf) <= 4 {
-				try(ci, w, leaves, true)
+				ch.npn = true
+				try(ch, leaves)
 			}
 		}
 		choices[i] = choice
 		// Keep the winner in the probe so later window nodes see it.
-		switch {
-		case haveBest && choice.npn:
-			wremap.put(i, g.synthNPN(p, bestW, bestN, bestSigs))
-		case haveBest:
-			wremap.put(i, g.synthW(p, bestW, bestN, bestSigs))
-		default:
+		if choice.cutIdx >= 0 {
+			wremap.put(i, g.synthCut(p, choice, bestSigs))
+		} else {
 			wremap.put(i, g.dryMaj(p, a, b, c))
 		}
 	}
+}
+
+// synthCut builds the chosen cut function over the leaf signals: the
+// database implementation when ch.npn is set, synthW's otherwise, for real
+// when p is nil and inside the dry probe p otherwise.
+func (m *MIG) synthCut(p *probe, ch windowChoice, leaves []Signal) Signal {
+	if ch.npn {
+		return m.synthNPN(p, ch.w, int(ch.nvars), leaves)
+	}
+	return m.synthW(p, ch.w, int(ch.nvars), leaves)
 }

@@ -102,14 +102,9 @@ func randomSynth(r *rand.Rand, m *MIG, cuts *cut.Cache, majs []int) (i int, leav
 			sigs[j] = MakeSignal(r.Intn(len(m.nodes)), r.Intn(2) == 0)
 		}
 	}
-	npn = n <= 4 && r.Intn(2) == 0
-	build = func(g *MIG, p *probe) Signal {
-		if npn {
-			return g.synthNPN(p, w, n, sigs)
-		}
-		return g.synthW(p, w, n, sigs)
-	}
-	return i, leaves, build, npn
+	ch := windowChoice{nvars: int32(n), w: w, npn: n <= 4 && r.Intn(2) == 0}
+	build = func(g *MIG, p *probe) Signal { return g.synthCut(p, ch, sigs) }
+	return i, leaves, build, ch.npn
 }
 
 // A dry probe must cost every candidate exactly as a real build on a clone

@@ -187,6 +187,15 @@ func TestValidateScriptFraigWords(t *testing.T) {
 	}
 }
 
+func TestValidateScriptWindowRewriteCuts(t *testing.T) {
+	if err := logic.ValidateScript(logic.KindMIG, "window-rewrite(6, 64)"); err != nil {
+		t.Errorf("window-rewrite(6, 64): %v", err)
+	}
+	if err := logic.ValidateScript(logic.KindMIG, "window-rewrite(6, 65)"); err == nil || !strings.Contains(err.Error(), "bound of 64") {
+		t.Errorf("window-rewrite(6, 65): err = %v, want the bound of 64", err)
+	}
+}
+
 func TestSessionScriptTraceAndPerPassVerify(t *testing.T) {
 	sess, err := logic.NewSession(
 		logic.WithScript("eliminate(8); reshape-depth; eliminate"),

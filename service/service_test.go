@@ -200,6 +200,8 @@ func TestBadRequests(t *testing.T) {
 			Workers: runtime.GOMAXPROCS(0) + 1}, fmt.Sprintf("workers must be at most %d", runtime.GOMAXPROCS(0))},
 		{"fraig words", OptimizeRequest{Format: "blif", Source: circuitBLIF(t, "b9"), Script: "fraig(100000000)"},
 			"bound of 64"},
+		{"window-rewrite cuts", OptimizeRequest{Format: "blif", Source: circuitBLIF(t, "b9"), Script: "window-rewrite(6, 100000)"},
+			"bound of 64"},
 	}
 	for _, c := range cases {
 		_, err := client.Optimize(ctx, c.req)

@@ -8,11 +8,16 @@ package sat
 // A bare miter is hopeless on arithmetic circuits (the C6288 effect: the
 // solver has to re-derive every internal correspondence from scratch), so
 // Miter sweeps internal points first — the classic CEC recipe (Mishchenko
-// et al., ICCAD 2006): shared random simulation proposes pairs of internal
-// nodes that look equivalent, and each candidate is proved or refuted
-// bottom-up, in b's topological order, under a small per-query conflict
-// budget. Each candidate is decided on its own fanin cones:
+// et al., ICCAD 2006). Random simulation proposes pairs of internal nodes
+// that look equivalent, and each candidate is proved or refuted bottom-up,
+// in b's topological order:
 //
+//   - Seed index. Both networks simulate sweepWords random words into one
+//     reused buffer, and each node's words fold into one 64-bit hash as
+//     they are simulated, complemented when the node's first simulated bit
+//     is 1. The index maps a hash to the first a-gate in topological order
+//     that has it. A hash collision only proposes a candidate that SAT
+//     then refutes.
 //   - Lazy cones. Nothing is encoded up front. One persistent solver
 //     receives each node's Tseitin clauses the first time a query's cone
 //     reaches it (EncodeCone), so the CNF grows with what the sweep
@@ -20,14 +25,19 @@ package sat
 //   - Substitution. A proven b-node takes its a-literal in b's literal
 //     table, so every later b-cone stops at the proven frontier and
 //     continues in a's cone.
-//   - Confined branching. Each query branches only on the variables of the
-//     pair's substituted cones (Solver.Confine); a refuted query assigns
-//     that cone, not both networks, and a proven one cannot wander off
-//     into unrelated logic.
-//   - Packed patterns. Each refutation's input pattern is stored as one
-//     bit of a 64-pattern simulation word, with the node values of both
-//     networks under it. A later candidate is skipped iff a stored pattern
-//     distinguishes it.
+//   - Two-stage query, each stage with confined branching
+//     (Solver.Confine). The window stage branches only on the variables
+//     within sweepWindow levels of the pair, under sweepWindowBudget
+//     conflicts; most equivalences close there, without touching the
+//     deep cone. Only its Unsat counts: its Sat leaves the logic below
+//     the window unassigned, so it is no counterexample. Anything else
+//     goes to the full-cone stage, which branches on the pair's whole
+//     substituted cones under sweepQueryBudget conflicts; its Sat assigns
+//     that cone and is a genuine refutation.
+//   - Packed patterns. Each full-cone refutation's input pattern is
+//     stored as one bit of a 64-pattern simulation word, with the node
+//     values of both networks under it. A later candidate is skipped iff
+//     a stored pattern distinguishes it.
 //
 // The confinement is lifted before the output miter, which encodes only
 // the output cones; outputs whose literals coincide after substitution are
@@ -36,6 +46,7 @@ package sat
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/netlist"
@@ -80,11 +91,27 @@ type MiterResult struct {
 	ProvedPairs int
 }
 
-// Sweep tuning knobs.
+// Sweep tuning knobs. Measured on a 2-core container, on the 7
+// SAT-decided pairs of migperf's mcnc-verified workload (each MCNC
+// stand-in against its flow-effort-3 MIG) and on a 12000-gate mesh
+// (miggen -nodes 12000) through mighty -opt flow -verify auto.
 const (
-	sweepWords       = 8    // 64-bit simulation words seeding the candidates
-	sweepQueryBudget = 2000 // conflicts per internal candidate query
-	sweepMaxCex      = 2048 // refutation patterns folded back into the signatures
+	// sweepWords random 64-bit words seed the candidates. Against 8, they
+	// cut clma's full-cone refutations from 94 to 30, and the index finds
+	// a true a-counterpart more often: clma proves 5396 pairs, not 5304.
+	sweepWords = 32
+	// sweepWindow levels below the pair bound the window stage's
+	// branching. On the MCNC pairs, 1 to 4 levels measured the same. On
+	// the mesh's ~22.7k candidates, the window left 2312 to the full-cone
+	// stage at 1 level, 939 at 2, 176 at 3 and 39 at 4, and the run took
+	// ~9.2, ~5.4, ~3.9 and ~4.2 s.
+	sweepWindow = 3
+	// sweepWindowBudget conflicts bound the window stage. No window query
+	// on those pairs needed 100; at 20, a few fell through to the
+	// full-cone stage.
+	sweepWindowBudget = 100
+	sweepQueryBudget  = 2000 // conflicts per full-cone query
+	sweepMaxCex       = 2048 // refutation patterns folded back into the signatures
 )
 
 // Miter decides whether two networks with matching interfaces are
@@ -205,11 +232,10 @@ type miter struct {
 	ins   []Lit    // shared primary-input literals, declaration order
 	gates []gateOf // per variable: the node it encodes, for cone walks
 
-	enc   ConeScratch
-	root  [1]int
-	seen  sweep.Scratch[struct{}] // per variable, for cone walks
-	stack []Var
-	cone  []Var
+	enc  ConeScratch
+	root [1]int
+	seen sweep.Scratch[struct{}] // per variable, for cone walks
+	cone []Var
 }
 
 func newMiter(a, b *netlist.Network) *miter {
@@ -265,34 +291,78 @@ func (m *miter) sigLit(side int, sig netlist.Signal) (Lit, error) {
 	return l.NotIf(sig.Neg()), err
 }
 
-// confine restricts branching to the substituted fanin cones of la and lb:
-// the walk follows each gate variable's fanins through the current literal
-// tables, so at a substituted b-node it continues in a's cone. Every input
-// of the cone is included, which is what makes a confined Sat a genuine
-// assignment of the cone (see Solver.Confine).
-func (m *miter) confine(la, lb Lit) {
+// confine restricts branching to the variables at most levels fanin steps
+// below la and lb (math.MaxInt: their whole substituted fanin cones). The
+// walk is breadth-first and follows each gate variable's fanins through
+// the current literal tables, so at a substituted b-node it continues in
+// a's cone. A whole cone includes every input it reaches, which is what makes
+// a confined Sat a genuine assignment of the cone (see Solver.Confine).
+func (m *miter) confine(la, lb Lit, levels int) {
 	m.seen.Reset(m.s.NumVars())
-	stack := append(m.stack[:0], la.Var(), lb.Var())
 	cone := m.cone[:0]
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if m.seen.Seen(int(v)) {
-			continue
-		}
-		m.seen.Set(int(v), struct{}{})
-		cone = append(cone, v)
-		g := m.gates[v]
-		if g.side < 0 {
-			continue
-		}
-		lits := m.lits[g.side]
-		for _, f := range m.nets[g.side].Nodes[g.node].Fanins {
-			stack = append(stack, lits[f.Node()].Var())
+	for _, v := range [2]Var{la.Var(), lb.Var()} {
+		if !m.seen.Seen(int(v)) {
+			m.seen.Set(int(v), struct{}{})
+			cone = append(cone, v)
 		}
 	}
-	m.stack, m.cone = stack, cone
+	for lo := 0; levels > 0 && lo < len(cone); levels-- {
+		hi := len(cone)
+		for _, v := range cone[lo:hi] {
+			g := m.gates[v]
+			if g.side < 0 {
+				continue
+			}
+			lits := m.lits[g.side]
+			for _, f := range m.nets[g.side].Nodes[g.node].Fanins {
+				if u := lits[f.Node()].Var(); !m.seen.Seen(int(u)) {
+					m.seen.Set(int(u), struct{}{})
+					cone = append(cone, u)
+				}
+			}
+		}
+		lo = hi
+	}
+	m.cone = cone
 	m.s.Confine(cone)
+}
+
+// seedHashes simulates sweepWords random words on a and b through one
+// reused buffer and folds each node's words into one 64-bit hash per
+// node. The complement is folded in by the node's first simulated bit, as
+// sweep.Canon does, and that bit is kept as the hash's lowest bit: a node
+// and its complement share h>>1 and differ in h&1.
+func seedHashes(a, b *netlist.Network) (ha, hb []uint64) {
+	r := rand.New(rand.NewSource(0x5A753EED))
+	row := make([]uint64, a.NumInputs())
+	ha, hb = make([]uint64, len(a.Nodes)), make([]uint64, len(b.Nodes))
+	var vals []uint64
+	for w := 0; w < sweepWords; w++ {
+		for i := range row {
+			row[i] = r.Uint64()
+		}
+		vals = a.EvalWordInto(vals, row)
+		foldWord(ha, vals, w == 0)
+		vals = b.EvalWordInto(vals, row)
+		foldWord(hb, vals, w == 0)
+	}
+	return ha, hb
+}
+
+// foldWord folds one simulated word per node into the nodes' hashes; on
+// the first word it sets each node's phase bit.
+func foldWord(h, vals []uint64, first bool) {
+	for i, v := range vals {
+		if first {
+			h[i] = v & 1
+		}
+		neg := h[i] & 1
+		x := (h[i] &^ 1) ^ v ^ -neg // the word, complemented by the phase
+		// splitmix64's finalizer mixes every bit of the word into the hash.
+		x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+		x = (x ^ x>>27) * 0x94d049bb133111eb
+		h[i] = (x^x>>31)&^1 | neg
+	}
 }
 
 // sweep runs simulation-guided SAT sweeping over the two networks,
@@ -304,18 +374,7 @@ func (m *miter) confine(la, lb Lit) {
 // not be encoded.
 func (m *miter) sweep(ctx context.Context, maxTotal int64) (int, error) {
 	s, a, b := m.s, m.nets[0], m.nets[1]
-	r := rand.New(rand.NewSource(0x5A753EED))
-	nin := a.NumInputs()
-	sigA := make([][]uint64, 0, sweepWords)
-	sigB := make([][]uint64, 0, sweepWords)
-	for w := 0; w < sweepWords; w++ {
-		row := make([]uint64, nin)
-		for i := range row {
-			row[i] = r.Uint64()
-		}
-		sigA = append(sigA, a.EvalWord(row))
-		sigB = append(sigB, b.EvalWord(row))
-	}
+	ha, hb := seedHashes(a, b)
 
 	isGate := func(n *netlist.Network, i int) bool {
 		switch n.Nodes[i].Op {
@@ -324,22 +383,16 @@ func (m *miter) sweep(ctx context.Context, maxTotal int64) (int, error) {
 		}
 		return true
 	}
-	// Index a's gate nodes by canonical signature (sweep.Canon folds the
-	// complement relation into the phase). Only the seed words key the
-	// index; refutation patterns are checked by pats.distinguishes.
-	type ref struct {
-		node  int
-		phase bool
-	}
-	keyBuf := make([]byte, 0, 8*sweepWords)
-	index := make(map[string]ref)
+	// Index a's gate nodes by seed hash, phase bit dropped. Only the seed
+	// words key the index; refutation patterns are checked by
+	// pats.distinguishes.
+	index := make(map[uint64]int32)
 	for i := range a.Nodes {
 		if !isGate(a, i) {
 			continue
 		}
-		k, neg := sweep.Canon(sigA, sweepWords, i, keyBuf)
-		if _, dup := index[k]; !dup {
-			index[k] = ref{node: i, phase: neg}
+		if _, dup := index[ha[i]>>1]; !dup {
+			index[ha[i]>>1] = int32(i)
 		}
 	}
 
@@ -359,16 +412,15 @@ func (m *miter) sweep(ctx context.Context, maxTotal int64) (int, error) {
 		if !isGate(b, j) {
 			continue
 		}
-		k, negB := sweep.Canon(sigB, sweepWords, j, keyBuf)
-		ra, ok := index[k]
+		i, ok := index[hb[j]>>1]
 		if !ok {
 			continue
 		}
-		phase := ra.phase != negB // b_j == a_i XOR phase on the seed words
-		if pats.distinguishes(ra.node, j, phase) {
+		phase := (ha[i]^hb[j])&1 == 1 // b_j == a_i XOR phase on the seed words
+		if pats.distinguishes(int(i), j, phase) {
 			continue
 		}
-		la, err := m.lit(0, ra.node)
+		la, err := m.lit(0, int(i))
 		if err != nil {
 			return proved, err
 		}
@@ -390,18 +442,31 @@ func (m *miter) sweep(ctx context.Context, maxTotal int64) (int, error) {
 		d := MkLit(s.NewVar(), false)
 		s.AddXorGate(d, la, lb)
 		s.EndGroup()
-		m.confine(la, lb)
-		s.MaxConflicts = sweepQueryBudget
-		if maxTotal > 0 {
-			if remaining := maxTotal - s.Conflicts(); remaining < sweepQueryBudget {
-				s.MaxConflicts = remaining
+		// query decides the gadget with branching confined to levels fanin
+		// steps below the pair, under budget conflicts capped by what the
+		// sweep has left; with nothing left it does not solve at all
+		// (MaxConflicts 0 would mean unlimited).
+		query := func(levels int, budget int64) Status {
+			if maxTotal > 0 {
+				if budget = min(budget, maxTotal-s.Conflicts()); budget <= 0 {
+					return Unknown
+				}
 			}
+			m.confine(la, lb, levels)
+			s.MaxConflicts = budget
+			return s.Solve(s.GroupLit(g), d)
 		}
-		status := s.Solve(s.GroupLit(g), d)
-		if status == Sat && pats.n < sweepMaxCex {
-			// Refuted: the confined model assigns the pair's cone; inputs
-			// outside it read false, which is as good as any value.
-			pats.add(s, m.ins)
+		status := query(sweepWindow, sweepWindowBudget)
+		if status != Unsat {
+			// The window's Sat is no counterexample; only the full-cone
+			// stage refutes.
+			status = query(math.MaxInt, sweepQueryBudget)
+			if status == Sat && pats.n < sweepMaxCex {
+				// Refuted: the confined model assigns the pair's cone;
+				// inputs outside it read false, which is as good as any
+				// value.
+				pats.add(s, m.ins)
+			}
 		}
 		s.ReleaseGroup(g)
 		if status == Unsat {

@@ -391,8 +391,9 @@ func (m *miter) sweep(ctx context.Context, maxTotal int64) (int, error) {
 		if !isGate(a, i) {
 			continue
 		}
-		if _, dup := index[ha[i]>>1]; !dup {
-			index[ha[i]>>1] = int32(i)
+		k := ha[i] >> 1
+		if _, dup := index[k]; !dup {
+			index[k] = int32(i)
 		}
 	}
 

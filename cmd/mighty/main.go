@@ -19,7 +19,9 @@
 // pipeline of named passes ("name" or "name(args)" statements separated by
 // ';', '#' comments allowed). The per-pass trace (size/depth/activity
 // deltas and wall time) is printed to stderr; with -verify every pass is
-// additionally checked for functional equivalence against the input.
+// additionally checked for functional equivalence against the one before
+// it, so the chain closes on the input (-verify auto proves these
+// per-pass checks with the SAT engine).
 //
 // The -strategy flag resolves a named strategy from the script library
 // (logic/script) — a curated or tuner-discovered pass script with

@@ -243,13 +243,11 @@
 //     run. The auto layering is exact -> BDD -> SAT ->
 //     simulation; mismatches carry the failing input assignment in
 //     Result.Detail, and Result now also reports the conflicts and
-//     restarts the check consumed. For scripted pipeline runs,
-//     equiv.Incremental proves each pass against the previous step with
-//     one persistent solver: a structural cone diff discharges untouched
-//     outputs for free and a group-scoped cone miter spans only the
-//     rewritten region, falling back to the full layered check when
-//     undecided. Options.Engine and the CLIs' -verify flag force a
-//     specific engine.
+//     restarts the check consumed. Scripted pipeline runs prove each
+//     pass against the previous step with that same sweeping miter
+//     (opt.EquivChecker; the auto engine uses SAT for these per-pass
+//     checks), so the chain closes on the input by transitivity.
+//     Options.Engine and the CLIs' -verify flag force a specific engine.
 //   - The fraig passes (internal/mig, internal/aig) are simulation-guided
 //     SAT sweeping: candidate equivalence classes from random simulation,
 //     per-pair cone proofs fanned over opt.ForEach workers, refutation

@@ -38,9 +38,6 @@ const (
 	MethodBDD   Method = "bdd"
 	MethodSAT   Method = "sat"
 	MethodSim   Method = "simulation"
-	// MethodStruct is reported by the incremental checker when every output
-	// cone was structurally unchanged — no solving was needed at all.
-	MethodStruct Method = "structural"
 )
 
 // Result of an equivalence check.
@@ -63,8 +60,6 @@ type Options struct {
 	BDDLimit int
 	// SimRounds is the number of 64-pattern simulation rounds (default 256).
 	SimRounds int
-	// Seed for the simulation engine.
-	Seed int64
 	// Engine forces a specific engine: "exact", "bdd", "sim" or "sat"
 	// ("" or "auto" layers exact -> BDD -> SAT -> simulation). Forcing an
 	// engine that cannot decide the instance (exact over too many inputs,
@@ -226,7 +221,7 @@ func satResult(a, b *netlist.Network, res sat.MiterResult) (Result, bool, error)
 }
 
 func checkSim(a, b *netlist.Network, opts Options) Result {
-	r := rand.New(rand.NewSource(opts.Seed + 0x9E3779B9))
+	r := rand.New(rand.NewSource(0x9E3779B9))
 	pats := sim.RandomPatterns(r, a.NumInputs(), opts.SimRounds)
 	sa := sim.Signature(a, pats)
 	sb := sim.Signature(b, pats)

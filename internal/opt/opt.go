@@ -199,7 +199,7 @@ func (t Trace) Format() string {
 }
 
 // CheckStats is the cost a Checker reports for one verification: the SAT
-// effort behind the verdict (zero for the structural and non-SAT engines).
+// effort behind the verdict (zero for the non-SAT engines).
 type CheckStats struct {
 	Conflicts int64
 	Restarts  int64
@@ -208,13 +208,14 @@ type CheckStats struct {
 // Checker verifies that got is functionally equivalent to ref, returning a
 // non-nil error when it is not (or when the check itself fails), plus the
 // solving effort spent either way. The context carries the pipeline run's
-// deadline into SAT-backed engines. ref is always the pipeline's input
-// network; stateful checkers (IncrementalChecker) may verify against their
-// own committed baseline instead, which is equivalent by transitivity.
+// deadline into SAT-backed engines. Pipeline.RunContext passes the network
+// the previous check accepted as ref (the input's network for the first
+// pass), so each pass is proved against its predecessor and the chain
+// back to the input closes by transitivity.
 type Checker func(ctx context.Context, ref, got *netlist.Network) (CheckStats, error)
 
 // EquivChecker adapts the one-shot equiv engine to the Checker contract:
-// every step is proved against the pipeline input from scratch.
+// every check builds its verdict from scratch.
 func EquivChecker(opts equiv.Options) Checker {
 	return func(ctx context.Context, ref, got *netlist.Network) (CheckStats, error) {
 		res, err := equiv.CheckCtx(ctx, ref, got, opts)
@@ -229,29 +230,11 @@ func EquivChecker(opts equiv.Options) Checker {
 	}
 }
 
-// IncrementalChecker adapts equiv.Incremental to the Checker contract:
-// each step is proved against the previous step's committed network (sound
-// by transitivity), a structural cone diff discharges unchanged outputs
-// without solving, and one SAT solver persists across the whole run. A new
-// ref network (a new pipeline run) starts a fresh incremental chain.
-func IncrementalChecker(opts equiv.Options) Checker {
-	var inc *equiv.Incremental
-	var curRef *netlist.Network
-	return func(ctx context.Context, ref, got *netlist.Network) (CheckStats, error) {
-		if inc == nil || ref != curRef {
-			inc = equiv.NewIncremental(opts)
-			curRef = ref
-		}
-		st, err := inc.Step(ctx, ref, got)
-		return CheckStats{Conflicts: st.Conflicts, Restarts: st.Restarts}, err
-	}
-}
-
 // Pipeline is an ordered composition of passes.
 type Pipeline[G Graph] struct {
 	Passes []Pass[G]
 	// Check, when non-nil, verifies after every pass that the working graph
-	// is still functionally equivalent to the pipeline's input.
+	// is still functionally equivalent to the graph before that pass.
 	Check Checker
 }
 
@@ -272,9 +255,10 @@ func (p *Pipeline[G]) String() string {
 }
 
 // Run applies the passes in order, recording one trace Step per pass. When
-// Check is set, every pass result is verified against the input graph; the
-// first violation aborts the run, returning the last good graph, the trace
-// up to and including the offending step, and an error.
+// Check is set, every pass result is verified against the previous one
+// (see Checker); the first violation aborts the run, returning the last
+// good graph, the trace up to and including the offending step, and an
+// error.
 func (p *Pipeline[G]) Run(g G) (G, Trace, error) {
 	return p.RunContext(context.Background(), g)
 }
@@ -328,7 +312,8 @@ func (p *Pipeline[G]) RunContext(ctx context.Context, g G) (G, Trace, error) {
 		st.ActivityAfter = next.Activity(nil)
 		if p.Check != nil {
 			vstart := time.Now()
-			cost, err := p.Check(ctx, ref, next.ToNetwork())
+			got := next.ToNetwork()
+			cost, err := p.Check(ctx, ref, got)
 			st.VerifyMS = time.Since(vstart).Seconds() * 1000
 			st.Conflicts = cost.Conflicts
 			st.SolverRestarts = cost.Restarts
@@ -345,6 +330,7 @@ func (p *Pipeline[G]) RunContext(ctx context.Context, g G) (G, Trace, error) {
 				return cur, trace, fmt.Errorf("opt: pass %q broke equivalence: %w", ps.Name(), err)
 			}
 			st.Equiv = "ok"
+			ref = got
 		}
 		trace = append(trace, st)
 		if obs != nil {

@@ -3,6 +3,7 @@ package opt
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -19,8 +20,9 @@ func (f fake) Size() int                  { return f.size }
 func (f fake) Depth() int                 { return f.depth }
 func (f fake) Activity([]float64) float64 { return f.act }
 func (f fake) ToNetwork() *netlist.Network {
-	// A constant-0 single-output network; enough for Checker plumbing.
-	n := netlist.New("fake")
+	// A constant-0 single-output network named by the graph's size; enough
+	// for Checker plumbing.
+	n := netlist.New(fmt.Sprintf("size%d", f.size))
 	n.AddOutput("o", netlist.SigConst0)
 	return n
 }
@@ -114,15 +116,26 @@ func TestRunMeasuresEachGraphOnce(t *testing.T) {
 	}
 }
 
+// TestPipelineCheckAborts: each check proves a pass against the network
+// the previous check accepted (the input's network on the first call), and
+// the first rejection aborts the run.
 func TestPipelineCheckAborts(t *testing.T) {
+	var accepted *netlist.Network
 	calls := 0
 	p := &Pipeline[fake]{
-		Passes: []Pass[fake]{shrink(1), shrink(1), shrink(1)},
+		Passes: []Pass[fake]{shrink(1), shrink(1), shrink(1), shrink(1)},
 		Check: func(ctx context.Context, ref, got *netlist.Network) (CheckStats, error) {
 			calls++
-			if calls == 2 {
+			if calls == 1 && ref.Name != "size10" {
+				t.Errorf("call 1: ref is %q, want the input's network size10", ref.Name)
+			}
+			if calls > 1 && ref != accepted {
+				t.Errorf("call %d: ref is %q, want the network call %d accepted", calls, ref.Name, calls-1)
+			}
+			if calls == 3 {
 				return CheckStats{}, errors.New("boom")
 			}
+			accepted = got
 			return CheckStats{}, nil
 		},
 	}
@@ -130,15 +143,15 @@ func TestPipelineCheckAborts(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("err = %v", err)
 	}
-	// The run aborts at the second pass, returning the last good graph.
-	if got.size != 9 {
-		t.Fatalf("got = %+v, want last good size 9", got)
+	// The run aborts at the third pass, returning the last good graph.
+	if got.size != 8 {
+		t.Fatalf("got = %+v, want last good size 8", got)
 	}
-	if len(trace) != 2 {
-		t.Fatalf("trace has %d steps, want 2", len(trace))
+	if calls != 3 || len(trace) != 3 {
+		t.Fatalf("%d checks, trace has %d steps, want 3 each", calls, len(trace))
 	}
-	if trace[0].Equiv != "ok" || !strings.Contains(trace[1].Equiv, "boom") {
-		t.Fatalf("trace equiv = %q, %q", trace[0].Equiv, trace[1].Equiv)
+	if trace[0].Equiv != "ok" || trace[1].Equiv != "ok" || !strings.Contains(trace[2].Equiv, "boom") {
+		t.Fatalf("trace equiv = %q, %q, %q", trace[0].Equiv, trace[1].Equiv, trace[2].Equiv)
 	}
 }
 

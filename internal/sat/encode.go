@@ -76,47 +76,6 @@ func (s *Solver) FalseLit() Lit {
 	return MkLit(v, false)
 }
 
-// EncodeNetwork adds a Tseitin encoding of the network to the solver and
-// returns one literal per primary input (in declaration order) and one per
-// primary output. When inputs is non-nil its literals are used for the
-// primary inputs instead of fresh variables — that is how two encodings
-// share one input space. Inverters, buffers and complemented edges are
-// free (literal negation); every gate node costs one variable.
-func EncodeNetwork(s *Solver, n *netlist.Network, inputs []Lit) (in, out []Lit, err error) {
-	if inputs != nil && len(inputs) != n.NumInputs() {
-		return nil, nil, fmt.Errorf("sat: EncodeNetwork got %d input literals, want %d", len(inputs), n.NumInputs())
-	}
-	lits := make([]Lit, len(n.Nodes))
-	var constFalse Lit = LitUndef
-	falseLit := func() Lit {
-		if constFalse == LitUndef {
-			constFalse = s.FalseLit()
-		}
-		return constFalse
-	}
-	inIdx := 0
-	for i, nd := range n.Nodes {
-		if nd.Op == netlist.Input {
-			if inputs != nil {
-				lits[i] = inputs[inIdx]
-			} else {
-				lits[i] = MkLit(s.NewVar(), false)
-			}
-			in = append(in, lits[i])
-			inIdx++
-			continue
-		}
-		if err := encodeOne(s, n, i, lits, falseLit); err != nil {
-			return nil, nil, err
-		}
-	}
-	out = make([]Lit, len(n.Outputs))
-	for i, o := range n.Outputs {
-		out[i] = lits[o.Sig.Node()].NotIf(o.Sig.Neg())
-	}
-	return in, out, nil
-}
-
 // encodeOne encodes the non-input node i into lits[i]; its fanins must
 // already be encoded. falseLit lazily supplies the shared constant-false
 // literal.
@@ -164,7 +123,7 @@ func encodeOne(s *Solver, n *netlist.Network, i int, lits []Lit, falseLit func()
 		lits[i] = o
 		s.AddMuxGate(o, sig(nd.Fanins[0]), sig(nd.Fanins[1]), sig(nd.Fanins[2]))
 	default:
-		return fmt.Errorf("sat: EncodeNetwork unsupported op %v", nd.Op)
+		return fmt.Errorf("sat: cannot encode op %v of node %d", nd.Op, i)
 	}
 	return nil
 }
@@ -191,9 +150,9 @@ func (c *ConeScratch) Encoded() []int { return c.cone }
 // are filled in place. Primary-input entries must be pre-seeded by the
 // caller; reaching an unseeded input is an error. Seeding an interior
 // entry with another literal substitutes it: the cone stops there. That
-// is how the incremental cone-diff checker shares the unchanged interior
-// of two generations, and how the miter sweep stops each cone at the
-// proven frontier.
+// is how the miter sweep stops each cone at the proven frontier. With the
+// outputs' nodes as roots and every input seeded, it encodes every node
+// the outputs depend on.
 func EncodeCone(s *Solver, n *netlist.Network, roots []int, lits []Lit, scr *ConeScratch) error {
 	if len(lits) != len(n.Nodes) {
 		return fmt.Errorf("sat: EncodeCone literal table has %d entries, want %d", len(lits), len(n.Nodes))

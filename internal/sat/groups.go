@@ -2,7 +2,7 @@ package sat
 
 // Clause groups: MiniSat-style activation-literal scoping that lets one
 // incremental solver serve many short-lived subproblems (the miter sweep's
-// per-candidate XOR gadgets, the incremental CEC's per-step cones).
+// per-candidate XOR gadgets).
 //
 // PushGroup allocates a fresh activation variable act and opens the group.
 // Every clause C added while the group is open is stored as (C ∨ ¬act), so

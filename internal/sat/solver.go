@@ -74,7 +74,7 @@ type Solver struct {
 	maxLearnts  int
 	seen        []bool
 	toClear     []Var
-	model       []int8
+	model       []int8 // last Sat assignment, empty after any other verdict; reused
 	conflicts   int64
 	restarts    int64
 	propagation int64
@@ -313,7 +313,7 @@ func (s *Solver) Reset() {
 	s.maxLearnts = 0
 	s.seen = s.seen[:0]
 	s.toClear = s.toClear[:0]
-	s.model = nil
+	s.model = s.model[:0]
 	s.arena = s.arena[:0]
 	s.groups = s.groups[:0]
 	s.curGroup = -1
@@ -536,11 +536,11 @@ func (s *Solver) cancelUntil(level int) {
 // any verdict: more variables and clauses may be added and Solve called
 // again (learnt clauses are kept).
 func (s *Solver) Solve(assumps ...Lit) Status {
+	s.model = s.model[:0]
 	if !s.ok {
 		return Unsat
 	}
 	s.cancelUntil(0)
-	s.model = nil
 	if s.propagate() >= 0 {
 		s.ok = false
 		return Unsat
@@ -636,7 +636,7 @@ func (s *Solver) Solve(assumps ...Lit) Status {
 				v, ok := s.heapPop()
 				if !ok {
 					// Full assignment: satisfiable.
-					s.model = append([]int8(nil), s.assigns...)
+					s.model = append(s.model[:0], s.assigns...)
 					s.cancelUntil(0)
 					return Sat
 				}
@@ -719,7 +719,7 @@ func (s *Solver) Unconfine() {
 // Value returns the model value of v after a Sat verdict. Unconstrained
 // variables, and variables a confined solve left unassigned, read false.
 func (s *Solver) Value(v Var) bool {
-	if s.model == nil || int(v) >= len(s.model) {
+	if int(v) >= len(s.model) {
 		return false
 	}
 	return s.model[v] == lTrue

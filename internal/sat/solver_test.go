@@ -269,14 +269,18 @@ func TestAssumptions(t *testing.T) {
 	if !s.ValueLit(a) || s.ValueLit(b) || !s.ValueLit(c) {
 		t.Fatalf("model under assumptions wrong: a=%v b=%v c=%v", s.ValueLit(a), s.ValueLit(b), s.ValueLit(c))
 	}
-	if got := s.Solve(); got != Sat {
-		t.Fatalf("no assumptions: %v, want sat", got)
+	// A non-Sat verdict drops the model: every variable reads false.
+	if got := s.Solve(c.Not()); got != Unsat || s.ValueLit(a) || s.ValueLit(c) {
+		t.Fatalf("assume ~c again: %v with a=%v c=%v, want unsat with no model", got, s.ValueLit(a), s.ValueLit(c))
 	}
-	// Permanently commit ~c: now unsatisfiable for real.
-	if s.AddClause(c.Not()) {
-		if got := s.Solve(); got != Unsat {
-			t.Fatalf("after adding ~c: %v, want unsat", got)
-		}
+	if got := s.Solve(); got != Sat || !s.ValueLit(c) {
+		t.Fatalf("no assumptions: %v with c=%v, want sat with c", got, s.ValueLit(c))
+	}
+	// Permanently commit ~c: now unsatisfiable for real, and the last
+	// model is gone whether AddClause or Solve finds the conflict.
+	s.AddClause(c.Not())
+	if got := s.Solve(); got != Unsat || s.ValueLit(c) {
+		t.Fatalf("after adding ~c: %v with c=%v, want unsat with no model", got, s.ValueLit(c))
 	}
 }
 
@@ -388,9 +392,10 @@ func TestMiterCounterexample(t *testing.T) {
 }
 
 // TestEncodeNetworkAllOps cross-checks the CNF encoding of every gate type
-// against word-level simulation: for a network using each op, the encoding
-// restricted to a concrete input assignment must force exactly the
-// simulated output values.
+// against word-level simulation: for a network using each op, encoded
+// whole by EncodeCone (every output a root, every input seeded), the
+// encoding restricted to a concrete input assignment must force exactly
+// the simulated output values.
 func TestEncodeNetworkAllOps(t *testing.T) {
 	n := netlist.New("ops")
 	var in []netlist.Signal
@@ -407,29 +412,39 @@ func TestEncodeNetworkAllOps(t *testing.T) {
 	n.AddOutput("mux", n.AddGate(netlist.Mux, in[0], in[1], in[2]))
 	n.AddOutput("not", n.AddGate(netlist.Not, in[1]))
 	n.AddOutput("buf", n.AddGate(netlist.Buf, netlist.SigConst0).Not())
+	roots := make([]int, len(n.Outputs))
+	for i, o := range n.Outputs {
+		roots[i] = o.Sig.Node()
+	}
 
+	var scr ConeScratch
 	for m := uint32(0); m < 32; m++ {
 		s := NewSolver()
-		ins, outs, err := EncodeNetwork(s, n, nil)
-		if err != nil {
-			t.Fatal(err)
+		lits := make([]Lit, len(n.Nodes))
+		for i := range lits {
+			lits[i] = LitUndef
 		}
 		words := make([]uint64, 5)
 		var assumps []Lit
-		for i := range ins {
+		for i, node := range n.Inputs {
+			lits[node] = MkLit(s.NewVar(), false)
 			bit := (m>>uint(i))&1 == 1
 			if bit {
 				words[i] = ^uint64(0)
 			}
-			assumps = append(assumps, ins[i].NotIf(!bit))
+			assumps = append(assumps, lits[node].NotIf(!bit))
+		}
+		if err := EncodeCone(s, n, roots, lits, &scr); err != nil {
+			t.Fatal(err)
 		}
 		want := n.OutputWords(words)
 		if s.Solve(assumps...) != Sat {
 			t.Fatalf("m=%d: encoding unsatisfiable under full input assignment", m)
 		}
-		for i, o := range outs {
-			if s.ValueLit(o) != (want[i]&1 == 1) {
-				t.Fatalf("m=%d output %d (%s): CNF=%v sim=%v", m, i, n.Outputs[i].Name, s.ValueLit(o), want[i]&1 == 1)
+		for i, o := range n.Outputs {
+			got := s.ValueLit(lits[o.Sig.Node()].NotIf(o.Sig.Neg()))
+			if got != (want[i]&1 == 1) {
+				t.Fatalf("m=%d output %d (%s): CNF=%v sim=%v", m, i, o.Name, got, want[i]&1 == 1)
 			}
 		}
 	}

@@ -197,37 +197,53 @@ func TestValidateScriptWindowRewriteCuts(t *testing.T) {
 }
 
 func TestSessionScriptTraceAndPerPassVerify(t *testing.T) {
-	sess, err := logic.NewSession(
-		logic.WithScript("eliminate(8); reshape-depth; eliminate"),
-		logic.WithVerify("auto"),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net := circuit(t, "count")
-	out, res, err := sess.Optimize(context.Background(), net)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Kind() != logic.KindMIG {
-		t.Fatalf("kind = %s", out.Kind())
-	}
-	if len(res.Trace) != 3 {
-		t.Fatalf("trace has %d steps, want 3", len(res.Trace))
-	}
-	if res.Trace[0].Pass != "eliminate(8)" {
-		t.Fatalf("step 0 label = %q", res.Trace[0].Pass)
-	}
-	for _, st := range res.Trace {
-		if st.Equiv != "ok" {
-			t.Fatalf("per-pass verification missing: %+v", st)
-		}
-	}
-	if res.VerifyMethod == "" {
-		t.Fatal("final verification method missing")
-	}
-	if !strings.Contains(res.Trace.Format(), "eliminate(8)") {
-		t.Fatal("Trace.Format lost the pass labels")
+	for _, tc := range []struct {
+		circuit string
+		flow    logic.Option
+		steps   int
+		first   string
+		// maxConflicts bounds every step's SAT effort (0: unbounded). The
+		// counts are deterministic; mm30a's largest under migscript3 is
+		// 4,791, while a miter without the internal-point sweep spends
+		// over 100,000 on its first rewrite-npn step.
+		maxConflicts int64
+	}{
+		{circuit: "count", flow: logic.WithScript("eliminate(8); reshape-depth; eliminate"), steps: 3, first: "eliminate(8)"},
+		{circuit: "mm30a", flow: logic.WithStrategy("migscript3"), steps: 8, first: "cleanup", maxConflicts: 20_000},
+	} {
+		t.Run(tc.circuit, func(t *testing.T) {
+			sess, err := logic.NewSession(tc.flow, logic.WithVerify("auto"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, res, err := sess.Optimize(context.Background(), circuit(t, tc.circuit))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out.Kind() != logic.KindMIG {
+				t.Fatalf("kind = %s", out.Kind())
+			}
+			if len(res.Trace) != tc.steps {
+				t.Fatalf("trace has %d steps, want %d", len(res.Trace), tc.steps)
+			}
+			if res.Trace[0].Pass != tc.first {
+				t.Fatalf("step 0 label = %q, want %q", res.Trace[0].Pass, tc.first)
+			}
+			for _, st := range res.Trace {
+				if st.Equiv != "ok" {
+					t.Fatalf("per-pass verification missing: %+v", st)
+				}
+				if tc.maxConflicts > 0 && st.Conflicts > tc.maxConflicts {
+					t.Errorf("step %s spent %d conflicts, want at most %d", st.Pass, st.Conflicts, tc.maxConflicts)
+				}
+			}
+			if res.VerifyMethod == "" {
+				t.Fatal("final verification method missing")
+			}
+			if !strings.Contains(res.Trace.Format(), tc.first) {
+				t.Fatal("Trace.Format lost the pass labels")
+			}
+		})
 	}
 }
 

@@ -77,7 +77,8 @@ func WithScript(script string) Option {
 // WithVerify enables functional-equivalence verification with the given
 // engine: "auto" (layers exact → BDD → SAT → simulation by circuit size),
 // "exact", "bdd", "sim", "sat", or "none"/"" to disable. Scripted runs are
-// additionally checked after every pass.
+// additionally checked after every pass, each pass against the one before
+// it; under "auto" those per-pass checks use the SAT engine.
 func WithVerify(engine string) Option {
 	return func(s *Session) error {
 		eng, on, err := normalizeVerify(engine)
@@ -255,22 +256,20 @@ func runFlow[G opt.Graph](ctx context.Context, s *Session, kind Kind, resolve fu
 		return g, nil, err
 	}
 	if s.verifyOn && s.flow.Script != "" {
-		pipe.Check = s.stepChecker()
+		// Each pass is proved against the one before it. For the default
+		// engine that is a job for the SAT miter, not the auto ladder:
+		// consecutive networks are the case its internal-point sweep
+		// proves with about one cheap query per node, while the ladder's
+		// BDD attempt overflows its 200k nodes at ~80–150 ms per pass on
+		// my_adder, dalu, cla, C1908, mm30a, C6288, clma and the meshes.
+		// Like every SAT solve, the check is bounded by ctx's deadline.
+		engine := s.verify
+		if engine == "" {
+			engine = "sat"
+		}
+		pipe.Check = opt.EquivChecker(equiv.Options{Engine: engine})
 	}
 	return pipe.RunContext(ctx, g)
-}
-
-// stepChecker selects the per-pass verifier for scripted runs. The default
-// and SAT engines use the incremental cone-diff checker — each step is
-// proved against the previous one with a persistent solver, and outputs a
-// pass did not touch are discharged structurally — while a forced exact,
-// BDD or simulation engine keeps its one-shot per-step semantics.
-func (s *Session) stepChecker() opt.Checker {
-	switch s.verify {
-	case "", "sat":
-		return opt.IncrementalChecker(equiv.Options{Engine: s.verify})
-	}
-	return opt.EquivChecker(equiv.Options{Engine: s.verify})
 }
 
 // EquivResult reports an equivalence check.

@@ -53,7 +53,9 @@
 //
 // -verify selects an equivalence engine (auto|exact|bdd|sim|sat) and checks
 // every optimized result against its input, exiting nonzero on any
-// mismatch — the SAT engine is exact at any circuit size, so
+// mismatch. Under auto each check is a proof (exact, bdd or sat) that runs
+// as long as it takes; only sim is probabilistic. The SAT engine is exact
+// at any circuit size, so
 //
 //	migbench -experiment table1top -mig-script "fraig" -verify=sat
 //

@@ -29,13 +29,15 @@
 // -list-scripts prints the library.
 //
 // The -verify flag selects the equivalence engine: auto (default; layers
-// exact -> BDD -> SAT -> simulation by circuit size), exact, bdd, sim, sat,
-// or none to skip verification. The SAT engine is exact at any size and
-// reports a concrete counterexample input assignment on mismatch.
+// exact -> BDD -> SAT by circuit size), exact, bdd, sim, sat, or none to
+// skip verification. The SAT engine is exact at any size and reports a
+// concrete counterexample input assignment on mismatch, so auto always
+// reports exact, bdd or sat; only the forced sim engine is not a proof.
 //
 // -timeout bounds the whole optimization (including SAT-backed
-// verification) with a context deadline; expiry interrupts long solves
-// promptly.
+// verification) with a context deadline, the only bound on verification;
+// expiry interrupts long solves promptly and the run fails with the
+// context's error.
 //
 // -cpuprofile writes a runtime/pprof CPU profile of the run (decode,
 // optimization, verification and encoding) for `go tool pprof`; it is

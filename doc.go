@@ -18,8 +18,8 @@
 //     Optimize(ctx, net) threads context.Context through the pass
 //     pipeline, the window-parallel workers and the SAT solver's conflict
 //     loop, so deadlines and cancellation interrupt C6288-class solves
-//     promptly instead of waiting out conflict budgets. logic.Equivalent
-//     is context-aware combinational equivalence checking;
+//     promptly; the deadline is the only bound on an equivalence proof.
+//     logic.Equivalent is context-aware combinational equivalence checking;
 //     logic.Passes/FormatPassList enumerate the scriptable passes with
 //     argument signatures in deterministic order, and logic.Strategies
 //     lists the named strategy library.
@@ -132,11 +132,10 @@
 //     not an allocation or a graph-sized fill.
 //   - Cut enumeration writes into an arena-backed cut.Cache, the only way
 //     passes and baselines read cuts: all leaves in one flat array, spans
-//     per cut, offsets per node. The cache lives on
-//     the graph and is maintained incrementally — appended nodes are
-//     enumerated on demand (Extend), and the AIG drops its rolled-back
-//     nodes in O(1) (Truncate) — so repeated passes over an unchanged
-//     region never re-enumerate the whole graph.
+//     per cut, offsets per node. The cache lives on the graph and is
+//     maintained incrementally — appended nodes are enumerated on demand
+//     (Extend) — so repeated passes over an unchanged region never
+//     re-enumerate the whole graph.
 //   - Functions of up to six variables (every 4-input cut) are synthesized
 //     and extracted as single uint64 words (internal/mig synth6.go):
 //     cofactors, projections and matching are pure word arithmetic.
@@ -234,19 +233,20 @@
 // rewinds a solver to the exact fresh-solver state while keeping its
 // memory. Three layers build on it:
 //
-//   - internal/equiv gained a fourth engine: a SAT miter strengthened by
+//   - internal/equiv gained a SAT engine: a miter strengthened by
 //     internal-point sweeping (shared random simulation proposes internal
 //     node pairs; each is decided on its own lazily encoded fanin cones,
-//     with branching confined to them, under an explicit half-of-budget
-//     cap, and a proven b-node is substituted by its a-literal), which
-//     decides arithmetic-circuit miters that are hopeless for a bare CDCL
-//     run. The auto layering is exact -> BDD -> SAT ->
-//     simulation; mismatches carry the failing input assignment in
-//     Result.Detail, and Result now also reports the conflicts and
-//     restarts the check consumed. Scripted pipeline runs prove each
-//     pass against the previous step with that same sweeping miter
-//     (opt.EquivChecker; the auto engine uses SAT for these per-pass
-//     checks), so the chain closes on the input by transitivity.
+//     with branching confined to them under a per-query budget, and a
+//     proven b-node is substituted by its a-literal), which decides
+//     arithmetic-circuit miters that are hopeless for a bare CDCL run. Its
+//     output solve has no budget, so the auto layering exact -> BDD -> SAT
+//     always proves or refutes, and the caller's deadline is its only
+//     bound; random simulation runs only when forced. Mismatches carry the
+//     failing input assignment in Result.Detail, and Result also reports
+//     the conflicts and restarts the check consumed. Scripted pipeline
+//     runs prove each pass against the previous step with that same
+//     sweeping miter (opt.EquivChecker; the auto engine uses SAT for these
+//     per-pass checks), so the chain closes on the input by transitivity.
 //     Options.Engine and the CLIs' -verify flag force a specific engine.
 //   - The fraig passes (internal/mig, internal/aig) are simulation-guided
 //     SAT sweeping: candidate equivalence classes from random simulation,

@@ -36,7 +36,7 @@ func TestFullPipelineVerilog(t *testing.T) {
 		}
 		m := mig.FromNetwork(parsed.Remajorize())
 		opt := mustRun(t, mig.FlowPipeline(2), m)
-		res, err := equiv.Check(orig, opt.ToNetwork(), equiv.Options{SimRounds: 32})
+		res, err := equiv.Check(orig, opt.ToNetwork(), equiv.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,7 +49,7 @@ func TestFullPipelineVerilog(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: re-parse: %v", name, err)
 		}
-		res2, err := equiv.Check(orig, parsed2, equiv.Options{SimRounds: 32})
+		res2, err := equiv.Check(orig, parsed2, equiv.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,7 +71,7 @@ func TestFullPipelineBLIF(t *testing.T) {
 	}
 	m := mig.FromNetwork(parsed.Remajorize())
 	opt := mustRun(t, mig.SizePipeline(2), m)
-	res, err := equiv.Check(orig, opt.ToNetwork(), equiv.Options{SimRounds: 32})
+	res, err := equiv.Check(orig, opt.ToNetwork(), equiv.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestMutationDetection(t *testing.T) {
 			mut.Nodes[gi].Fanins[fi] = mut.Nodes[gi].Fanins[fi].Not()
 		}
 		total++
-		res, err := equiv.Check(n, mut, equiv.Options{SimRounds: 64})
+		res, err := equiv.Check(n, mut, equiv.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

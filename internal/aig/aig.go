@@ -82,7 +82,7 @@ type AIG struct {
 	names   []string
 	Outputs []Output
 	// cutCache lazily holds the k-feasible cuts of this graph (extended
-	// incrementally, truncated on rollback; see cuts.go).
+	// incrementally; see cuts.go).
 	cutCache *cut.Cache
 	// fscr memoizes cone truth-table walks.
 	fscr cut.FuncScratch

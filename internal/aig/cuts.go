@@ -20,9 +20,8 @@ func (a *AIG) classifyCut(i int) (cut.Role, [3]int32, int) {
 }
 
 // CutSet returns the AIG's arena-backed cut cache for the given parameters,
-// enumerating only nodes appended since the previous call (the cache is
-// truncated on rollback). The cache is owned by the AIG; its views are
-// invalidated by And and rollback.
+// enumerating only nodes appended since the previous call. The cache is
+// owned by the AIG; its views are invalidated by And.
 func (a *AIG) CutSet(k, maxCuts int) *cut.Cache {
 	if a.cutCache == nil || a.cutCache.K() != k || a.cutCache.MaxCuts() != maxCuts {
 		a.cutCache = cut.NewCache(k, maxCuts)

@@ -19,8 +19,8 @@ func (a *AIG) checkpoint() int { return len(a.nodes) }
 
 // rollback removes nodes created after the checkpoint, unlinking each AND
 // node from its strash chain from the top down (each then heads its chain;
-// see the MIG twin in internal/mig/rewrite.go), and truncates the cut cache
-// back to the checkpoint.
+// see the MIG twin in internal/mig/rewrite.go). Only a pass's fresh output
+// graph is rolled back, and it never has a cut cache.
 func (a *AIG) rollback(cp int) {
 	for i := len(a.nodes) - 1; i >= cp; i-- {
 		if nd := &a.nodes[i]; nd.kind == kindAnd {
@@ -28,9 +28,6 @@ func (a *AIG) rollback(cp int) {
 		}
 	}
 	a.nodes = a.nodes[:cp]
-	if a.cutCache != nil {
-		a.cutCache.Truncate(cp)
-	}
 }
 
 // Balance rebuilds AND trees as balanced (minimum-depth) trees, the analogue

@@ -9,15 +9,11 @@ package cut
 //	spans    one {offset, length} pair per cut
 //	nodeOff  node i owns cuts spans[nodeOff[i] : nodeOff[i+1]]
 //
-// Because graphs only ever append nodes (and roll appended nodes back), the
-// cache supports two cheap maintenance operations instead of whole-graph
-// re-enumeration:
-//
-//	Extend(n)    enumerate only the nodes added since the last call
-//	Truncate(n)  drop the cuts of rolled-back nodes (O(1) slice cuts)
-//
-// A graph that keeps its Cache across optimization steps therefore pays for
-// cut enumeration only on the dirty region — the appended suffix.
+// A graph with a cut cache only ever appends nodes, so the cache is
+// maintained by Extend(n), which enumerates only the nodes added since the
+// last call, instead of whole-graph re-enumeration. A graph that keeps its
+// Cache across optimization steps therefore pays for cut enumeration only
+// on the dirty region — the appended suffix.
 
 // span locates one cut's leaves inside the arena.
 type span struct {
@@ -64,7 +60,7 @@ func (c *Cache) NumNodes() int { return len(c.nodeOff) - 1 }
 func (c *Cache) NumCuts(i int) int { return int(c.nodeOff[i+1] - c.nodeOff[i]) }
 
 // Leaves returns the leaves of the j-th cut of node i as a view into the
-// arena. The caller must not modify or retain it across Extend/Truncate.
+// arena. The caller must not modify or retain it across Extend.
 func (c *Cache) Leaves(i, j int) []int32 {
 	s := c.spans[c.nodeOff[i]+int32(j)]
 	return c.leaves[s.off : s.off+s.n]
@@ -75,23 +71,6 @@ func (c *Cache) Reset() {
 	c.leaves = c.leaves[:0]
 	c.spans = c.spans[:0]
 	c.nodeOff = c.nodeOff[:1]
-}
-
-// Truncate drops all cuts of nodes >= numNodes (rollback of appended
-// nodes). It is a no-op when the cache holds fewer nodes.
-func (c *Cache) Truncate(numNodes int) {
-	if numNodes >= c.NumNodes() {
-		return
-	}
-	cutLo := c.nodeOff[numNodes]
-	leafLo := int32(0)
-	if cutLo > 0 {
-		last := c.spans[cutLo-1]
-		leafLo = last.off + last.n
-	}
-	c.spans = c.spans[:cutLo]
-	c.leaves = c.leaves[:leafLo]
-	c.nodeOff = c.nodeOff[:numNodes+1]
 }
 
 // Extend enumerates cuts for nodes [NumNodes(), numNodes), the dirty suffix

@@ -32,31 +32,6 @@ func TestCacheIncrementalExtend(t *testing.T) {
 	}
 }
 
-// Truncate must drop exactly the rolled-back suffix; re-extending restores
-// the identical state (the dirty-region invalidation rollback relies on).
-func TestCacheTruncateRestore(t *testing.T) {
-	const numNodes = 50
-	cl := chainClassifier(4)
-	c := NewCache(4, 5)
-	c.Extend(numNodes, cl)
-	ref := NewCache(4, 5)
-	ref.Extend(numNodes, cl)
-
-	c.Truncate(20)
-	if c.NumNodes() != 20 {
-		t.Fatalf("NumNodes after Truncate = %d", c.NumNodes())
-	}
-	// Truncating to a larger count is a no-op.
-	c.Truncate(500)
-	if c.NumNodes() != 20 {
-		t.Fatal("Truncate past end changed the cache")
-	}
-	c.Extend(numNodes, cl)
-	if !cachesEqual(c, ref) {
-		t.Fatal("Truncate + Extend differs from straight enumeration")
-	}
-}
-
 func TestCacheReset(t *testing.T) {
 	cl := chainClassifier(3)
 	c := NewCache(3, 4)

@@ -1,15 +1,17 @@
 // Package equiv provides combinational equivalence checking between
 // netlists, used throughout the repository to validate that every
-// optimization pass preserves function. Four engines are layered by
-// circuit size:
+// optimization pass preserves function. The auto engine layers three
+// exact engines by circuit size:
 //
-//   - exact truth-table comparison for networks with at most tt.MaxVars
-//     inputs,
-//   - BDD-based comparison for medium networks (canonical, complete),
-//   - SAT-based miter checking (internal/sat) for anything larger — exact,
-//     and producing a concrete counterexample on mismatch — and
-//   - 64-way random simulation (probabilistic), used only when the SAT
-//     conflict budget is exhausted or when forced via Options.Engine.
+//   - truth-table comparison for networks with at most tt.MaxVars inputs,
+//   - BDD-based comparison for medium networks (canonical, complete), and
+//   - SAT-based miter checking (internal/sat) for anything larger, which
+//     always decides: it proves equivalence or returns a counterexample.
+//
+// Auto therefore answers exact, bdd or sat, or returns the context's error
+// when cancellation or the deadline ends the SAT search first; the context
+// is its only bound. Random simulation (probabilistic) runs only when
+// forced via Options.Engine.
 //
 // Both the SAT and the simulation engine surface the failing input
 // assignment in Result.Detail when the networks differ.
@@ -58,18 +60,15 @@ type Options struct {
 	// BDDLimit bounds BDD construction (default 200_000 nodes); on
 	// overflow the checker falls through to the SAT engine.
 	BDDLimit int
-	// SimRounds is the number of 64-pattern simulation rounds (default 256).
-	SimRounds int
 	// Engine forces a specific engine: "exact", "bdd", "sim" or "sat"
-	// ("" or "auto" layers exact -> BDD -> SAT -> simulation). Forcing an
-	// engine that cannot decide the instance (exact over too many inputs,
-	// bdd over the node limit) returns an error instead of falling back.
+	// ("" or "auto" layers exact -> BDD -> SAT). Forcing an engine that
+	// cannot decide the instance (exact over too many inputs, bdd over the
+	// node limit) returns an error instead of falling back.
 	Engine string
-	// SATConflicts bounds the SAT engine in auto mode before the check
-	// falls back to random simulation (default 300_000 conflicts). The
-	// forced "sat" engine ignores the budget and always decides exactly.
-	SATConflicts int64
 }
+
+// simRounds is the forced simulation engine's number of 64-pattern rounds.
+const simRounds = 256
 
 func (o *Options) defaults() {
 	if o.MaxExactInputs == 0 {
@@ -77,12 +76,6 @@ func (o *Options) defaults() {
 	}
 	if o.BDDLimit == 0 {
 		o.BDDLimit = 200_000
-	}
-	if o.SimRounds == 0 {
-		o.SimRounds = 256
-	}
-	if o.SATConflicts == 0 {
-		o.SATConflicts = 300_000
 	}
 }
 
@@ -93,11 +86,11 @@ func Check(a, b *netlist.Network, opts Options) (Result, error) {
 }
 
 // CheckCtx is Check honoring a context: cancellation or deadline expiry
-// interrupts the SAT engine's search promptly (well before any conflict
-// budget runs out) and is observed between the layered engines, returning
-// the context's error. The exact/BDD/simulation engines run to completion
-// once started — they are bounded by input count, node limit, and round
-// count respectively.
+// interrupts the SAT engine's search promptly and is observed between the
+// layered engines, returning the context's error. The SAT engine has no
+// other bound. The exact/BDD/simulation engines run to completion once
+// started — they are bounded by input count, node limit, and round count
+// respectively.
 func CheckCtx(ctx context.Context, a, b *netlist.Network, opts Options) (Result, error) {
 	opts.defaults()
 	if a.NumInputs() != b.NumInputs() {
@@ -120,13 +113,7 @@ func CheckCtx(ctx context.Context, a, b *netlist.Network, opts Options) (Result,
 		if err := ctx.Err(); err != nil {
 			return Result{}, err
 		}
-		if res, ok, err := checkSAT(ctx, a, b, opts.SATConflicts); err != nil {
-			return Result{}, err
-		} else if ok {
-			return res, nil
-		}
-		// SAT budget exhausted: probabilistic last resort.
-		return checkSim(a, b, opts), nil
+		return checkSAT(ctx, a, b)
 	case "exact":
 		if a.NumInputs() > tt.MaxVars {
 			return Result{}, fmt.Errorf("equiv: exact engine cannot handle %d inputs (max %d)", a.NumInputs(), tt.MaxVars)
@@ -139,16 +126,9 @@ func CheckCtx(ctx context.Context, a, b *netlist.Network, opts Options) (Result,
 		}
 		return res, nil
 	case "sat":
-		res, ok, err := checkSAT(ctx, a, b, 0) // unbounded: always decides
-		if err != nil {
-			return Result{}, err
-		}
-		if !ok {
-			return Result{}, fmt.Errorf("equiv: SAT engine could not encode the networks")
-		}
-		return res, nil
+		return checkSAT(ctx, a, b)
 	case "sim":
-		return checkSim(a, b, opts), nil
+		return checkSim(a, b), nil
 	}
 	return Result{}, fmt.Errorf("equiv: unknown engine %q (want auto, exact, bdd, sim or sat)", opts.Engine)
 }
@@ -174,19 +154,14 @@ func checkExact(a, b *netlist.Network) (Result, error) {
 	return Result{Equivalent: true, Method: MethodExact}, nil
 }
 
-// checkSAT decides equivalence through a CNF miter (internal/sat). ok is
-// false only when the conflict budget ran out (never with budget 0). A
-// non-nil error is the context's (the solve was interrupted) or an
+// checkSAT decides equivalence through a CNF miter (internal/sat), which
+// always decides. A non-nil error is the context's (the solve was
+// interrupted), the encoder's (an op the CNF layer cannot express) or an
 // internal error (see satResult).
-func checkSAT(ctx context.Context, a, b *netlist.Network, budget int64) (Result, bool, error) {
-	res, err := sat.MiterCtx(ctx, a, b, budget)
+func checkSAT(ctx context.Context, a, b *netlist.Network) (Result, error) {
+	res, err := sat.MiterCtx(ctx, a, b)
 	if err != nil {
-		if ctxErr := ctx.Err(); ctxErr != nil {
-			return Result{}, false, ctxErr
-		}
-		// Interface mismatches are caught above; an encoder error means an
-		// op the CNF layer cannot express, so let the caller fall back.
-		return Result{}, false, nil
+		return Result{}, err
 	}
 	return satResult(a, b, res)
 }
@@ -194,7 +169,7 @@ func checkSAT(ctx context.Context, a, b *netlist.Network, budget int64) (Result,
 // satResult turns a miter outcome into a Result. A Sat counterexample is
 // replayed on both networks first: one that distinguishes no output is an
 // internal error of the SAT engine, never a verdict.
-func satResult(a, b *netlist.Network, res sat.MiterResult) (Result, bool, error) {
+func satResult(a, b *netlist.Network, res sat.MiterResult) (Result, error) {
 	switch res.Status {
 	case sat.Unsat:
 		return Result{
@@ -203,10 +178,10 @@ func satResult(a, b *netlist.Network, res sat.MiterResult) (Result, bool, error)
 			Detail:     fmt.Sprintf("miter UNSAT after %d conflicts", res.Conflicts),
 			Conflicts:  res.Conflicts,
 			Restarts:   res.Restarts,
-		}, true, nil
+		}, nil
 	case sat.Sat:
 		if firstDiff(a, b, res.Inputs) < 0 {
-			return Result{}, false, fmt.Errorf("equiv: internal error: SAT counterexample inputs=%s distinguishes no output",
+			return Result{}, fmt.Errorf("equiv: internal error: SAT counterexample inputs=%s distinguishes no output",
 				bitString(res.Inputs))
 		}
 		return Result{
@@ -215,14 +190,14 @@ func satResult(a, b *netlist.Network, res sat.MiterResult) (Result, bool, error)
 			Detail:     cexDetail(a, b, res.Inputs),
 			Conflicts:  res.Conflicts,
 			Restarts:   res.Restarts,
-		}, true, nil
+		}, nil
 	}
-	return Result{}, false, nil
+	return Result{}, fmt.Errorf("equiv: internal error: SAT miter returned %v without an error", res.Status)
 }
 
-func checkSim(a, b *netlist.Network, opts Options) Result {
+func checkSim(a, b *netlist.Network) Result {
 	r := rand.New(rand.NewSource(0x9E3779B9))
-	pats := sim.RandomPatterns(r, a.NumInputs(), opts.SimRounds)
+	pats := sim.RandomPatterns(r, a.NumInputs(), simRounds)
 	sa := sim.Signature(a, pats)
 	sb := sim.Signature(b, pats)
 	if !sim.EqualSignatures(sa, sb) {
@@ -235,7 +210,7 @@ func checkSim(a, b *netlist.Network, opts Options) Result {
 	return Result{
 		Equivalent: true,
 		Method:     MethodSim,
-		Detail:     fmt.Sprintf("%d random patterns", opts.SimRounds*64),
+		Detail:     fmt.Sprintf("%d random patterns", simRounds*64),
 	}
 }
 

@@ -179,7 +179,7 @@ func TestSATCounterexample(t *testing.T) {
 func TestForcedSimulationCounterexample(t *testing.T) {
 	a := adder(16, "a")
 	b := adderExpanded(16)
-	res, err := Check(a, b, Options{Engine: "sim", SimRounds: 64})
+	res, err := Check(a, b, Options{Engine: "sim"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestForcedSimulationCounterexample(t *testing.T) {
 		t.Fatalf("forced sim on equivalent pair: %+v", res)
 	}
 	b.Outputs[7].Sig = b.Outputs[7].Sig.Not()
-	res, err = Check(a, b, Options{Engine: "sim", SimRounds: 16})
+	res, err = Check(a, b, Options{Engine: "sim"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,23 +195,6 @@ func TestForcedSimulationCounterexample(t *testing.T) {
 		t.Fatal("simulation missed flipped output")
 	}
 	verifyCex(t, res.Detail, a, b)
-}
-
-// Exhausting the SAT conflict budget in auto mode falls back to simulation
-// instead of hanging.
-func TestSATBudgetFallsBackToSim(t *testing.T) {
-	a := adder(16, "a")
-	b := adderExpanded(16)
-	res, err := Check(a, b, Options{MaxExactInputs: 8, BDDLimit: 8, SATConflicts: 1, SimRounds: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Equivalent {
-		t.Errorf("fallback says different: %s", res.Detail)
-	}
-	if res.Method != MethodSim {
-		t.Errorf("method = %s, want simulation", res.Method)
-	}
 }
 
 // Forcing each engine by name must work on a pair both can decide, and an
@@ -257,27 +240,6 @@ func TestInterfaceMismatch(t *testing.T) {
 	}
 }
 
-// TestMiterBudgetBound: the miter's conflict budget bounds the whole
-// check, sweep included. A budget of 1 used to halve to 0, which the
-// sweep read as "unlimited".
-func TestMiterBudgetBound(t *testing.T) {
-	a := adder(16, "a")
-	b := adderExpanded(16)
-	for _, budget := range []int64{1, 2, 3, 10, 100} {
-		res, err := sat.Miter(a, b, budget)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Conflicts > budget {
-			t.Errorf("budget %d: spent %d conflicts (sweep %d, final %d)",
-				budget, res.Conflicts, res.SweepConflicts, res.FinalConflicts)
-		}
-		if res.Status == sat.Sat {
-			t.Errorf("budget %d: equivalent adders refuted", budget)
-		}
-	}
-}
-
 // TestSATReplayGuard: a Sat miter outcome whose assignment distinguishes
 // no output is an internal error, never a verdict; a genuine one passes
 // through with its counterexample.
@@ -285,13 +247,13 @@ func TestSATReplayGuard(t *testing.T) {
 	a := adder(4, "a")
 	b := adderExpanded(4)
 	zeros := sat.MiterResult{Status: sat.Sat, Inputs: make([]bool, a.NumInputs())}
-	if res, ok, err := satResult(a, b, zeros); err == nil {
-		t.Fatalf("non-distinguishing counterexample accepted: %+v (ok=%v)", res, ok)
+	if res, err := satResult(a, b, zeros); err == nil {
+		t.Fatalf("non-distinguishing counterexample accepted: %+v", res)
 	}
 	b.Outputs[0].Sig = b.Outputs[0].Sig.Not()
-	res, ok, err := satResult(a, b, zeros)
-	if err != nil || !ok || res.Equivalent {
-		t.Fatalf("genuine counterexample: %+v ok=%v err=%v", res, ok, err)
+	res, err := satResult(a, b, zeros)
+	if err != nil || res.Equivalent {
+		t.Fatalf("genuine counterexample: %+v err=%v", res, err)
 	}
 	verifyCex(t, res.Detail, a, b)
 }

@@ -72,8 +72,8 @@ func StopOn(ctx context.Context) func() bool {
 
 // MiterResult is the outcome of a miter check.
 type MiterResult struct {
-	// Status: Unsat = equivalent, Sat = differ, Unknown = conflict budget
-	// exhausted before a verdict.
+	// Status: Unsat = equivalent, Sat = differ. Unknown comes only with the
+	// context's error, when the check was interrupted.
 	Status Status
 	// Inputs is the distinguishing input assignment (declaration order)
 	// when Status is Sat.
@@ -81,8 +81,8 @@ type MiterResult struct {
 	// Conflicts is the number of conflicts the check needed.
 	Conflicts int64
 	// SweepConflicts and FinalConflicts split Conflicts between the
-	// internal sweep and the output-miter solve, so a budget regression is
-	// attributable to the phase that overspent.
+	// internal sweep and the output-miter solve, so a cost regression is
+	// attributable to the phase that spent it.
 	SweepConflicts int64
 	FinalConflicts int64
 	// Restarts is the number of solver restarts across the whole check.
@@ -115,22 +115,20 @@ const (
 )
 
 // Miter decides whether two networks with matching interfaces are
-// functionally equivalent. Inputs are matched positionally. maxConflicts
-// bounds the whole check with an explicit split: the internal sweep may
-// spend at most half (at least one conflict), the final output-miter solve
-// gets whatever the sweep left over. A small budget therefore means a fast
-// Unknown (0 = unlimited, always exact; the sweep stays per-query bounded
-// either way), and MiterResult reports how much each phase spent.
-func Miter(a, b *netlist.Network, maxConflicts int64) (MiterResult, error) {
-	return MiterCtx(context.Background(), a, b, maxConflicts)
+// functionally equivalent. Inputs are matched positionally. The check
+// always decides: only the sweep's single queries are bounded (by their
+// stage budgets), and the output-miter solve runs until it proves or
+// refutes. MiterResult reports how much each phase spent.
+func Miter(a, b *netlist.Network) (MiterResult, error) {
+	return MiterCtx(context.Background(), a, b)
 }
 
 // MiterCtx is Miter honoring a context: cancellation or deadline expiry
 // interrupts the SAT search promptly (the solver polls the context every
-// few hundred search steps), returning the context's error — this is what
-// lets a service deadline cut a C6288-class solve short instead of waiting
-// out its conflict budget.
-func MiterCtx(ctx context.Context, a, b *netlist.Network, maxConflicts int64) (MiterResult, error) {
+// few hundred search steps), returning the context's error. The context is
+// the only bound on the check, which is what lets a service deadline cut a
+// C6288-class solve short.
+func MiterCtx(ctx context.Context, a, b *netlist.Network) (MiterResult, error) {
 	if a.NumInputs() != b.NumInputs() {
 		return MiterResult{}, fmt.Errorf("sat: miter input counts differ: %d vs %d", a.NumInputs(), b.NumInputs())
 	}
@@ -141,14 +139,7 @@ func MiterCtx(ctx context.Context, a, b *netlist.Network, maxConflicts int64) (M
 	s := m.s
 	s.Stop = StopOn(ctx)
 
-	// Explicit budget split: the sweep may spend at most half the total
-	// (never 0, which would mean unlimited), the final output-miter solve
-	// gets whatever remains.
-	sweepBudget := maxConflicts
-	if maxConflicts > 0 {
-		sweepBudget = max(maxConflicts/2, 1)
-	}
-	proved, err := m.sweep(ctx, sweepBudget)
+	proved, err := m.sweep(ctx)
 	if err != nil {
 		return MiterResult{}, err
 	}
@@ -192,16 +183,7 @@ func MiterCtx(ctx context.Context, a, b *netlist.Network, maxConflicts int64) (M
 		// every output pair is forced equal.
 		return done(Unsat), nil
 	}
-	if maxConflicts > 0 {
-		remaining := maxConflicts - s.Conflicts()
-		if remaining <= 0 {
-			return done(Unknown), nil
-		}
-		s.MaxConflicts = remaining
-	} else {
-		s.MaxConflicts = 0
-	}
-	res := done(s.Solve())
+	res := done(s.Solve()) // the sweep left the solver unbounded
 	if res.Status == Unknown {
 		if err := ctx.Err(); err != nil {
 			return res, err
@@ -367,12 +349,9 @@ func foldWord(h, vals []uint64, first bool) {
 
 // sweep runs simulation-guided SAT sweeping over the two networks,
 // substituting every proven b-node by its a-literal. Deterministic: fixed
-// simulation seed, candidates processed in b's topological order. maxTotal
-// (0 = unlimited) caps the aggregate conflicts the sweep may spend, so
-// callers with a small overall budget are not stalled by a long candidate
-// list. Returns the number of proven pairs; an error means a node could
-// not be encoded.
-func (m *miter) sweep(ctx context.Context, maxTotal int64) (int, error) {
+// simulation seed, candidates processed in b's topological order. Returns
+// the number of proven pairs; an error means a node could not be encoded.
+func (m *miter) sweep(ctx context.Context) (int, error) {
 	s, a, b := m.s, m.nets[0], m.nets[1]
 	ha, hb := seedHashes(a, b)
 
@@ -404,9 +383,6 @@ func (m *miter) sweep(ctx context.Context, maxTotal int64) (int, error) {
 		s.MaxConflicts = 0
 	}()
 	for j := range b.Nodes {
-		if maxTotal > 0 && s.Conflicts() >= maxTotal {
-			break
-		}
 		if ctx.Err() != nil {
 			break
 		}
@@ -444,15 +420,8 @@ func (m *miter) sweep(ctx context.Context, maxTotal int64) (int, error) {
 		s.AddXorGate(d, la, lb)
 		s.EndGroup()
 		// query decides the gadget with branching confined to levels fanin
-		// steps below the pair, under budget conflicts capped by what the
-		// sweep has left; with nothing left it does not solve at all
-		// (MaxConflicts 0 would mean unlimited).
+		// steps below the pair, under budget conflicts.
 		query := func(levels int, budget int64) Status {
-			if maxTotal > 0 {
-				if budget = min(budget, maxTotal-s.Conflicts()); budget <= 0 {
-					return Unknown
-				}
-			}
 			m.confine(la, lb, levels)
 			s.MaxConflicts = budget
 			return s.Solve(s.GroupLit(g), d)

@@ -12,8 +12,9 @@
 //   - Luby-sequence restarts,
 //   - activity-driven learnt-clause database reduction, and
 //   - incremental solving under assumptions with an optional conflict
-//     budget (Solve returns Unknown when the budget is exhausted, which is
-//     how callers layer SAT above a cheaper fallback).
+//     budget (Solve returns Unknown when the budget is exhausted; the
+//     miter sweep, the fraig passes and exact synthesis bound single
+//     queries with it, while the miter's output solve runs unbounded).
 //
 // Literals follow the same packed encoding as the graph packages:
 // variable<<1 | sign, sign set meaning negated.

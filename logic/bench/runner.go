@@ -23,7 +23,6 @@ type Config struct {
 	// bdd, sim or sat (see equiv.Options.Engine). Empty turns
 	// verification off.
 	VerifyEngine string
-	SimRounds    int    // equivalence simulation rounds when verifying
 	MIGScript    string // optional pass script replacing the canned MIG flow
 	// Fraig appends the SAT-sweeping pass to the canned MIG and AIG flows.
 	Fraig bool
@@ -43,9 +42,6 @@ func (c *Config) Defaults() {
 	}
 	if c.BDDLimit == 0 {
 		c.BDDLimit = 1 << 18
-	}
-	if c.SimRounds == 0 {
-		c.SimRounds = 64
 	}
 	if c.Lib == nil {
 		c.Lib = mapping.Default22nm()
@@ -112,7 +108,7 @@ func runOptRow(n *netlist.Network, cfg Config, concurrent bool) OptRow {
 // milliseconds and the SAT effort the engines reported. Shared by the
 // batch rows and the migbench compress experiment.
 func VerifyNetworks(n *netlist.Network, cfg Config, labels []string, nets []*netlist.Network) (msg string, ms float64, conflicts, restarts int64) {
-	opts := equiv.Options{SimRounds: cfg.SimRounds, Engine: cfg.VerifyEngine}
+	opts := equiv.Options{Engine: cfg.VerifyEngine}
 	start := time.Now()
 	for i, got := range nets {
 		res, err := equiv.Check(n, got, opts)

@@ -34,7 +34,7 @@ func TestMIGOptimizePreservesFunction(t *testing.T) {
 		if !metrics.OK || metrics.Size <= 0 || metrics.Depth <= 0 {
 			t.Errorf("%s: bad metrics %+v", name, metrics)
 		}
-		res, err := equiv.Check(n, m.ToNetwork(), equiv.Options{SimRounds: 32})
+		res, err := equiv.Check(n, m.ToNetwork(), equiv.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,7 +51,7 @@ func TestAIGOptimizePreservesFunction(t *testing.T) {
 		if !metrics.OK {
 			t.Errorf("%s: AIG metrics not OK", name)
 		}
-		res, err := equiv.Check(n, a.ToNetwork(), equiv.Options{SimRounds: 32})
+		res, err := equiv.Check(n, a.ToNetwork(), equiv.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,7 +68,7 @@ func TestBDSOptimizePreservesFunction(t *testing.T) {
 		if !metrics.OK {
 			t.Fatalf("%s: BDS failed", name)
 		}
-		res, err := equiv.Check(n, d, equiv.Options{SimRounds: 32})
+		res, err := equiv.Check(n, d, equiv.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +113,7 @@ func TestWindowedBDSOnMultiplier(t *testing.T) {
 	if !metrics.OK {
 		t.Fatal("windowed BDS failed on multiplier")
 	}
-	res, err := equiv.Check(n, d, equiv.Options{SimRounds: 64})
+	res, err := equiv.Check(n, d, equiv.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestMIGDepthBeatsAIGOnAdder(t *testing.T) {
 
 func TestRunOptRowWithVerify(t *testing.T) {
 	n := getNet(t, "b9")
-	row := RunOptRow(n, Config{Effort: 2, AIGRounds: 1, VerifyEngine: "auto", SimRounds: 16})
+	row := RunOptRow(n, Config{Effort: 2, AIGRounds: 1, VerifyEngine: "auto"})
 	if row.VerifyErr != "" {
 		t.Errorf("verification failed: %s", row.VerifyErr)
 	}

@@ -479,7 +479,9 @@ func buildMultiplier(name string, n int, wallace bool) logic.Network {
 // TestCancelInterruptsSATVerify is the acceptance-criteria cancellation
 // test: a SAT-backed equivalence check on a multiplier miter whose solve
 // would run far longer than the cancellation point returns promptly with
-// the context's error — well before any conflict budget.
+// the context's error. Under "auto" the check has no conflict budget to
+// run out either: it proves, refutes or returns the context's error, never
+// a simulation verdict.
 func TestCancelInterruptsSATVerify(t *testing.T) {
 	// Two structurally different 10x10 multipliers: the sweep finds few
 	// internal correspondences, so the output miter is genuinely hard
@@ -487,24 +489,31 @@ func TestCancelInterruptsSATVerify(t *testing.T) {
 	ripple := buildMultiplier("mul_ripple", 10, false)
 	wallace := buildMultiplier("mul_wallace", 10, true)
 
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(100 * time.Millisecond)
-		cancel()
-	}()
-	start := time.Now()
-	_, err := logic.Equivalent(ctx, ripple, wallace, "sat")
-	elapsed := time.Since(start)
-	if err == nil {
-		t.Skip("SAT finished the multiplier miter before the cancel fired; no promptness to measure")
+	for _, engine := range []string{"sat", "auto"} {
+		t.Run(engine, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			go func() {
+				time.Sleep(100 * time.Millisecond)
+				cancel()
+			}()
+			start := time.Now()
+			res, err := logic.Equivalent(ctx, ripple, wallace, engine)
+			elapsed := time.Since(start)
+			if err == nil {
+				if res.Method == "simulation" {
+					t.Fatalf("%s answered with a simulation verdict: %+v", engine, res)
+				}
+				t.Skipf("%s decided the multiplier miter (%s) before the cancel fired; no promptness to measure", engine, res.Method)
+			}
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			if elapsed > 3*time.Second {
+				t.Fatalf("cancellation took %v to interrupt the %s verify", elapsed, engine)
+			}
+			t.Logf("interrupted after %v (cancel at 100ms)", elapsed)
+		})
 	}
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if elapsed > 3*time.Second {
-		t.Fatalf("cancellation took %v to interrupt the SAT verify", elapsed)
-	}
-	t.Logf("interrupted after %v (cancel at 100ms)", elapsed)
 }
 
 // TestSessionDeadlineInterruptsOptimize: the pipeline observes the

@@ -58,7 +58,7 @@ func TestOptimizeUnknownObjective(t *testing.T) {
 
 // TestWholeVsPartitionedEquivalence: partitioned optimization preserves
 // the function on a suite of MCNC circuits (the auto engine layers
-// exact → BDD → SAT → simulation by size).
+// exact → BDD → SAT by size).
 func TestWholeVsPartitionedEquivalence(t *testing.T) {
 	for _, name := range []string{"my_adder", "cla", "b9", "count", "C1355"} {
 		n, err := mcnc.Generate(name)

@@ -4,7 +4,8 @@ package logic
 // bare config-struct literals of earlier revisions; Optimize threads its
 // context through the pass pipeline, the window-parallel workers and the
 // SAT solver's conflict loop, so a deadline or cancellation interrupts
-// C6288-class solves promptly instead of waiting out conflict budgets.
+// C6288-class solves promptly; the deadline is the only bound on an
+// equivalence proof.
 
 import (
 	"context"
@@ -75,10 +76,13 @@ func WithScript(script string) Option {
 }
 
 // WithVerify enables functional-equivalence verification with the given
-// engine: "auto" (layers exact → BDD → SAT → simulation by circuit size),
-// "exact", "bdd", "sim", "sat", or "none"/"" to disable. Scripted runs are
-// additionally checked after every pass, each pass against the one before
-// it; under "auto" those per-pass checks use the SAT engine.
+// engine: "auto" (layers exact → BDD → SAT by circuit size), "exact",
+// "bdd", "sim", "sat", or "none"/"" to disable. "auto" always proves or
+// refutes: Result.VerifyMethod is "exact", "bdd" or "sat", and the
+// context's deadline is the only bound, so an undecided check returns the
+// context's error. Scripted runs are additionally checked after every
+// pass, each pass against the one before it; under "auto" those per-pass
+// checks use the SAT engine.
 func WithVerify(engine string) Option {
 	return func(s *Session) error {
 		eng, on, err := normalizeVerify(engine)
@@ -281,8 +285,10 @@ type EquivResult struct {
 
 // Equivalent checks two Networks for functional equivalence (inputs
 // matched positionally) with the given engine ("" or "auto" layers
-// exact → BDD → SAT → simulation). Cancellation interrupts SAT-backed
-// checks promptly.
+// exact → BDD → SAT and reports "exact", "bdd" or "sat"; only the forced
+// "sim" engine reports "simulation"). Cancellation and the deadline, the
+// only bound, interrupt SAT-backed checks promptly with the context's
+// error.
 func Equivalent(ctx context.Context, a, b Network, engine string) (EquivResult, error) {
 	eng, _, err := normalizeVerify(engine)
 	if err != nil {

@@ -15,6 +15,7 @@
 package repro_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/aig"
@@ -261,7 +262,7 @@ func BenchmarkAblationAIGBaseline(b *testing.B) {
 // mustRun runs a canned pipeline on g.
 func mustRun[G opt.Graph](tb testing.TB, p *opt.Pipeline[G], g G) G {
 	tb.Helper()
-	out, _, err := p.Run(g)
+	out, _, err := p.Run(context.Background(), g)
 	if err != nil {
 		tb.Fatal(err)
 	}

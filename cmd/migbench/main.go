@@ -131,24 +131,17 @@ func main() {
 		*migScript = st.Script
 	}
 
-	// Parallel-safe passes (window-rewrite, fraig) read the process worker
-	// budget.
-	bench.SetWorkers(*jobs)
-
-	verifyEngine := ""
-	switch *verify {
-	case "", "none", "off", "false":
-	case "true": // legacy boolean spelling
-		verifyEngine = "auto"
-	case "auto", "exact", "bdd", "sim", "sat":
-		verifyEngine = *verify
-	default:
-		fmt.Fprintf(os.Stderr, "unknown -verify engine %q (want auto, exact, bdd, sim, sat or none)\n", *verify)
+	engine, verifyOn, err := logic.ParseVerify(*verify)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "bad -verify: %v\n", err)
 		os.Exit(2)
 	}
 	cfg := bench.Config{
-		Effort: *effort, AIGRounds: *rounds, VerifyEngine: verifyEngine,
-		MIGScript: *migScript, Fraig: *fraig, NPN: *npn,
+		Effort: *effort, AIGRounds: *rounds,
+		MIGScript: *migScript, Fraig: *fraig, NPN: *npn, Workers: *jobs,
+	}
+	if verifyOn {
+		cfg.VerifyEngine = engine
 	}
 	cfg.Defaults()
 	if *migScript != "" {
@@ -493,7 +486,7 @@ func runPassProfile(names []string, cfg bench.Config) {
 // run's -effort.
 func runTune(names []string, cfg bench.Config, o script.TuneOptions) {
 	o.Circuits = names
-	o.Eval = bench.ScriptEvaluator()
+	o.Eval = bench.ScriptEvaluator(*jobs)
 	o.Log = os.Stderr
 	res, err := script.Tune(context.Background(), o)
 	if err != nil {
@@ -510,7 +503,7 @@ func runTune(names []string, cfg bench.Config, o script.TuneOptions) {
 	fmt.Printf("  script:    %s\n", res.Best.Script)
 
 	// Per-circuit comparison against the canned §V.A flow at -effort.
-	eval := bench.ScriptEvaluator()
+	eval := bench.ScriptEvaluator(*jobs)
 	flowCfg := cfg
 	flowCfg.MIGScript = ""
 	fmt.Printf("\n%-10s %14s %14s\n", "circuit", "flow size/depth", "tuned size/depth")

@@ -156,11 +156,13 @@
 // cones, evaluates cut candidates per cone on a worker pool (the workers
 // share the input graph and probe it dry), and commits the chosen rewrites
 // in one serial topological rebuild. Results are byte-identical for every worker
-// count; opt.SetWorkers (the CLIs' -jobs flag) sets the process budget and
-// logic.WithWorkers carries a per-session budget through the context, so
-// concurrent server requests do not share one global knob. The pipeline
-// engine, the parallel drivers (opt.ForEachCtx) and the SAT solver's
-// conflict loop (Solver.Stop) all observe context cancellation.
+// count. The worker budget reaches a pass only through its context
+// (opt.ContextWithWorkers, read by opt.WorkersCtx; 1 when absent): the
+// CLIs' -jobs flags, logic.WithWorkers and migd's per-request workers
+// field set it, so concurrent server requests each carry their own. Every
+// pass is one opt.Pass whose Apply takes the context, and the pipeline
+// engine, the worker pool (opt.ForEach) and the SAT solver's conflict
+// loop (Solver.Stop) all observe its cancellation.
 //
 // # Exact rewriting
 //

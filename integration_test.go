@@ -3,6 +3,7 @@
 package repro_test
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -36,7 +37,7 @@ func TestFullPipelineVerilog(t *testing.T) {
 		}
 		m := mig.FromNetwork(parsed.Remajorize())
 		opt := mustRun(t, mig.FlowPipeline(2), m)
-		res, err := equiv.Check(orig, opt.ToNetwork(), equiv.Options{})
+		res, err := equiv.Check(context.Background(), orig, opt.ToNetwork(), equiv.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,7 +50,7 @@ func TestFullPipelineVerilog(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: re-parse: %v", name, err)
 		}
-		res2, err := equiv.Check(orig, parsed2, equiv.Options{})
+		res2, err := equiv.Check(context.Background(), orig, parsed2, equiv.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,7 +72,7 @@ func TestFullPipelineBLIF(t *testing.T) {
 	}
 	m := mig.FromNetwork(parsed.Remajorize())
 	opt := mustRun(t, mig.SizePipeline(2), m)
-	res, err := equiv.Check(orig, opt.ToNetwork(), equiv.Options{})
+	res, err := equiv.Check(context.Background(), orig, opt.ToNetwork(), equiv.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestCrossRepresentationAgreement(t *testing.T) {
 	nets := []*netlist.Network{m.ToNetwork(), a.ToNetwork(), d}
 	for i := 0; i < len(nets); i++ {
 		for j := i + 1; j < len(nets); j++ {
-			res, err := equiv.Check(nets[i], nets[j], equiv.Options{})
+			res, err := equiv.Check(context.Background(), nets[i], nets[j], equiv.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -137,7 +138,7 @@ func TestMutationDetection(t *testing.T) {
 			mut.Nodes[gi].Fanins[fi] = mut.Nodes[gi].Fanins[fi].Not()
 		}
 		total++
-		res, err := equiv.Check(n, mut, equiv.Options{})
+		res, err := equiv.Check(context.Background(), n, mut, equiv.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -26,17 +26,11 @@ import (
 
 // FraigPass runs up to rounds sweeping iterations with words 64-bit random
 // simulation words (plus accumulated counterexample patterns), a conflict
-// budget per SAT query, and candidate solving fanned over jobs workers.
-func (a *AIG) FraigPass(words, rounds int, queryBudget int64, jobs int) *AIG {
-	out, _ := a.FraigPassCtx(context.Background(), words, rounds, queryBudget, jobs)
-	return out
-}
-
-// FraigPassCtx is FraigPass honoring a context (see the MIG side):
-// cancellation interrupts the SAT queries promptly and returns the
-// unmodified input with the context's error; partial rounds are never
-// committed.
-func (a *AIG) FraigPassCtx(ctx context.Context, words, rounds int, queryBudget int64, jobs int) (*AIG, error) {
+// budget per SAT query, and candidate solving fanned over the context's
+// worker budget (opt.WorkersCtx). As on the MIG side, cancellation
+// interrupts the SAT queries promptly and returns the unmodified input
+// with the context's error; partial rounds are never committed.
+func (a *AIG) FraigPass(ctx context.Context, words, rounds int, queryBudget int64) (*AIG, error) {
 	if words < 1 {
 		words = 1
 	}
@@ -48,7 +42,7 @@ func (a *AIG) FraigPassCtx(ctx context.Context, words, rounds int, queryBudget i
 	seeded := len(cexes)
 	cur := a
 	for round := 0; round < rounds; round++ {
-		next, merged, newCex := cur.fraigRound(ctx, words, queryBudget, jobs, int64(round), cexes)
+		next, merged, newCex := cur.fraigRound(ctx, words, queryBudget, int64(round), cexes)
 		if err := ctx.Err(); err != nil {
 			return a, err
 		}
@@ -65,7 +59,7 @@ func (a *AIG) FraigPassCtx(ctx context.Context, words, rounds int, queryBudget i
 	return cur, nil
 }
 
-func (a *AIG) fraigRound(ctx context.Context, words int, budget int64, jobs int, seed int64, cexes [][]bool) (*AIG, int, [][]bool) {
+func (a *AIG) fraigRound(ctx context.Context, words int, budget int64, seed int64, cexes [][]bool) (*AIG, int, [][]bool) {
 	r := rand.New(rand.NewSource(0xF4A161<<8 + seed))
 	live := a.LiveMask()
 	isAnd := func(i int) bool { return a.nodes[i].kind == kindAnd }
@@ -83,7 +77,7 @@ func (a *AIG) fraigRound(ctx context.Context, words int, budget int64, jobs int,
 		Include:   func(i int) bool { return !isAnd(i) || live[i] },
 		Mergeable: func(i int) bool { return isAnd(i) && live[i] },
 		Solve:     func(p sweep.Pair) sweep.Verdict { return a.solveFraigPair(p, budget, piOrd, stop) },
-		ForEach:   func(n int, fn func(int)) { opt.ForEachCtx(ctx, n, jobs, fn) },
+		ForEach:   func(n int, fn func(int)) { opt.ForEach(ctx, n, opt.WorkersCtx(ctx), fn) },
 	}, cexes)
 	if merged == 0 || ctx.Err() != nil {
 		return a, 0, newCex

@@ -1,12 +1,25 @@
 package aig
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/equiv"
 	"repro/internal/mcnc"
 	"repro/internal/opt"
 )
+
+// budget returns a background context carrying a worker budget of n.
+func budget(n int) context.Context { return opt.ContextWithWorkers(context.Background(), n) }
+
+// must returns a pass engine's graph, panicking on its error: under a
+// context that is never cancelled the engines cannot fail.
+func must(a *AIG, err error) *AIG {
+	if err != nil {
+		panic(err)
+	}
+	return a
+}
 
 // TestFraigPreservesEquivalenceAIG: fraig on representative MCNC circuits
 // must preserve function and never grow the AIG.
@@ -17,11 +30,11 @@ func TestFraigPreservesEquivalenceAIG(t *testing.T) {
 			t.Fatal(err)
 		}
 		a := FromNetwork(n)
-		f := a.FraigPass(4, 2, 2000, 1)
+		f := must(a.FraigPass(context.Background(), 4, 2, 2000))
 		if f.Size() > a.Size() {
 			t.Errorf("%s: fraig grew the AIG %d -> %d", bench, a.Size(), f.Size())
 		}
-		res, err := equiv.Check(n, f.ToNetwork(), equiv.Options{})
+		res, err := equiv.Check(context.Background(), n, f.ToNetwork(), equiv.Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", bench, err)
 		}
@@ -48,11 +61,11 @@ func TestFraigMergesRedundancyAIG(t *testing.T) {
 	a.AddOutput("tree", tree)
 
 	before := a.Size()
-	f := a.FraigPass(4, 2, 2000, 1)
+	f := must(a.FraigPass(context.Background(), 4, 2, 2000))
 	if f.Size() >= before {
 		t.Fatalf("fraig failed to merge duplicated parity: size %d -> %d", before, f.Size())
 	}
-	res, err := equiv.Check(a.ToNetwork(), f.ToNetwork(), equiv.Options{})
+	res, err := equiv.Check(context.Background(), a.ToNetwork(), f.ToNetwork(), equiv.Options{})
 	if err != nil || !res.Equivalent {
 		t.Fatalf("merge broke function: %v %v", res, err)
 	}
@@ -70,15 +83,15 @@ func TestFraigRegisteredAndJobsInvariantAIG(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Check = opt.EquivChecker(equiv.Options{})
-	if _, trace, err := p.Run(FromNetwork(n)); err != nil {
+	if _, trace, err := p.Run(context.Background(), FromNetwork(n)); err != nil {
 		t.Fatalf("%v\n%s", err, trace.Format())
 	}
 	if _, err := ParseScript("fraig(4, 2, 0)"); err == nil {
 		t.Error("degenerate conflict budget accepted")
 	}
-	sn := FromNetwork(n).FraigPass(4, 2, 2000, 1).ToNetwork()
+	sn := must(FromNetwork(n).FraigPass(context.Background(), 4, 2, 2000)).ToNetwork()
 	for _, jobs := range []int{2, 8} {
-		pn := FromNetwork(n).FraigPass(4, 2, 2000, jobs).ToNetwork()
+		pn := must(FromNetwork(n).FraigPass(budget(jobs), 4, 2, 2000)).ToNetwork()
 		if sn.NumGates() != pn.NumGates() || sn.Stats() != pn.Stats() {
 			t.Errorf("fraig differs between 1 and %d workers", jobs)
 		}

@@ -34,14 +34,13 @@ func passRefactor() opt.Pass[*AIG] {
 }
 
 // passFraig is simulation-guided SAT sweeping (fraig.go), candidate pairs
-// fanned over the worker budget (context override, then the process-wide
-// SetWorkers budget); deterministic for any worker count and never
-// size-increasing. Context cancellation interrupts the SAT queries
-// without committing.
+// fanned over the context's worker budget; deterministic for any worker
+// count and never size-increasing. Context cancellation interrupts the SAT
+// queries without committing.
 func passFraig(words, rounds, conflicts int) opt.Pass[*AIG] {
-	return opt.NewCtx("fraig", func(ctx context.Context, a *AIG) (*AIG, error) {
-		return a.FraigPassCtx(ctx, words, rounds, int64(conflicts), opt.WorkersCtx(ctx))
-	})
+	return opt.Pass[*AIG]{Name: "fraig", Apply: func(ctx context.Context, a *AIG) (*AIG, error) {
+		return a.FraigPass(ctx, words, rounds, int64(conflicts))
+	}}
 }
 
 // resyn2Best is one ABC-style resyn2 recipe iterated over rounds, best
@@ -80,28 +79,28 @@ func buildRegistry() *opt.Registry[*AIG] {
 	r.Register("cleanup", "", "cleanup: drop dead nodes (topological rebuild)",
 		func(args []int) (opt.Pass[*AIG], error) {
 			if _, err := opt.IntArgs(args); err != nil {
-				return nil, err
+				return opt.Pass[*AIG]{}, err
 			}
 			return passCleanup(), nil
 		})
 	r.Register("balance", "", "balance: rebuild AND trees at minimum depth",
 		func(args []int) (opt.Pass[*AIG], error) {
 			if _, err := opt.IntArgs(args); err != nil {
-				return nil, err
+				return opt.Pass[*AIG]{}, err
 			}
 			return passBalance(), nil
 		})
 	r.Register("rewrite", "", "rewrite: DAG-aware 4-input cut rewriting",
 		func(args []int) (opt.Pass[*AIG], error) {
 			if _, err := opt.IntArgs(args); err != nil {
-				return nil, err
+				return opt.Pass[*AIG]{}, err
 			}
 			return passRewrite(), nil
 		})
 	r.Register("refactor", "", "refactor: cone refactoring through factored SOP (cuts of up to 10 leaves, the 2 smallest per node)",
 		func(args []int) (opt.Pass[*AIG], error) {
 			if _, err := opt.IntArgs(args); err != nil {
-				return nil, err
+				return opt.Pass[*AIG]{}, err
 			}
 			return passRefactor(), nil
 		})
@@ -109,10 +108,10 @@ func buildRegistry() *opt.Registry[*AIG] {
 		func(args []int) (opt.Pass[*AIG], error) {
 			a, err := opt.IntArgsMin(args, 1, 4, 2, 2000)
 			if err != nil {
-				return nil, err
+				return opt.Pass[*AIG]{}, err
 			}
 			if a[0] > sweep.MaxWords {
-				return nil, fmt.Errorf("fraig: %d simulation words exceed the bound of %d", a[0], sweep.MaxWords)
+				return opt.Pass[*AIG]{}, fmt.Errorf("fraig: %d simulation words exceed the bound of %d", a[0], sweep.MaxWords)
 			}
 			return passFraig(a[0], a[1], a[2]), nil
 		})

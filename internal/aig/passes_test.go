@@ -1,6 +1,7 @@
 package aig
 
 import (
+	"context"
 	"crypto/sha256"
 	"fmt"
 	"testing"
@@ -14,7 +15,7 @@ import (
 // runPipeline runs a canned pipeline on a.
 func runPipeline(t testing.TB, p *opt.Pipeline[*AIG], a *AIG) *AIG {
 	t.Helper()
-	res, _, err := p.Run(a)
+	res, _, err := p.Run(context.Background(), a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +33,7 @@ func TestAIGPipelinesPreserveEquivalence(t *testing.T) {
 
 	p := Resyn2Pipeline(1)
 	p.Check = opt.EquivChecker(equiv.Options{})
-	_, trace, err := p.Run(a)
+	_, trace, err := p.Run(context.Background(), a)
 	if err != nil {
 		t.Fatalf("%v\n%s", err, trace.Format())
 	}
@@ -47,7 +48,7 @@ func TestAIGPipelinesPreserveEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	sp.Check = opt.EquivChecker(equiv.Options{})
-	res, trace, err := sp.Run(a)
+	res, trace, err := sp.Run(context.Background(), a)
 	if err != nil {
 		t.Fatalf("%v\n%s", err, trace.Format())
 	}

@@ -1,6 +1,7 @@
 package aig
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"unsafe"
@@ -80,7 +81,7 @@ func TestStrashConsistentAfterPasses(t *testing.T) {
 		a.Balance(),
 		a.Rewrite(),
 		a.Refactor(),
-		a.FraigPass(4, 2, 2000, 1),
+		must(a.FraigPass(context.Background(), 4, 2, 2000)),
 		a.Clone(),
 		a.Cleanup(),
 	} {

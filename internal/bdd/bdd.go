@@ -292,13 +292,6 @@ func (m *Manager) fromTTRec(f tt.TT, top int) Ref {
 	return m.mk(int32(v), lo, hi)
 }
 
-// NodeInfo exposes the variable index and cofactors of a node (for
-// cross-manager structural comparison). Terminals return varIdx -1.
-func (m *Manager) NodeInfo(f Ref) (varIdx int32, lo, hi Ref) {
-	nd := m.nodes[f]
-	return nd.varIdx, nd.lo, nd.hi
-}
-
 // Eval evaluates f under the given variable assignment.
 func (m *Manager) Eval(f Ref, assignment []bool) bool {
 	for f != False && f != True {
@@ -341,6 +334,28 @@ func BuildNetwork(n *netlist.Network, limit int) (*Manager, []Ref, error) {
 		order[i] = i
 	}
 	return BuildNetworkOrdered(n, limit, order)
+}
+
+// AddNetwork builds the BDDs of every output of n into m, which may
+// already hold the diagrams of other networks over the same inputs, with
+// the inputs in declaration order. The build may add at most limit nodes
+// (0 means 1<<22) to those m holds; nodes it shares with earlier builds
+// count once. It returns one root per output, or ErrLimit. Within one
+// manager equal functions are equal Refs, so networks built into it
+// compare output by output.
+func (m *Manager) AddNetwork(n *netlist.Network, limit int) ([]Ref, error) {
+	if n.NumInputs() != m.numVars {
+		return nil, fmt.Errorf("bdd: network has %d inputs, manager %d variables", n.NumInputs(), m.numVars)
+	}
+	if limit <= 0 {
+		limit = 1 << 22
+	}
+	m.limit = len(m.nodes) + limit
+	level := make([]int, m.numVars)
+	for i := range level {
+		level[i] = i
+	}
+	return m.build(n, level, make([]Ref, len(n.Nodes)))
 }
 
 // build constructs the BDD of every output of n in m, reading input i at

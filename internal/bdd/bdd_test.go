@@ -123,6 +123,36 @@ func randomNetwork(r *rand.Rand, ni, ng int) *netlist.Network {
 	return n
 }
 
+// TestAddNetworkSharesNodes: a network built into a manager that holds
+// an equivalent one gets the same roots, and nodes already there do not
+// count against its limit; a build that needs more new nodes than the
+// limit allows trips it.
+func TestAddNetworkSharesNodes(t *testing.T) {
+	n, err := mcnc.Generate("b9")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, roots, err := BuildNetwork(n, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nodes := m.NumNodes()
+	again, err := m.AddNetwork(n, 1)
+	if err != nil || !slices.Equal(again, roots) || m.NumNodes() != nodes {
+		t.Fatalf("second build: %v, %d nodes, want the same roots and %d nodes", err, m.NumNodes(), nodes)
+	}
+	other, err := mcnc.Generate("count")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewManager(other.NumInputs(), 0).AddNetwork(other, 10); err != ErrLimit {
+		t.Fatalf("count under a 10-node limit: %v, want ErrLimit", err)
+	}
+	if _, err := m.AddNetwork(other, 0); err == nil {
+		t.Fatal("a network with another input count must be rejected")
+	}
+}
+
 func TestBuildNetworkMatchesCollapse(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 20; trial++ {

@@ -7,6 +7,7 @@ package equiv_test
 // and every SAT refutation must carry a genuine counterexample.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -21,10 +22,10 @@ import (
 // handle it: exact, then BDD; ok=false when neither can.
 func reference(t *testing.T, a, b *netlist.Network) (bool, bool) {
 	t.Helper()
-	if res, err := equiv.Check(a, b, equiv.Options{Engine: "exact"}); err == nil {
+	if res, err := equiv.Check(context.Background(), a, b, equiv.Options{Engine: "exact"}); err == nil {
 		return res.Equivalent, true
 	}
-	if res, err := equiv.Check(a, b, equiv.Options{Engine: "bdd", BDDLimit: 1 << 20}); err == nil {
+	if res, err := equiv.Check(context.Background(), a, b, equiv.Options{Engine: "bdd", BDDLimit: 1 << 20}); err == nil {
 		return res.Equivalent, true
 	}
 	return false, false
@@ -113,7 +114,7 @@ func TestSATAgreesWithClassicalEnginesMCNC(t *testing.T) {
 		}
 		// Equivalent pair: the circuit against its remajorized form.
 		variant := n.Remajorize()
-		res, err := equiv.Check(n, variant, equiv.Options{Engine: "sat"})
+		res, err := equiv.Check(context.Background(), n, variant, equiv.Options{Engine: "sat"})
 		if err != nil {
 			t.Fatalf("%s: sat engine: %v", name, err)
 		}
@@ -129,7 +130,7 @@ func TestSATAgreesWithClassicalEnginesMCNC(t *testing.T) {
 		// different by construction.
 		bad := n.Clean()
 		bad.Outputs[len(bad.Outputs)/2].Sig = bad.Outputs[len(bad.Outputs)/2].Sig.Not()
-		res, err = equiv.Check(n, bad, equiv.Options{Engine: "sat"})
+		res, err = equiv.Check(context.Background(), n, bad, equiv.Options{Engine: "sat"})
 		if err != nil {
 			t.Fatalf("%s: sat engine on corrupted copy: %v", name, err)
 		}
@@ -155,7 +156,7 @@ func TestSATAgreesWithClassicalEnginesMCNC(t *testing.T) {
 				break
 			}
 			label := name + " (" + desc + ")"
-			res, err := equiv.Check(n, mut, equiv.Options{Engine: "sat"})
+			res, err := equiv.Check(context.Background(), n, mut, equiv.Options{Engine: "sat"})
 			if err != nil {
 				t.Fatalf("%s: sat engine: %v", label, err)
 			}
@@ -172,7 +173,7 @@ func TestSATAgreesWithClassicalEnginesMCNC(t *testing.T) {
 				}
 				continue
 			}
-			sim, err := equiv.Check(n, mut, equiv.Options{Engine: "sim"})
+			sim, err := equiv.Check(context.Background(), n, mut, equiv.Options{Engine: "sim"})
 			if err != nil {
 				t.Fatal(err)
 			}

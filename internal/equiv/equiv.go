@@ -79,19 +79,14 @@ func (o *Options) defaults() {
 	}
 }
 
-// Check compares two networks with the same input and output counts. Inputs
-// are matched positionally.
-func Check(a, b *netlist.Network, opts Options) (Result, error) {
-	return CheckCtx(context.Background(), a, b, opts)
-}
-
-// CheckCtx is Check honoring a context: cancellation or deadline expiry
+// Check compares two networks with the same input and output counts.
+// Inputs are matched positionally. Cancellation or deadline expiry
 // interrupts the SAT engine's search promptly and is observed between the
 // layered engines, returning the context's error. The SAT engine has no
 // other bound. The exact/BDD/simulation engines run to completion once
 // started — they are bounded by input count, node limit, and round count
 // respectively.
-func CheckCtx(ctx context.Context, a, b *netlist.Network, opts Options) (Result, error) {
+func Check(ctx context.Context, a, b *netlist.Network, opts Options) (Result, error) {
 	opts.defaults()
 	if a.NumInputs() != b.NumInputs() {
 		return Result{}, fmt.Errorf("equiv: input counts differ: %d vs %d", a.NumInputs(), b.NumInputs())
@@ -159,7 +154,7 @@ func checkExact(a, b *netlist.Network) (Result, error) {
 // interrupted), the encoder's (an op the CNF layer cannot express) or an
 // internal error (see satResult).
 func checkSAT(ctx context.Context, a, b *netlist.Network) (Result, error) {
-	res, err := sat.MiterCtx(ctx, a, b)
+	res, err := sat.Miter(ctx, a, b)
 	if err != nil {
 		return Result{}, err
 	}
@@ -276,57 +271,27 @@ func bitString(bits []bool) string {
 	return sb.String()
 }
 
+// checkBDD builds both networks into one manager, inputs in declaration
+// order, where equal functions are equal Refs, and compares the outputs
+// in order. Each build may add at most limit nodes; false means one
+// overflowed and the BDD engine cannot decide.
 func checkBDD(a, b *netlist.Network, limit int) (Result, bool) {
-	// Each side is built in its own manager, so Refs cannot be compared
-	// directly: both use the declaration order of the inputs, and equal
-	// functions then have isomorphic reduced diagrams.
-	ma, ra, err := bdd.BuildNetwork(a, limit)
+	m, ra, err := bdd.BuildNetwork(a, limit)
 	if err != nil {
 		return Result{}, false
 	}
-	mb, rb, err := bdd.BuildNetwork(b, limit)
+	rb, err := m.AddNetwork(b, limit)
 	if err != nil {
 		return Result{}, false
-	}
-	// Different shared sizes already tell the functions apart.
-	if ma.CountNodes(ra) != mb.CountNodes(rb) {
-		return Result{Equivalent: false, Method: MethodBDD, Detail: "BDD sizes differ"}, true
-	}
-	// Same sizes: verify by comparing the diagrams via parallel traversal.
-	if !isomorphic(ma, mb, ra, rb) {
-		return Result{Equivalent: false, Method: MethodBDD, Detail: "BDD structures differ"}, true
-	}
-	return Result{Equivalent: true, Method: MethodBDD}, true
-}
-
-// isomorphic checks that the ordered BDDs rooted at ra/rb in two managers
-// are identical diagrams (same variable tests, same shape). For ROBDDs over
-// the same variable order this is exact equivalence.
-func isomorphic(ma, mb *bdd.Manager, ra, rb []bdd.Ref) bool {
-	if len(ra) != len(rb) {
-		return false
-	}
-	match := map[bdd.Ref]bdd.Ref{bdd.False: bdd.False, bdd.True: bdd.True}
-	var rec func(x, y bdd.Ref) bool
-	rec = func(x, y bdd.Ref) bool {
-		if m, ok := match[x]; ok {
-			return m == y
-		}
-		if (x <= bdd.True) != (y <= bdd.True) {
-			return false
-		}
-		vx, lx, hx := ma.NodeInfo(x)
-		vy, ly, hy := mb.NodeInfo(y)
-		if vx != vy {
-			return false
-		}
-		match[x] = y
-		return rec(lx, ly) && rec(hx, hy)
 	}
 	for i := range ra {
-		if !rec(ra[i], rb[i]) {
-			return false
+		if ra[i] != rb[i] {
+			return Result{
+				Equivalent: false,
+				Method:     MethodBDD,
+				Detail:     fmt.Sprintf("output %d (%s) differs", i, a.Outputs[i].Name),
+			}, true
 		}
 	}
-	return true
+	return Result{Equivalent: true, Method: MethodBDD}, true
 }

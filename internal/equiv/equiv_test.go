@@ -1,6 +1,7 @@
 package equiv
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -56,7 +57,7 @@ func adderExpanded(bits int) *netlist.Network {
 func TestExactEquivalent(t *testing.T) {
 	a := adder(4, "a")
 	b := adderExpanded(4)
-	res, err := Check(a, b, Options{})
+	res, err := Check(context.Background(), a, b, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +74,7 @@ func TestExactDifferent(t *testing.T) {
 	b := adder(3, "b")
 	// Flip one output.
 	b.Outputs[0].Sig = b.Outputs[0].Sig.Not()
-	res, err := Check(a, b, Options{})
+	res, err := Check(context.Background(), a, b, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestBDDEngineEquivalent(t *testing.T) {
 	// 12-bit adders: 24 inputs forces the BDD engine (exact capped at 14).
 	a := adder(12, "a")
 	b := adderExpanded(12)
-	res, err := Check(a, b, Options{MaxExactInputs: 8})
+	res, err := Check(context.Background(), a, b, Options{MaxExactInputs: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,13 +102,15 @@ func TestBDDEngineEquivalent(t *testing.T) {
 func TestBDDEngineDifferent(t *testing.T) {
 	a := adder(12, "a")
 	b := adderExpanded(12)
+	b.Outputs[7].Sig = b.Outputs[7].Sig.Not()
 	b.Outputs[3].Sig = b.Outputs[3].Sig.Not()
-	res, err := Check(a, b, Options{MaxExactInputs: 8})
+	res, err := Check(context.Background(), a, b, Options{MaxExactInputs: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Equivalent {
-		t.Error("BDD engine missed a flipped output")
+	// Like the exact and SAT engines, BDD names the first differing output.
+	if res.Equivalent || res.Method != MethodBDD || res.Detail != "output 3 (s) differs" {
+		t.Errorf("got %+v, want a BDD difference naming output 3 (s)", res)
 	}
 }
 
@@ -117,7 +120,7 @@ func TestBDDEngineDifferent(t *testing.T) {
 func TestSATDefaultForLarge(t *testing.T) {
 	a := adder(16, "a")
 	b := adderExpanded(16)
-	res, err := Check(a, b, Options{MaxExactInputs: 8, BDDLimit: 8})
+	res, err := Check(context.Background(), a, b, Options{MaxExactInputs: 8, BDDLimit: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +164,7 @@ func TestSATCounterexample(t *testing.T) {
 	a := adder(16, "a")
 	b := adderExpanded(16)
 	b.Outputs[7].Sig = b.Outputs[7].Sig.Not()
-	res, err := Check(a, b, Options{MaxExactInputs: 8, BDDLimit: 8})
+	res, err := Check(context.Background(), a, b, Options{MaxExactInputs: 8, BDDLimit: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +182,7 @@ func TestSATCounterexample(t *testing.T) {
 func TestForcedSimulationCounterexample(t *testing.T) {
 	a := adder(16, "a")
 	b := adderExpanded(16)
-	res, err := Check(a, b, Options{Engine: "sim"})
+	res, err := Check(context.Background(), a, b, Options{Engine: "sim"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +190,7 @@ func TestForcedSimulationCounterexample(t *testing.T) {
 		t.Fatalf("forced sim on equivalent pair: %+v", res)
 	}
 	b.Outputs[7].Sig = b.Outputs[7].Sig.Not()
-	res, err = Check(a, b, Options{Engine: "sim"})
+	res, err = Check(context.Background(), a, b, Options{Engine: "sim"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +206,7 @@ func TestEngineForcing(t *testing.T) {
 	a := adder(4, "a")
 	b := adderExpanded(4)
 	for _, eng := range []string{"exact", "bdd", "sim", "sat"} {
-		res, err := Check(a, b, Options{Engine: eng})
+		res, err := Check(context.Background(), a, b, Options{Engine: eng})
 		if err != nil {
 			t.Fatalf("engine %s: %v", eng, err)
 		}
@@ -214,15 +217,15 @@ func TestEngineForcing(t *testing.T) {
 			t.Errorf("engine %s decided via %s", eng, res.Method)
 		}
 	}
-	if _, err := Check(a, b, Options{Engine: "quantum"}); err == nil {
+	if _, err := Check(context.Background(), a, b, Options{Engine: "quantum"}); err == nil {
 		t.Error("unknown engine accepted")
 	}
 	// Forced engines must refuse instances they cannot decide.
 	big := adder(17, "big") // 34 inputs > tt.MaxVars
-	if _, err := Check(big, adder(17, "b2"), Options{Engine: "exact"}); err == nil {
+	if _, err := Check(context.Background(), big, adder(17, "b2"), Options{Engine: "exact"}); err == nil {
 		t.Error("exact engine accepted 34 inputs")
 	}
-	if _, err := Check(big, adder(17, "b2"), Options{Engine: "bdd", BDDLimit: 4}); err == nil {
+	if _, err := Check(context.Background(), big, adder(17, "b2"), Options{Engine: "bdd", BDDLimit: 4}); err == nil {
 		t.Error("bdd engine accepted an instance over its node limit")
 	}
 }
@@ -230,12 +233,12 @@ func TestEngineForcing(t *testing.T) {
 func TestInterfaceMismatch(t *testing.T) {
 	a := adder(4, "a")
 	b := adder(5, "b")
-	if _, err := Check(a, b, Options{}); err == nil {
+	if _, err := Check(context.Background(), a, b, Options{}); err == nil {
 		t.Error("input count mismatch accepted")
 	}
 	c := adder(4, "c")
 	c.Outputs = c.Outputs[:3]
-	if _, err := Check(a, c, Options{}); err == nil {
+	if _, err := Check(context.Background(), a, c, Options{}); err == nil {
 		t.Error("output count mismatch accepted")
 	}
 }

@@ -37,18 +37,13 @@ import (
 
 // FraigPass runs up to rounds sweeping iterations with words 64-bit random
 // simulation words (plus accumulated counterexample patterns), a conflict
-// budget per SAT query, and candidate solving fanned over jobs workers.
-// The result is functionally equivalent to the input and never larger.
-func (m *MIG) FraigPass(words, rounds int, queryBudget int64, jobs int) *MIG {
-	out, _ := m.FraigPassCtx(context.Background(), words, rounds, queryBudget, jobs)
-	return out
-}
-
-// FraigPassCtx is FraigPass honoring a context: cancellation interrupts
-// the per-pair SAT solves and the candidate sweep promptly, returning the
-// unmodified input graph with the context's error (partial rounds are
-// never committed, so the result stays byte-identical for any worker count
-// and any cancellation point).
+// budget per SAT query, and candidate solving fanned over the context's
+// worker budget (opt.WorkersCtx). The result is functionally equivalent to
+// the input and never larger. Cancellation interrupts the per-pair SAT
+// solves and the candidate sweep promptly, returning the unmodified input
+// graph with the context's error (partial rounds are never committed, so
+// the result stays byte-identical for any worker count and any
+// cancellation point).
 //
 // When the context carries a session counterexample pool
 // (sweep.ContextWithPool — pipelines install one per run), the first round
@@ -56,7 +51,7 @@ func (m *MIG) FraigPass(words, rounds int, queryBudget int64, jobs int) *MIG {
 // the patterns this pass refutes are committed back on success. Both
 // transfers happen here, serially, so the pool's content — like the pass
 // result — is independent of the worker budget.
-func (m *MIG) FraigPassCtx(ctx context.Context, words, rounds int, queryBudget int64, jobs int) (*MIG, error) {
+func (m *MIG) FraigPass(ctx context.Context, words, rounds int, queryBudget int64) (*MIG, error) {
 	if words < 1 {
 		words = 1
 	}
@@ -68,7 +63,7 @@ func (m *MIG) FraigPassCtx(ctx context.Context, words, rounds int, queryBudget i
 	seeded := len(cexes)
 	cur := m
 	for round := 0; round < rounds; round++ {
-		next, merged, newCex := cur.fraigRound(ctx, words, queryBudget, jobs, int64(round), cexes)
+		next, merged, newCex := cur.fraigRound(ctx, words, queryBudget, int64(round), cexes)
 		if err := ctx.Err(); err != nil {
 			return m, err
 		}
@@ -88,7 +83,7 @@ func (m *MIG) FraigPassCtx(ctx context.Context, words, rounds int, queryBudget i
 // fraigRound is one simulate–classify–prove–merge iteration. It returns
 // the rebuilt graph, the number of merged nodes, and the counterexample
 // patterns gathered from refutations.
-func (m *MIG) fraigRound(ctx context.Context, words int, budget int64, jobs int, seed int64, cexes [][]bool) (*MIG, int, [][]bool) {
+func (m *MIG) fraigRound(ctx context.Context, words int, budget int64, seed int64, cexes [][]bool) (*MIG, int, [][]bool) {
 	r := rand.New(rand.NewSource(0xF4A160<<8 + seed))
 	// Considered nodes: the constant, every primary input, and every live
 	// majority node — so a majority node can merge into a constant or an
@@ -110,7 +105,7 @@ func (m *MIG) fraigRound(ctx context.Context, words int, budget int64, jobs int,
 		Include:   func(i int) bool { return !isMaj(i) || live[i] },
 		Mergeable: func(i int) bool { return isMaj(i) && live[i] },
 		Solve:     func(p sweep.Pair) sweep.Verdict { return m.solveFraigPair(p, budget, piOrd, stop) },
-		ForEach:   func(n int, fn func(int)) { opt.ForEachCtx(ctx, n, jobs, fn) },
+		ForEach:   func(n int, fn func(int)) { opt.ForEach(ctx, n, opt.WorkersCtx(ctx), fn) },
 	}, cexes)
 	if merged == 0 || ctx.Err() != nil {
 		return m, 0, newCex

@@ -24,15 +24,15 @@ func TestFraigPreservesEquivalenceMCNC(t *testing.T) {
 			continue
 		}
 		m := FromNetwork(n)
-		f := m.FraigPass(4, 2, 2000, 1)
+		f := must(m.FraigPass(context.Background(), 4, 2, 2000))
 		if f.Size() > m.Size() {
 			t.Errorf("%s: fraig grew the MIG %d -> %d", bench, m.Size(), f.Size())
 		}
 		// Prefer the canonical BDD verdict; fall back to the auto layering
 		// (exact/SAT) where the BDDs do not fit.
-		res, err := equiv.Check(n, f.ToNetwork(), equiv.Options{Engine: "bdd", BDDLimit: 1 << 20})
+		res, err := equiv.Check(context.Background(), n, f.ToNetwork(), equiv.Options{Engine: "bdd", BDDLimit: 1 << 20})
 		if err != nil {
-			res, err = equiv.Check(n, f.ToNetwork(), equiv.Options{})
+			res, err = equiv.Check(context.Background(), n, f.ToNetwork(), equiv.Options{})
 		}
 		if err != nil {
 			t.Fatalf("%s: %v", bench, err)
@@ -64,11 +64,11 @@ func TestFraigMergesRedundancy(t *testing.T) {
 	m.AddOutput("tree", tree)
 
 	before := m.Size()
-	f := m.FraigPass(4, 2, 2000, 1)
+	f := must(m.FraigPass(context.Background(), 4, 2, 2000))
 	if f.Size() >= before {
 		t.Fatalf("fraig failed to merge duplicated parity: size %d -> %d", before, f.Size())
 	}
-	res, err := equiv.Check(m.ToNetwork(), f.ToNetwork(), equiv.Options{})
+	res, err := equiv.Check(context.Background(), m.ToNetwork(), f.ToNetwork(), equiv.Options{})
 	if err != nil || !res.Equivalent {
 		t.Fatalf("merge broke function: %v %v", res, err)
 	}
@@ -90,11 +90,11 @@ func TestFraigMergesConstant(t *testing.T) {
 	m.AddOutput("t", taut)
 	m.AddOutput("keep", m.And(a, b))
 
-	f := m.FraigPass(2, 1, 2000, 1)
+	f := must(m.FraigPass(context.Background(), 2, 1, 2000))
 	if !f.IsConst(f.Outputs[0].Sig) {
 		t.Errorf("tautology output not merged into the constant node")
 	}
-	res, err := equiv.Check(m.ToNetwork(), f.ToNetwork(), equiv.Options{})
+	res, err := equiv.Check(context.Background(), m.ToNetwork(), f.ToNetwork(), equiv.Options{})
 	if err != nil || !res.Equivalent {
 		t.Fatalf("constant merge broke function: %v %v", res, err)
 	}
@@ -109,7 +109,7 @@ func TestFraigScriptAddressable(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Check = opt.EquivChecker(equiv.Options{})
-	_, trace, err := p.Run(m)
+	_, trace, err := p.Run(context.Background(), m)
 	if err != nil {
 		t.Fatalf("%v\n%s", err, trace.Format())
 	}
@@ -131,9 +131,9 @@ func TestFraigScriptAddressable(t *testing.T) {
 // budget, like window-rewrite.
 func TestFraigJobsInvariant(t *testing.T) {
 	for _, bench := range []string{"b9", "dalu", "C1355"} {
-		serial := fingerprint(migFor(t, bench).FraigPass(4, 2, 2000, 1))
+		serial := fingerprint(must(migFor(t, bench).FraigPass(context.Background(), 4, 2, 2000)))
 		for _, jobs := range []int{2, 8} {
-			if got := fingerprint(migFor(t, bench).FraigPass(4, 2, 2000, jobs)); got != serial {
+			if got := fingerprint(must(migFor(t, bench).FraigPass(budget(jobs), 4, 2, 2000))); got != serial {
 				t.Errorf("%s: fraig differs between 1 and %d workers", bench, jobs)
 			}
 		}
@@ -147,7 +147,7 @@ func TestFraigJobsInvariant(t *testing.T) {
 func TestFraigSolverReuse(t *testing.T) {
 	m := migFor(t, "dalu")
 	before := sat.SolverConstructions()
-	m.FraigPass(4, 2, 2000, 4)
+	must(m.FraigPass(budget(4), 4, 2, 2000))
 	if delta := sat.SolverConstructions() - before; delta > 64 {
 		t.Errorf("fraig constructed %d solvers; reuse should keep this near the worker count", delta)
 	}
@@ -160,12 +160,12 @@ func TestFraigSolverReuse(t *testing.T) {
 func TestFraigCexPoolFlow(t *testing.T) {
 	run := func(jobs int) (*MIG, *MIG, int) {
 		pool := sweep.NewCexPool(0)
-		ctx := sweep.ContextWithPool(context.Background(), pool)
-		first, err := migFor(t, "dalu").FraigPassCtx(ctx, 4, 2, 2000, jobs)
+		ctx := opt.ContextWithWorkers(sweep.ContextWithPool(context.Background(), pool), jobs)
+		first, err := migFor(t, "dalu").FraigPass(ctx, 4, 2, 2000)
 		if err != nil {
 			t.Fatal(err)
 		}
-		second, err := first.FraigPassCtx(ctx, 4, 2, 2000, jobs)
+		second, err := first.FraigPass(ctx, 4, 2, 2000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,7 +184,7 @@ func TestFraigCexPoolFlow(t *testing.T) {
 	}
 	// The first pass never sees the pool it is about to fill: with or
 	// without a pool on the context, pass one is byte-identical.
-	bare := migFor(t, "dalu").FraigPass(4, 2, 2000, 1)
+	bare := must(migFor(t, "dalu").FraigPass(context.Background(), 4, 2, 2000))
 	if fingerprint(bare) != fingerprint(f1) {
 		t.Error("an empty pool changed the first pass's result")
 	}
@@ -202,7 +202,7 @@ func BenchmarkFraigPass(b *testing.B) {
 	c0 := sat.SolverConstructions()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.FraigPass(4, 2, 2000, 1)
+		must(m.FraigPass(context.Background(), 4, 2, 2000))
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(sat.SolverConstructions()-c0)/float64(b.N), "solvers/op")

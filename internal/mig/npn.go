@@ -61,17 +61,12 @@ func (m *MIG) synthNPN(p *probe, w uint64, n int, leaves []Signal) Signal {
 	return sigs[e.Root.Index()].NotIf(e.Root.Neg()).NotIf(tr.FlipOut)
 }
 
-// NPNRewritePass is NPNRewritePassCtx without cancellation.
-func (m *MIG) NPNRewritePass(k, maxCuts, jobs int) *MIG {
-	out, _ := m.NPNRewritePassCtx(context.Background(), k, maxCuts, jobs)
-	return out
-}
-
-// NPNRewritePassCtx runs exact NPN-database cut rewriting with candidate
-// evaluation fanned out over jobs workers; k is the cut size (at most 4,
-// the database arity) and maxCuts bounds the cuts kept per node. The
-// committed result is byte-identical for every jobs value; cancellation
-// returns the unmodified input graph with the context's error.
-func (m *MIG) NPNRewritePassCtx(ctx context.Context, k, maxCuts, jobs int) (*MIG, error) {
-	return m.windowRewriteCtx(ctx, k, maxCuts, jobs, true)
+// NPNRewritePass runs exact NPN-database cut rewriting with candidate
+// evaluation fanned out over the context's worker budget
+// (opt.WorkersCtx); k is the cut size (at most 4, the database arity) and
+// maxCuts bounds the cuts kept per node. The committed result is
+// byte-identical for every budget; cancellation returns the unmodified
+// input graph with the context's error.
+func (m *MIG) NPNRewritePass(ctx context.Context, k, maxCuts int) (*MIG, error) {
+	return m.windowRewrite(ctx, k, maxCuts, true)
 }

@@ -1,6 +1,7 @@
 package mig
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -81,11 +82,11 @@ func TestSynthNPNMatchesFunction(t *testing.T) {
 func TestNPNRewriteEquivalenceMCNC(t *testing.T) {
 	for _, bench := range []string{"b9", "count", "my_adder", "C1355", "alu4", "misex3"} {
 		m := migFor(t, bench)
-		out := m.Clone().NPNRewritePass(4, 5, 1)
+		out := must(m.Clone().NPNRewritePass(context.Background(), 4, 5))
 		if out.Size() > m.Size() {
 			t.Fatalf("%s: rewrite-npn grew the graph: %d -> %d", bench, m.Size(), out.Size())
 		}
-		res, err := equiv.Check(m.ToNetwork(), out.ToNetwork(), equiv.Options{})
+		res, err := equiv.Check(context.Background(), m.ToNetwork(), out.ToNetwork(), equiv.Options{})
 		if err != nil || !res.Equivalent {
 			t.Fatalf("%s: rewrite-npn broke equivalence: %v %v", bench, res, err)
 		}
@@ -96,10 +97,10 @@ func TestNPNRewriteEquivalenceMCNC(t *testing.T) {
 func TestNPNRewriteParallelIdentity(t *testing.T) {
 	for _, bench := range []string{"b9", "count", "C1355", "alu4"} {
 		m := migFor(t, bench)
-		serial := m.Clone().NPNRewritePass(4, 5, 1)
+		serial := must(m.Clone().NPNRewritePass(context.Background(), 4, 5))
 		want := fingerprint(serial)
 		for _, jobs := range []int{2, 8} {
-			par := m.Clone().NPNRewritePass(4, 5, jobs)
+			par := must(m.Clone().NPNRewritePass(budget(jobs), 4, 5))
 			if got := fingerprint(par); got != want {
 				t.Fatalf("%s: jobs=%d differs from serial", bench, jobs)
 			}
@@ -111,11 +112,11 @@ func TestNPNRewriteParallelIdentity(t *testing.T) {
 func TestNPNRewriteLeavesInputIntact(t *testing.T) {
 	m := migFor(t, "count")
 	before := fingerprint(m)
-	_ = m.NPNRewritePass(4, 5, 1)
+	_ = must(m.NPNRewritePass(context.Background(), 4, 5))
 	if fingerprint(m) != before {
 		t.Fatal("jobs=1 run mutated the input graph")
 	}
-	_ = m.NPNRewritePass(4, 5, 4)
+	_ = must(m.NPNRewritePass(budget(4), 4, 5))
 	if fingerprint(m) != before {
 		t.Fatal("parallel run mutated the input graph")
 	}
@@ -124,16 +125,14 @@ func TestNPNRewriteLeavesInputIntact(t *testing.T) {
 // The registered pass must run inside a scripted pipeline with per-pass
 // equivalence checking.
 func TestNPNRewriteScripted(t *testing.T) {
-	defer opt.SetWorkers(1)
 	for _, jobs := range []int{1, 4} {
-		opt.SetWorkers(jobs)
 		m := migFor(t, "b9")
 		p, err := ParseScript("cleanup; rewrite-npn; eliminate(3)")
 		if err != nil {
 			t.Fatal(err)
 		}
 		p.Check = opt.EquivChecker(equiv.Options{})
-		res, trace, err := p.Run(m)
+		res, trace, err := p.Run(budget(jobs), m)
 		if err != nil {
 			t.Fatalf("jobs=%d: %v\n%s", jobs, err, trace.Format())
 		}
@@ -210,7 +209,7 @@ func BenchmarkRewriteNPNPass(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if out := m.NPNRewritePass(4, 5, 1); out.Size() == 0 {
+		if out := must(m.NPNRewritePass(context.Background(), 4, 5)); out.Size() == 0 {
 			b.Fatal("empty result")
 		}
 	}

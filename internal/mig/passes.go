@@ -122,42 +122,40 @@ func passCutRewrite() opt.Pass[*MIG] {
 }
 
 // passWindowRewrite is cut rewriting with candidate evaluation fanned out
-// over the worker budget — the context's when it carries one (sessions),
-// the process-wide SetWorkers budget (wired to -jobs in the CLIs)
-// otherwise. Deterministic: the result is byte-identical for any worker
-// count; context cancellation aborts the pass without committing.
+// over the context's worker budget. Deterministic: the result is
+// byte-identical for any worker count; context cancellation aborts the
+// pass without committing.
 func passWindowRewrite(k, maxCuts int) opt.Pass[*MIG] {
-	return opt.NewCtx("window-rewrite", func(ctx context.Context, m *MIG) (*MIG, error) {
-		out, err := m.WindowRewritePassCtx(ctx, k, maxCuts, opt.WorkersCtx(ctx))
+	return opt.Pass[*MIG]{Name: "window-rewrite", Apply: func(ctx context.Context, m *MIG) (*MIG, error) {
+		out, err := m.WindowRewritePass(ctx, k, maxCuts)
 		if err != nil {
 			return m, err
 		}
 		return out.Cleanup(), nil
-	})
+	}}
 }
 
 // passRewriteNPN is exact NPN-database cut rewriting (npn.go) with
-// candidate evaluation fanned over the worker budget, byte-identical for
-// any worker count.
+// candidate evaluation fanned over the context's worker budget,
+// byte-identical for any worker count.
 func passRewriteNPN(k, maxCuts int) opt.Pass[*MIG] {
-	return opt.NewCtx("rewrite-npn", func(ctx context.Context, m *MIG) (*MIG, error) {
-		out, err := m.NPNRewritePassCtx(ctx, k, maxCuts, opt.WorkersCtx(ctx))
+	return opt.Pass[*MIG]{Name: "rewrite-npn", Apply: func(ctx context.Context, m *MIG) (*MIG, error) {
+		out, err := m.NPNRewritePass(ctx, k, maxCuts)
 		if err != nil {
 			return m, err
 		}
 		return out.Cleanup(), nil
-	})
+	}}
 }
 
 // passFraig is simulation-guided SAT sweeping (fraig.go) with candidate
-// pairs fanned over the worker budget (context override, then the
-// process-wide SetWorkers budget wired to -jobs in the CLIs).
-// Deterministic for any worker count; never increases size; context
-// cancellation interrupts the SAT queries without committing.
+// pairs fanned over the context's worker budget. Deterministic for any
+// worker count; never increases size; context cancellation interrupts the
+// SAT queries without committing.
 func passFraig(words, rounds, conflicts int) opt.Pass[*MIG] {
-	return opt.NewCtx("fraig", func(ctx context.Context, m *MIG) (*MIG, error) {
-		return m.FraigPassCtx(ctx, words, rounds, int64(conflicts), opt.WorkersCtx(ctx))
-	})
+	return opt.Pass[*MIG]{Name: "fraig", Apply: func(ctx context.Context, m *MIG) (*MIG, error) {
+		return m.FraigPass(ctx, words, rounds, int64(conflicts))
+	}}
 }
 
 // sizeBest is the Algorithm 1 cycle: eliminate–reshape–eliminate, iterated
@@ -246,7 +244,7 @@ func buildRegistry() *opt.Registry[*MIG] {
 	r.Register("cleanup", "", "cleanup: drop dead nodes (topological rebuild)",
 		func(args []int) (opt.Pass[*MIG], error) {
 			if _, err := opt.IntArgs(args); err != nil {
-				return nil, err
+				return opt.Pass[*MIG]{}, err
 			}
 			return passCleanup(), nil
 		})
@@ -254,7 +252,7 @@ func buildRegistry() *opt.Registry[*MIG] {
 		func(args []int) (opt.Pass[*MIG], error) {
 			a, err := opt.IntArgsMin(args, 0, 3)
 			if err != nil {
-				return nil, err
+				return opt.Pass[*MIG]{}, err
 			}
 			return passEliminate(a[0]), nil
 		})
@@ -262,7 +260,7 @@ func buildRegistry() *opt.Registry[*MIG] {
 		func(args []int) (opt.Pass[*MIG], error) {
 			a, err := opt.IntArgsMin(args, 1, 3, 8)
 			if err != nil {
-				return nil, err
+				return opt.Pass[*MIG]{}, err
 			}
 			return passEliminateBudget(a[0], a[1]), nil
 		})
@@ -270,7 +268,7 @@ func buildRegistry() *opt.Registry[*MIG] {
 		func(args []int) (opt.Pass[*MIG], error) {
 			a, err := opt.IntArgsMin(args, 1, 3)
 			if err != nil {
-				return nil, err
+				return opt.Pass[*MIG]{}, err
 			}
 			return passReshape(a[0], false), nil
 		})
@@ -278,7 +276,7 @@ func buildRegistry() *opt.Registry[*MIG] {
 		func(args []int) (opt.Pass[*MIG], error) {
 			a, err := opt.IntArgsMin(args, 1, 3)
 			if err != nil {
-				return nil, err
+				return opt.Pass[*MIG]{}, err
 			}
 			return passReshape(a[0], true), nil
 		})
@@ -286,7 +284,7 @@ func buildRegistry() *opt.Registry[*MIG] {
 		func(args []int) (opt.Pass[*MIG], error) {
 			a, err := opt.IntArgsMin(args, 1, 64)
 			if err != nil {
-				return nil, err
+				return opt.Pass[*MIG]{}, err
 			}
 			return passPushup(a[0]), nil
 		})
@@ -294,14 +292,14 @@ func buildRegistry() *opt.Registry[*MIG] {
 		func(args []int) (opt.Pass[*MIG], error) {
 			a, err := opt.IntArgsMin(args, 1, 1)
 			if err != nil {
-				return nil, err
+				return opt.Pass[*MIG]{}, err
 			}
 			return passActivity(a[0], nil), nil
 		})
 	r.Register("cut-rewrite", "", "cut-rewrite: 4-input cut functional rewriting",
 		func(args []int) (opt.Pass[*MIG], error) {
 			if _, err := opt.IntArgs(args); err != nil {
-				return nil, err
+				return opt.Pass[*MIG]{}, err
 			}
 			return passCutRewrite(), nil
 		})
@@ -309,10 +307,10 @@ func buildRegistry() *opt.Registry[*MIG] {
 		func(args []int) (opt.Pass[*MIG], error) {
 			a, err := opt.IntArgsMin(args, 1, 4, 2, 2000)
 			if err != nil {
-				return nil, err
+				return opt.Pass[*MIG]{}, err
 			}
 			if a[0] > sweep.MaxWords {
-				return nil, fmt.Errorf("fraig: %d simulation words exceed the bound of %d", a[0], sweep.MaxWords)
+				return opt.Pass[*MIG]{}, fmt.Errorf("fraig: %d simulation words exceed the bound of %d", a[0], sweep.MaxWords)
 			}
 			return passFraig(a[0], a[1], a[2]), nil
 		})
@@ -320,13 +318,13 @@ func buildRegistry() *opt.Registry[*MIG] {
 		func(args []int) (opt.Pass[*MIG], error) {
 			a, err := opt.IntArgs(args, 4, 5)
 			if err != nil {
-				return nil, err
+				return opt.Pass[*MIG]{}, err
 			}
 			if a[0] < 2 || a[0] > 4 {
-				return nil, fmt.Errorf("rewrite-npn: cut size %d outside the database arity range [2,4]", a[0])
+				return opt.Pass[*MIG]{}, fmt.Errorf("rewrite-npn: cut size %d outside the database arity range [2,4]", a[0])
 			}
 			if a[1] < 1 || a[1] > maxCutBudget {
-				return nil, fmt.Errorf("rewrite-npn: cut budget %d outside [1,%d]", a[1], maxCutBudget)
+				return opt.Pass[*MIG]{}, fmt.Errorf("rewrite-npn: cut budget %d outside [1,%d]", a[1], maxCutBudget)
 			}
 			return passRewriteNPN(a[0], a[1]), nil
 		})
@@ -334,13 +332,13 @@ func buildRegistry() *opt.Registry[*MIG] {
 		func(args []int) (opt.Pass[*MIG], error) {
 			a, err := opt.IntArgsMin(args, 2, 4, 5)
 			if err != nil {
-				return nil, err
+				return opt.Pass[*MIG]{}, err
 			}
 			if a[0] > 6 {
-				return nil, fmt.Errorf("window-rewrite: cut size %d exceeds the word-level synthesis bound of 6", a[0])
+				return opt.Pass[*MIG]{}, fmt.Errorf("window-rewrite: cut size %d exceeds the word-level synthesis bound of 6", a[0])
 			}
 			if a[1] > maxCutBudget {
-				return nil, fmt.Errorf("window-rewrite: cut budget %d exceeds the bound of %d", a[1], maxCutBudget)
+				return opt.Pass[*MIG]{}, fmt.Errorf("window-rewrite: cut budget %d exceeds the bound of %d", a[1], maxCutBudget)
 			}
 			return passWindowRewrite(a[0], a[1]), nil
 		})

@@ -1,6 +1,7 @@
 package mig
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -21,7 +22,7 @@ func migFor(t *testing.T, name string) *MIG {
 // runPipeline runs a canned pipeline on m.
 func runPipeline(t testing.TB, p *opt.Pipeline[*MIG], m *MIG) *MIG {
 	t.Helper()
-	res, _, err := p.Run(m)
+	res, _, err := p.Run(context.Background(), m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +43,7 @@ func TestCannedPipelinesPreserveEquivalence(t *testing.T) {
 		for label, p := range pipelines {
 			p.Check = opt.EquivChecker(equiv.Options{})
 			m := migFor(t, bench)
-			res, trace, err := p.Run(m)
+			res, trace, err := p.Run(context.Background(), m)
 			if err != nil {
 				t.Fatalf("%s on %s: %v\n%s", label, bench, err, trace.Format())
 			}
@@ -69,7 +70,7 @@ func TestScriptMatchesCannedCycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scripted, _, err := p.Run(m)
+	scripted, _, err := p.Run(context.Background(), m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,7 @@ func TestScriptedRunVerified(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Check = opt.EquivChecker(equiv.Options{})
-	res, trace, err := p.Run(m)
+	res, trace, err := p.Run(context.Background(), m)
 	if err != nil {
 		t.Fatalf("%v\n%s", err, trace.Format())
 	}
@@ -152,8 +153,8 @@ func TestScriptedRunVerified(t *testing.T) {
 func TestWindowRewriteParallelSerialIdentityMCNC(t *testing.T) {
 	for _, bench := range mcnc.Names() {
 		m := migFor(t, bench)
-		serial := m.Clone().WindowRewritePass(4, 5, 1)
-		parallel := m.Clone().WindowRewritePass(4, 5, 8)
+		serial := must(m.Clone().WindowRewritePass(context.Background(), 4, 5))
+		parallel := must(m.Clone().WindowRewritePass(budget(8), 4, 5))
 		if fingerprint(serial) != fingerprint(parallel) {
 			t.Errorf("%s: parallel window rewrite differs from serial", bench)
 		}
@@ -163,17 +164,15 @@ func TestWindowRewriteParallelSerialIdentityMCNC(t *testing.T) {
 // The scripted form must equally be jobs-invariant: the same script under
 // worker budgets 1 and 6 yields identical graphs.
 func TestScriptedWindowRewriteJobsInvariant(t *testing.T) {
-	defer opt.SetWorkers(1)
 	script := "cleanup; window-rewrite; eliminate(3); window-rewrite(4, 8)"
 	results := map[int]string{}
 	for _, jobs := range []int{1, 6} {
-		opt.SetWorkers(jobs)
 		m := migFor(t, "dalu")
 		p, err := ParseScript(script)
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, _, err := p.Run(m)
+		res, _, err := p.Run(budget(jobs), m)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +195,7 @@ func TestCheckerCatchesUnsoundPass(t *testing.T) {
 		Passes: []opt.Pass[*MIG]{passEliminate(3), broken},
 		Check:  opt.EquivChecker(equiv.Options{}),
 	}
-	got, trace, err := p.Run(m)
+	got, trace, err := p.Run(context.Background(), m)
 	if err == nil {
 		t.Fatal("checker must flag the unsound pass")
 	}
@@ -204,7 +203,7 @@ func TestCheckerCatchesUnsoundPass(t *testing.T) {
 		t.Fatalf("trace = %+v", trace)
 	}
 	// The last good graph (after eliminate) is returned.
-	if res, err2 := equiv.Check(m.ToNetwork(), got.ToNetwork(), equiv.Options{}); err2 != nil || !res.Equivalent {
+	if res, err2 := equiv.Check(context.Background(), m.ToNetwork(), got.ToNetwork(), equiv.Options{}); err2 != nil || !res.Equivalent {
 		t.Fatalf("returned graph not the last good one: %v %v", res, err2)
 	}
 }

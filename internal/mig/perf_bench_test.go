@@ -201,7 +201,7 @@ func benchWindowRewrite(b *testing.B, jobs int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if out := m.WindowRewritePass(4, 5, jobs); out.Size() == 0 {
+		if out := must(m.WindowRewritePass(budget(jobs), 4, 5)); out.Size() == 0 {
 			b.Fatal("empty result")
 		}
 	}

@@ -80,8 +80,8 @@ func TestStrashConsistentAfterPasses(t *testing.T) {
 		m.PushUpPass(),
 		m.ReshapePass(3, true),
 		m.RewritePass(),
-		m.WindowRewritePass(4, 5, 2),
-		m.NPNRewritePass(4, 5, 2),
+		must(m.WindowRewritePass(budget(2), 4, 5)),
+		must(m.NPNRewritePass(budget(2), 4, 5)),
 		m.ActivityPass(nil),
 		m.Clone(),
 		m.Cleanup(),

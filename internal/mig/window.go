@@ -113,26 +113,19 @@ func (m *MIG) windows(live []bool, refs []int) [][]int {
 }
 
 // WindowRewritePass runs cut rewriting with candidate evaluation fanned out
-// over jobs workers. jobs <= 1 evaluates serially; the committed result is
-// byte-identical for every jobs value.
-func (m *MIG) WindowRewritePass(k, maxCuts, jobs int) *MIG {
-	out, _ := m.WindowRewritePassCtx(context.Background(), k, maxCuts, jobs)
-	return out
+// over the context's worker budget (opt.WorkersCtx); the committed result
+// is byte-identical for every budget. Cancellation stops the window
+// evaluation and returns the unmodified input graph with the context's
+// error (the serial commit phase never runs on a partial evaluation,
+// preserving byte-identity for any cancellation point).
+func (m *MIG) WindowRewritePass(ctx context.Context, k, maxCuts int) (*MIG, error) {
+	return m.windowRewrite(ctx, k, maxCuts, false)
 }
 
-// WindowRewritePassCtx is WindowRewritePass honoring a context:
-// cancellation stops the window evaluation and returns the unmodified
-// input graph with the context's error (the serial commit phase never runs
-// on a partial evaluation, preserving byte-identity for any cancellation
-// point).
-func (m *MIG) WindowRewritePassCtx(ctx context.Context, k, maxCuts, jobs int) (*MIG, error) {
-	return m.windowRewriteCtx(ctx, k, maxCuts, jobs, false)
-}
-
-// windowRewriteCtx is the shared two-phase engine behind window-rewrite
+// windowRewrite is the shared two-phase engine behind window-rewrite
 // and rewrite-npn. npn additionally probes the exact NPN-database
 // implementation of every (at most 4-input) cut.
-func (m *MIG) windowRewriteCtx(ctx context.Context, k, maxCuts, jobs int, npn bool) (*MIG, error) {
+func (m *MIG) windowRewrite(ctx context.Context, k, maxCuts int, npn bool) (*MIG, error) {
 	cuts := m.CutSet(k, maxCuts)
 	refs := m.FanoutCounts()
 	lp := takeBools(len(m.nodes))
@@ -143,6 +136,7 @@ func (m *MIG) windowRewriteCtx(ctx context.Context, k, maxCuts, jobs int, npn bo
 	// Phase 1: evaluate windows, every worker probing the shared input
 	// graph through a view that owns the worker's memos.
 	choices := make([]windowChoice, len(m.nodes))
+	jobs := opt.WorkersCtx(ctx)
 	if jobs > len(windows) {
 		jobs = len(windows)
 	}
@@ -157,7 +151,7 @@ func (m *MIG) windowRewriteCtx(ctx context.Context, k, maxCuts, jobs int, npn bo
 		}
 		workers <- winWorker{g: &MIG{nodes: m.nodes}, refs: wrefs}
 	}
-	if err := opt.ForEachCtx(ctx, len(windows), jobs, func(wi int) {
+	if err := opt.ForEach(ctx, len(windows), jobs, func(wi int) {
 		wk := <-workers
 		wk.evalWindow(windows[wi], cuts, choices, npn)
 		workers <- wk

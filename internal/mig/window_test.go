@@ -1,6 +1,7 @@
 package mig
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -22,6 +23,18 @@ func fingerprint(m *MIG) string {
 		fmt.Fprintf(&b, "out %s=%d\n", o.Name, o.Sig)
 	}
 	return b.String()
+}
+
+// budget returns a background context carrying a worker budget of n.
+func budget(n int) context.Context { return opt.ContextWithWorkers(context.Background(), n) }
+
+// must returns a pass engine's graph, panicking on its error: under a
+// context that is never cancelled the engines cannot fail.
+func must(m *MIG, err error) *MIG {
+	if err != nil {
+		panic(err)
+	}
+	return m
 }
 
 // Window partitioning must cover every live majority node exactly once,
@@ -60,15 +73,15 @@ func TestWindowsPartition(t *testing.T) {
 func TestWindowRewriteParallelIdentity(t *testing.T) {
 	for _, bench := range []string{"b9", "count", "my_adder", "C1355", "alu4"} {
 		m := migFor(t, bench)
-		serial := m.Clone().WindowRewritePass(4, 5, 1)
+		serial := must(m.Clone().WindowRewritePass(context.Background(), 4, 5))
 		want := fingerprint(serial)
 		for _, jobs := range []int{2, 3, 8} {
-			par := m.Clone().WindowRewritePass(4, 5, jobs)
+			par := must(m.Clone().WindowRewritePass(budget(jobs), 4, 5))
 			if got := fingerprint(par); got != want {
 				t.Fatalf("%s: jobs=%d differs from serial", bench, jobs)
 			}
 		}
-		res, err := equiv.Check(m.ToNetwork(), serial.ToNetwork(), equiv.Options{})
+		res, err := equiv.Check(context.Background(), m.ToNetwork(), serial.ToNetwork(), equiv.Options{})
 		if err != nil || !res.Equivalent {
 			t.Fatalf("%s: window rewrite broke equivalence: %v %v", bench, res, err)
 		}
@@ -80,11 +93,11 @@ func TestWindowRewriteParallelIdentity(t *testing.T) {
 func TestWindowRewriteLeavesInputIntact(t *testing.T) {
 	m := migFor(t, "count")
 	before := fingerprint(m)
-	_ = m.WindowRewritePass(4, 5, 1)
+	_ = must(m.WindowRewritePass(context.Background(), 4, 5))
 	if fingerprint(m) != before {
 		t.Fatal("jobs=1 run mutated the input graph")
 	}
-	_ = m.WindowRewritePass(4, 5, 4)
+	_ = must(m.WindowRewritePass(budget(4), 4, 5))
 	if fingerprint(m) != before {
 		t.Fatal("parallel run mutated the input graph")
 	}
@@ -93,16 +106,14 @@ func TestWindowRewriteLeavesInputIntact(t *testing.T) {
 // The registered window-rewrite pass must run inside a scripted pipeline
 // with per-pass equivalence checking, for any worker budget.
 func TestWindowRewriteScripted(t *testing.T) {
-	defer opt.SetWorkers(1)
 	for _, jobs := range []int{1, 4} {
-		opt.SetWorkers(jobs)
 		m := migFor(t, "b9")
 		p, err := ParseScript("cleanup; window-rewrite; eliminate(3)")
 		if err != nil {
 			t.Fatal(err)
 		}
 		p.Check = opt.EquivChecker(equiv.Options{})
-		res, trace, err := p.Run(m)
+		res, trace, err := p.Run(budget(jobs), m)
 		if err != nil {
 			t.Fatalf("jobs=%d: %v\n%s", jobs, err, trace.Format())
 		}
@@ -119,8 +130,8 @@ func TestWindowRewriteBenchDeterminism(t *testing.T) {
 	// the pass output feeding it (the report fields are derived from the
 	// graphs, and times are normalized by -zero-time).
 	m := migFor(t, "misex3")
-	a := m.Clone().WindowRewritePass(4, 5, 1).Cleanup()
-	b := m.Clone().WindowRewritePass(4, 5, 6).Cleanup()
+	a := must(m.Clone().WindowRewritePass(context.Background(), 4, 5)).Cleanup()
+	b := must(m.Clone().WindowRewritePass(budget(6), 4, 5)).Cleanup()
 	if fingerprint(a) != fingerprint(b) {
 		t.Fatal("cleanup after parallel rewrite differs from serial")
 	}

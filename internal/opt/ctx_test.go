@@ -7,14 +7,14 @@ import (
 	"testing"
 )
 
-func TestRunContextCancelsBetweenPasses(t *testing.T) {
+func TestRunCancelsBetweenPasses(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	ran := 0
 	p := &Pipeline[fake]{Passes: []Pass[fake]{
 		New("first", func(g fake) fake { ran++; cancel(); return g }),
 		New("second", func(g fake) fake { ran++; return g }),
 	}}
-	got, trace, err := p.RunContext(ctx, fake{size: 10})
+	got, trace, err := p.Run(ctx, fake{size: 10})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -26,44 +26,50 @@ func TestRunContextCancelsBetweenPasses(t *testing.T) {
 	}
 }
 
-func TestRunContextCtxPass(t *testing.T) {
-	// A ctx pass observes cancellation mid-pass and aborts the run.
+func TestRunCancelsInsidePass(t *testing.T) {
+	// A pass observes cancellation mid-pass and aborts the run.
 	ctx, cancel := context.WithCancel(context.Background())
-	p := &Pipeline[fake]{Passes: []Pass[fake]{
-		NewCtx("ctxpass", func(c context.Context, g fake) (fake, error) {
+	p := &Pipeline[fake]{Passes: []Pass[fake]{{
+		Name: "ctxpass",
+		Apply: func(c context.Context, g fake) (fake, error) {
 			cancel()
 			return g, c.Err()
-		}),
-	}}
-	_, _, err := p.RunContext(ctx, fake{size: 10})
+		},
+	}}}
+	_, _, err := p.Run(ctx, fake{size: 10})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	// Under the background context the same pipeline completes.
-	if _, _, err := p.Run(fake{size: 10}); err != nil {
+	if _, _, err := p.Run(context.Background(), fake{size: 10}); err != nil {
 		// cancel() above cancelled the other context, not this run's.
 		t.Fatalf("background run failed: %v", err)
 	}
 }
 
-func TestRenamePreservesCtxAwareness(t *testing.T) {
-	saw := false
-	p := Rename("label", NewCtx("orig", func(ctx context.Context, g fake) (fake, error) {
-		saw = ctx.Value(workersKey{}) != nil
-		return g, nil
-	}))
-	if p.Name() != "label" {
-		t.Fatalf("name = %q", p.Name())
-	}
-	cp, ok := p.(CtxPass[fake])
-	if !ok {
-		t.Fatal("Rename dropped context awareness")
-	}
-	if _, err := cp.ApplyCtx(ContextWithWorkers(context.Background(), 4), fake{}); err != nil {
+func TestParsedPassKeepsContext(t *testing.T) {
+	// Parse relabels each pass with its statement text; the relabeled pass
+	// still runs under the caller's context.
+	saw := 0
+	r := NewRegistry[fake]()
+	r.Register("orig", "", "orig", func([]int) (Pass[fake], error) {
+		return Pass[fake]{Name: "orig", Apply: func(ctx context.Context, g fake) (fake, error) {
+			saw = WorkersCtx(ctx)
+			return g, nil
+		}}, nil
+	})
+	p, err := Parse(r, "orig()")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !saw {
-		t.Fatal("renamed pass did not receive the caller's context")
+	if p.Passes[0].Name != "orig()" {
+		t.Fatalf("name = %q", p.Passes[0].Name)
+	}
+	if _, _, err := p.Run(ContextWithWorkers(context.Background(), 4), fake{}); err != nil {
+		t.Fatal(err)
+	}
+	if saw != 4 {
+		t.Fatalf("parsed pass saw a budget of %d, want the caller's 4", saw)
 	}
 }
 
@@ -81,7 +87,7 @@ func TestBestAbortsOnCancel(t *testing.T) {
 				return g
 			})}
 		})
-	got, err := b.(CtxPass[fake]).ApplyCtx(ctx, fake{size: 100})
+	got, err := b.Apply(ctx, fake{size: 100})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v", err)
 	}
@@ -94,10 +100,10 @@ func TestBestAbortsOnCancel(t *testing.T) {
 	}
 }
 
-func TestForEachCtx(t *testing.T) {
+func TestForEachCancel(t *testing.T) {
 	// Uncancellable context: all items run.
 	var n atomic.Int64
-	if err := ForEachCtx(context.Background(), 100, 4, func(int) { n.Add(1) }); err != nil {
+	if err := ForEach(context.Background(), 100, 4, func(int) { n.Add(1) }); err != nil {
 		t.Fatal(err)
 	}
 	if n.Load() != 100 {
@@ -107,7 +113,7 @@ func TestForEachCtx(t *testing.T) {
 	for _, jobs := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
 		var ran atomic.Int64
-		err := ForEachCtx(ctx, 10000, jobs, func(i int) {
+		err := ForEach(ctx, 10000, jobs, func(i int) {
 			if ran.Add(1) == 5 {
 				cancel()
 			}
@@ -122,28 +128,31 @@ func TestForEachCtx(t *testing.T) {
 }
 
 func TestForEach(t *testing.T) {
+	ctx := context.Background()
 	var sum atomic.Int64
-	ForEach(100, 7, func(i int) { sum.Add(int64(i)) })
+	if err := ForEach(ctx, 100, 7, func(i int) { sum.Add(int64(i)) }); err != nil {
+		t.Fatal(err)
+	}
 	if got := sum.Load(); got != 4950 {
 		t.Fatalf("parallel sum = %d", got)
 	}
 	sum.Store(0)
-	ForEach(10, 1, func(i int) { sum.Add(int64(i)) })
+	ForEach(ctx, 10, 1, func(i int) { sum.Add(int64(i)) })
 	if got := sum.Load(); got != 45 {
 		t.Fatalf("serial sum = %d", got)
 	}
-	ForEach(0, 4, func(int) { t.Fatal("no work expected") })
+	ForEach(ctx, 0, 4, func(int) { t.Fatal("no work expected") })
 	// More workers than items must not deadlock.
 	sum.Store(0)
-	ForEach(2, 16, func(i int) { sum.Add(int64(i + 1)) })
+	ForEach(ctx, 2, 16, func(i int) { sum.Add(int64(i + 1)) })
 	if got := sum.Load(); got != 3 {
 		t.Fatalf("overprovisioned sum = %d", got)
 	}
 }
 
 func TestContextWithWorkers(t *testing.T) {
-	if got := WorkersCtx(context.Background()); got != Workers() {
-		t.Fatalf("fallback = %d, want process budget %d", got, Workers())
+	if got := WorkersCtx(context.Background()); got != 1 {
+		t.Fatalf("budget without a context value = %d, want 1 (serial)", got)
 	}
 	ctx := ContextWithWorkers(context.Background(), 7)
 	if got := WorkersCtx(ctx); got != 7 {

@@ -15,7 +15,7 @@ func TestObserverSeesStepsInOrder(t *testing.T) {
 	p := &Pipeline[fake]{Passes: []Pass[fake]{shrink(5), deepen(2), shrink(1)}}
 	var seen []Step
 	ctx := ContextWithObserver(context.Background(), func(s Step) { seen = append(seen, s) })
-	_, trace, err := p.RunContext(ctx, fake{size: 10, depth: 3, act: 1.5})
+	_, trace, err := p.Run(ctx, fake{size: 10, depth: 3, act: 1.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +38,7 @@ func TestObserverSeesEquivFailureStep(t *testing.T) {
 	}
 	var seen []Step
 	ctx := ContextWithObserver(context.Background(), func(s Step) { seen = append(seen, s) })
-	_, trace, err := p.RunContext(ctx, fake{size: 10})
+	_, trace, err := p.Run(ctx, fake{size: 10})
 	if err == nil {
 		t.Fatal("expected equivalence failure")
 	}
@@ -66,7 +66,7 @@ func TestObserverNilAndAbsent(t *testing.T) {
 		calls++
 		cancel() // kill the run after the first committed step
 	})
-	_, trace, err := p.RunContext(octx, fake{size: 10})
+	_, trace, err := p.Run(octx, fake{size: 10})
 	if err == nil {
 		t.Fatal("expected cancellation")
 	}
@@ -86,7 +86,7 @@ func TestObserverNoExtraAllocs(t *testing.T) {
 
 	run := func(ctx context.Context) float64 {
 		return testing.AllocsPerRun(200, func() {
-			if _, _, err := p.RunContext(ctx, g); err != nil {
+			if _, _, err := p.Run(ctx, g); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -107,7 +107,7 @@ func BenchmarkPipelineObserved(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := p.RunContext(ctx, g); err != nil {
+		if _, _, err := p.Run(ctx, g); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -41,94 +41,40 @@ type Graph interface {
 	ToNetwork() *netlist.Network
 }
 
-// Pass is a single named optimization step over graphs of type G. A pass
-// must be functionally sound: its output is equivalent to its input.
-type Pass[G Graph] interface {
-	Name() string
-	Apply(G) G
+// Pass is one named optimization step over graphs of type G. Apply must be
+// functionally sound: its output is equivalent to its input. Apply honors
+// ctx: long-running passes (SAT sweeping, window-parallel rewriting,
+// best-of cycles) observe it inside the work and read their worker budget
+// from it (WorkersCtx). An interrupted pass returns the input (or any
+// valid intermediate) graph together with the context's error; the result
+// accompanying a non-nil error must not be committed.
+type Pass[G Graph] struct {
+	Name  string
+	Apply func(ctx context.Context, g G) (G, error)
 }
 
-// CtxPass is a Pass that additionally honors a context: long-running
-// passes (SAT sweeping, window-parallel rewriting, best-of cycles)
-// implement it so deadline and cancellation interrupt the work instead of
-// waiting out internal budgets. ApplyCtx returns the input (or any valid
-// intermediate) graph together with the context's error when interrupted;
-// the result accompanying a non-nil error must not be committed.
-type CtxPass[G Graph] interface {
-	Pass[G]
-	ApplyCtx(ctx context.Context, g G) (G, error)
-}
-
-type passFunc[G Graph] struct {
-	name string
-	fn   func(G) G
-}
-
-func (p passFunc[G]) Name() string { return p.name }
-func (p passFunc[G]) Apply(g G) G  { return p.fn(g) }
-
-type ctxPassFunc[G Graph] struct {
-	name string
-	fn   func(ctx context.Context, g G) (G, error)
-}
-
-func (p ctxPassFunc[G]) Name() string { return p.name }
-
-func (p ctxPassFunc[G]) Apply(g G) G {
-	// The background context is never cancelled, so a ctx pass can only
-	// fail here through a programming error.
-	out, err := p.fn(context.Background(), g)
-	if err != nil {
-		panic(fmt.Sprintf("opt: pass %q failed under the background context: %v", p.name, err))
-	}
-	return out
-}
-
-func (p ctxPassFunc[G]) ApplyCtx(ctx context.Context, g G) (G, error) { return p.fn(ctx, g) }
-
-// New wraps fn as a named Pass.
+// New adapts a pure transformation as a named Pass. A pure pass cannot be
+// interrupted mid-run, so it does not start once ctx is done.
 func New[G Graph](name string, fn func(G) G) Pass[G] {
-	return passFunc[G]{name: name, fn: fn}
-}
-
-// NewCtx wraps fn as a named context-aware Pass (see CtxPass).
-func NewCtx[G Graph](name string, fn func(ctx context.Context, g G) (G, error)) Pass[G] {
-	return ctxPassFunc[G]{name: name, fn: fn}
-}
-
-// Apply runs p on g under ctx, using the context-aware path when the pass
-// provides one and otherwise checking ctx before the plain Apply.
-func Apply[G Graph](ctx context.Context, p Pass[G], g G) (G, error) {
-	if cp, ok := p.(CtxPass[G]); ok {
-		return cp.ApplyCtx(ctx, g)
-	}
-	if err := ctx.Err(); err != nil {
-		return g, err
-	}
-	return p.Apply(g), nil
-}
-
-// Rename returns p under a different display name (used by Parse to keep
-// the script's literal statement as the trace label). Context awareness is
-// preserved.
-func Rename[G Graph](name string, p Pass[G]) Pass[G] {
-	if cp, ok := p.(CtxPass[G]); ok {
-		return ctxPassFunc[G]{name: name, fn: cp.ApplyCtx}
-	}
-	return passFunc[G]{name: name, fn: p.Apply}
+	return Pass[G]{Name: name, Apply: func(ctx context.Context, g G) (G, error) {
+		if err := ctx.Err(); err != nil {
+			return g, err
+		}
+		return fn(g), nil
+	}}
 }
 
 // Sequence composes passes into one compound pass.
 func Sequence[G Graph](name string, passes ...Pass[G]) Pass[G] {
-	return NewCtx(name, func(ctx context.Context, g G) (G, error) {
+	return Pass[G]{Name: name, Apply: func(ctx context.Context, g G) (G, error) {
 		for _, p := range passes {
 			var err error
-			if g, err = Apply(ctx, p, g); err != nil {
+			if g, err = p.Apply(ctx, g); err != nil {
 				return g, err
 			}
 		}
 		return g, nil
-	})
+	}}
 }
 
 // Best iterates rounds cycles of the passes produced by body(cycle),
@@ -138,12 +84,12 @@ func Sequence[G Graph](name string, passes ...Pass[G]) Pass[G] {
 // input graph is the initial incumbent. Cancellation is checked between
 // inner passes.
 func Best[G Graph](name string, rounds int, better func(cand, best G) bool, body func(cycle int) []Pass[G]) Pass[G] {
-	return NewCtx(name, func(ctx context.Context, g G) (G, error) {
+	return Pass[G]{Name: name, Apply: func(ctx context.Context, g G) (G, error) {
 		best, cur := g, g
 		for cycle := 0; cycle < rounds; cycle++ {
 			for _, p := range body(cycle) {
 				var err error
-				if cur, err = Apply(ctx, p, cur); err != nil {
+				if cur, err = p.Apply(ctx, cur); err != nil {
 					return best, err
 				}
 			}
@@ -152,7 +98,7 @@ func Best[G Graph](name string, rounds int, better func(cand, best G) bool, body
 			}
 		}
 		return best, nil
-	})
+	}}
 }
 
 // Step is one per-pass trace entry recorded by Pipeline.Run. It is also
@@ -208,7 +154,7 @@ type CheckStats struct {
 // Checker verifies that got is functionally equivalent to ref, returning a
 // non-nil error when it is not (or when the check itself fails), plus the
 // solving effort spent either way. The context carries the pipeline run's
-// deadline into SAT-backed engines. Pipeline.RunContext passes the network
+// deadline into SAT-backed engines. Pipeline.Run passes the network
 // the previous check accepted as ref (the input's network for the first
 // pass), so each pass is proved against its predecessor and the chain
 // back to the input closes by transitivity.
@@ -218,7 +164,7 @@ type Checker func(ctx context.Context, ref, got *netlist.Network) (CheckStats, e
 // every check builds its verdict from scratch.
 func EquivChecker(opts equiv.Options) Checker {
 	return func(ctx context.Context, ref, got *netlist.Network) (CheckStats, error) {
-		res, err := equiv.CheckCtx(ctx, ref, got, opts)
+		res, err := equiv.Check(ctx, ref, got, opts)
 		if err != nil {
 			return CheckStats{}, err
 		}
@@ -249,26 +195,21 @@ func (p *Pipeline[G]) Append(passes ...Pass[G]) *Pipeline[G] {
 func (p *Pipeline[G]) String() string {
 	names := make([]string, len(p.Passes))
 	for i, ps := range p.Passes {
-		names[i] = ps.Name()
+		names[i] = ps.Name
 	}
 	return strings.Join(names, "; ")
 }
 
-// Run applies the passes in order, recording one trace Step per pass. When
-// Check is set, every pass result is verified against the previous one
-// (see Checker); the first violation aborts the run, returning the last
-// good graph, the trace up to and including the offending step, and an
-// error.
-func (p *Pipeline[G]) Run(g G) (G, Trace, error) {
-	return p.RunContext(context.Background(), g)
-}
-
-// RunContext is Run honoring a context: cancellation or deadline expiry is
-// observed between passes, inside context-aware passes (CtxPass), and
-// inside SAT-backed equivalence checkers, so long solves are interrupted
-// promptly. On interruption the last completed graph, the trace so far,
-// and the context's error are returned.
-func (p *Pipeline[G]) RunContext(ctx context.Context, g G) (G, Trace, error) {
+// Run applies the passes in order under ctx, recording one trace Step per
+// pass. When Check is set, every pass result is verified against the
+// previous one (see Checker); the first violation aborts the run,
+// returning the last good graph, the trace up to and including the
+// offending step, and an error. Cancellation or deadline expiry is
+// observed between passes, inside the passes themselves, and inside
+// SAT-backed checkers, so long solves are interrupted promptly; on
+// interruption the last completed graph, the trace so far, and the
+// context's error are returned.
+func (p *Pipeline[G]) Run(ctx context.Context, g G) (G, Trace, error) {
 	// One counterexample pool per run unless the caller scoped one wider
 	// (sharing refutation patterns across several runs): every fraig pass
 	// downstream starts from classes pre-refined by the patterns earlier
@@ -296,15 +237,15 @@ func (p *Pipeline[G]) RunContext(ctx context.Context, g G) (G, Trace, error) {
 			st.SizeAfter, st.DepthAfter, st.ActivityAfter = cur.Size(), cur.Depth(), cur.Activity(nil)
 		}
 		st = Step{
-			Pass:           ps.Name(),
+			Pass:           ps.Name,
 			SizeBefore:     st.SizeAfter,
 			DepthBefore:    st.DepthAfter,
 			ActivityBefore: st.ActivityAfter,
 		}
 		start := time.Now()
-		next, err := Apply(ctx, ps, cur)
+		next, err := ps.Apply(ctx, cur)
 		if err != nil {
-			return cur, trace, fmt.Errorf("opt: pass %q interrupted: %w", ps.Name(), err)
+			return cur, trace, fmt.Errorf("opt: pass %q interrupted: %w", ps.Name, err)
 		}
 		st.Seconds = time.Since(start).Seconds()
 		st.SizeAfter = next.Size()
@@ -320,14 +261,14 @@ func (p *Pipeline[G]) RunContext(ctx context.Context, g G) (G, Trace, error) {
 			if err != nil {
 				if ctx.Err() != nil {
 					// The check was interrupted, not failed.
-					return cur, trace, fmt.Errorf("opt: pass %q interrupted: %w", ps.Name(), ctx.Err())
+					return cur, trace, fmt.Errorf("opt: pass %q interrupted: %w", ps.Name, ctx.Err())
 				}
 				st.Equiv = err.Error()
 				trace = append(trace, st)
 				if obs != nil {
 					obs(st)
 				}
-				return cur, trace, fmt.Errorf("opt: pass %q broke equivalence: %w", ps.Name(), err)
+				return cur, trace, fmt.Errorf("opt: pass %q broke equivalence: %w", ps.Name, err)
 			}
 			st.Equiv = "ok"
 			ref = got

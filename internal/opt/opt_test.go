@@ -43,7 +43,7 @@ func deepen(by int) Pass[fake] {
 
 func TestPipelineTrace(t *testing.T) {
 	p := &Pipeline[fake]{Passes: []Pass[fake]{shrink(5), deepen(2), shrink(1)}}
-	got, trace, err := p.Run(fake{size: 10, depth: 3, act: 1.5})
+	got, trace, err := p.Run(context.Background(), fake{size: 10, depth: 3, act: 1.5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestRunMeasuresEachGraphOnce(t *testing.T) {
 		for i := 0; i < n; i++ {
 			p.Append(grow)
 		}
-		_, trace, err := p.Run(counting{fake{size: 10, depth: 3, act: 1.5}, &evals})
+		_, trace, err := p.Run(context.Background(), counting{fake{size: 10, depth: 3, act: 1.5}, &evals})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -139,7 +139,7 @@ func TestPipelineCheckAborts(t *testing.T) {
 			return CheckStats{}, nil
 		},
 	}
-	got, trace, err := p.Run(fake{size: 10})
+	got, trace, err := p.Run(context.Background(), fake{size: 10})
 	if err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("err = %v", err)
 	}
@@ -157,11 +157,11 @@ func TestPipelineCheckAborts(t *testing.T) {
 
 func TestSequence(t *testing.T) {
 	s := Sequence("both", shrink(2), deepen(1))
-	g := s.Apply(fake{size: 10, depth: 0})
-	if g.size != 8 || g.depth != 1 {
-		t.Fatalf("sequence result %+v", g)
+	g, err := s.Apply(context.Background(), fake{size: 10, depth: 0})
+	if err != nil || g.size != 8 || g.depth != 1 {
+		t.Fatalf("sequence result %+v, %v", g, err)
 	}
-	if s.Name() != "both" {
+	if s.Name != "both" {
 		t.Fatal("sequence name")
 	}
 }
@@ -177,14 +177,14 @@ func TestBestTracksIncumbentAndCarriesCurrent(t *testing.T) {
 		}
 		return []Pass[fake]{shrink(7)}
 	})
-	if got := pass.Apply(fake{size: 10}); got.size != 8 {
+	if got, _ := pass.Apply(context.Background(), fake{size: 10}); got.size != 8 {
 		t.Fatalf("best = %+v, want size 8", got)
 	}
 	// A single worsening cycle returns the untouched input as incumbent.
 	worse := Best("w", 1, better, func(int) []Pass[fake] {
 		return []Pass[fake]{shrink(-5)}
 	})
-	if got := worse.Apply(fake{size: 10}); got.size != 10 {
+	if got, _ := worse.Apply(context.Background(), fake{size: 10}); got.size != 10 {
 		t.Fatalf("incumbent = %+v, want input size 10", got)
 	}
 }
@@ -194,7 +194,7 @@ func TestRegistry(t *testing.T) {
 	r.Register("shrink", "by", "shrink(by=1)", func(args []int) (Pass[fake], error) {
 		a, err := IntArgs(args, 1)
 		if err != nil {
-			return nil, err
+			return Pass[fake]{}, err
 		}
 		return shrink(a[0]), nil
 	})
@@ -205,7 +205,7 @@ func TestRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g := p.Apply(fake{size: 10}); g.size != 7 {
+	if g, _ := p.Apply(context.Background(), fake{size: 10}); g.size != 7 {
 		t.Fatalf("apply = %+v", g)
 	}
 	if _, err := r.New("nope"); err == nil || !strings.Contains(err.Error(), "unknown pass") {
@@ -214,7 +214,7 @@ func TestRegistry(t *testing.T) {
 	if _, err := r.New("shrink", 1, 2); err == nil || !strings.Contains(err.Error(), "usage") {
 		t.Fatalf("arity error = %v", err)
 	}
-	if r.MustNew("shrink").Name() != "shrink" {
+	if r.MustNew("shrink").Name != "shrink" {
 		t.Fatal("MustNew")
 	}
 }

@@ -80,11 +80,11 @@ func (r *Registry[G]) Signature(name string) string {
 func (r *Registry[G]) New(name string, args ...int) (Pass[G], error) {
 	e, ok := r.entries[name]
 	if !ok {
-		return nil, fmt.Errorf("opt: unknown pass %q (have %s)", name, strings.Join(r.closest(name), ", "))
+		return Pass[G]{}, fmt.Errorf("opt: unknown pass %q (have %s)", name, strings.Join(r.closest(name), ", "))
 	}
 	p, err := e.factory(args)
 	if err != nil {
-		return nil, fmt.Errorf("opt: pass %q: %w (usage: %s)", name, err, e.usage)
+		return Pass[G]{}, fmt.Errorf("opt: pass %q: %w (usage: %s)", name, err, e.usage)
 	}
 	return p, nil
 }
@@ -244,7 +244,8 @@ func Parse[G Graph](r *Registry[G], script string) (*Pipeline[G], error) {
 				Hint:   fmt.Sprintf("%v; usage: %s", err, e.usage),
 			}
 		}
-		p.Passes = append(p.Passes, Rename(s.canonical(), pass))
+		pass.Name = s.canonical()
+		p.Passes = append(p.Passes, pass)
 	}
 	return p, nil
 }

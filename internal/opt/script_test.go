@@ -1,6 +1,7 @@
 package opt
 
 import (
+	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -13,7 +14,7 @@ func scriptRegistry() *Registry[fake] {
 		r.Register(n, "a,b", n+"(a=1, b=2)", func(args []int) (Pass[fake], error) {
 			a, err := IntArgs(args, 1, 2)
 			if err != nil {
-				return nil, err
+				return Pass[fake]{}, err
 			}
 			return New(n, func(g fake) fake {
 				g.size -= a[0]
@@ -98,7 +99,7 @@ func TestParseAppliesArgs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, _, err := p.Run(fake{size: 10})
+	g, _, err := p.Run(context.Background(), fake{size: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,7 @@ package part
 // under BOTH a MIG flow and an AIG flow on worker-private graphs, the two
 // candidates are scored on their common netlist export under the run's
 // objective, and the winner is committed. Windows run in parallel via
-// opt.ForEachCtx; everything order-sensitive (observer emission, stitch)
+// opt.ForEach; everything order-sensitive (observer emission, stitch)
 // happens serially afterwards in window order, so the result is
 // byte-identical for any worker count.
 
@@ -32,7 +32,7 @@ type Config struct {
 	// Eps is the partitioner's balance slack (0 = the 0.10 default).
 	Eps float64
 	// Workers caps the window-parallel worker pool; 0 reads the context
-	// budget (opt.WorkersCtx).
+	// budget (opt.WorkersCtx), which is 1 when the context carries none.
 	Workers int
 	// Flow configures both window candidates. The MIG candidate runs
 	// Flow.MIG(); the AIG candidate runs the same spec without its script
@@ -110,7 +110,7 @@ func Optimize(ctx context.Context, n *netlist.Network, cfg Config) (*netlist.Net
 		jobs = opt.WorkersCtx(ctx)
 	}
 	results := make([]winResult, len(windows))
-	if err := opt.ForEachCtx(ctx, len(windows), jobs, func(i int) {
+	if err := opt.ForEach(ctx, len(windows), jobs, func(i int) {
 		results[i] = optimizeWindow(ctx, windows[i], cfg)
 	}); err != nil {
 		return nil, report, err
@@ -179,7 +179,7 @@ func optimizeWindow(ctx context.Context, w *Window, cfg Config) winResult {
 	if err != nil {
 		return winResult{err: err}
 	}
-	migOut, migTrace, err := migPipe.RunContext(wctx, mig.FromNetwork(w.Net.Remajorize()))
+	migOut, migTrace, err := migPipe.Run(wctx, mig.FromNetwork(w.Net.Remajorize()))
 	if err != nil {
 		return winResult{err: err}
 	}
@@ -193,7 +193,7 @@ func optimizeWindow(ctx context.Context, w *Window, cfg Config) winResult {
 		if err != nil {
 			return winResult{err: err}
 		}
-		aigOut, aigTrace, err := aigPipe.RunContext(wctx, aig.FromNetwork(w.Net))
+		aigOut, aigTrace, err := aigPipe.Run(wctx, aig.FromNetwork(w.Net))
 		if err != nil {
 			return winResult{err: err}
 		}

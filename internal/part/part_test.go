@@ -113,7 +113,7 @@ func TestWindowRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: stitch: %v", name, err)
 		}
-		check, err := equiv.Check(n, out, equiv.Options{})
+		check, err := equiv.Check(context.Background(), n, out, equiv.Options{})
 		if err != nil {
 			t.Fatalf("%s: equiv: %v", name, err)
 		}
@@ -147,7 +147,7 @@ func TestStitchCyclicQuotient(t *testing.T) {
 	if err != nil {
 		t.Fatalf("stitch: %v", err)
 	}
-	check, err := equiv.Check(n, out, equiv.Options{})
+	check, err := equiv.Check(context.Background(), n, out, equiv.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestOptimizeEquivalentAndWorkerInvariant(t *testing.T) {
 			t.Fatalf("jobs variant %d not byte-identical", i)
 		}
 	}
-	check, err := equiv.Check(n, outs[0], equiv.Options{})
+	check, err := equiv.Check(context.Background(), n, outs[0], equiv.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

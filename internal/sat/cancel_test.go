@@ -35,11 +35,10 @@ func TestSolveStopInterrupts(t *testing.T) {
 	}
 }
 
-// TestMiterCtxCancelPrompt proves context cancellation interrupts a
-// SAT-backed equivalence check well before its conflict budget: the
-// pigeonhole-hard miter would otherwise run for a long time under the
-// huge budget.
-func TestMiterCtxCancelPrompt(t *testing.T) {
+// TestSolveCancelPrompt proves context cancellation (StopOn) interrupts a
+// solve well before its conflict budget: the pigeonhole-hard instance
+// would otherwise run for a long time under the huge budget.
+func TestSolveCancelPrompt(t *testing.T) {
 	s := NewSolver()
 	pigeonhole(s, 11, 10)
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)

@@ -118,17 +118,12 @@ const (
 // functionally equivalent. Inputs are matched positionally. The check
 // always decides: only the sweep's single queries are bounded (by their
 // stage budgets), and the output-miter solve runs until it proves or
-// refutes. MiterResult reports how much each phase spent.
-func Miter(a, b *netlist.Network) (MiterResult, error) {
-	return MiterCtx(context.Background(), a, b)
-}
-
-// MiterCtx is Miter honoring a context: cancellation or deadline expiry
-// interrupts the SAT search promptly (the solver polls the context every
-// few hundred search steps), returning the context's error. The context is
-// the only bound on the check, which is what lets a service deadline cut a
-// C6288-class solve short.
-func MiterCtx(ctx context.Context, a, b *netlist.Network) (MiterResult, error) {
+// refutes. MiterResult reports how much each phase spent. Cancellation or
+// deadline expiry interrupts the SAT search promptly (the solver polls the
+// context every few hundred search steps), returning the context's error.
+// The context is the only bound on the check, which is what lets a service
+// deadline cut a C6288-class solve short.
+func Miter(ctx context.Context, a, b *netlist.Network) (MiterResult, error) {
 	if a.NumInputs() != b.NumInputs() {
 		return MiterResult{}, fmt.Errorf("sat: miter input counts differ: %d vs %d", a.NumInputs(), b.NumInputs())
 	}

@@ -1,6 +1,7 @@
 package sat
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -39,7 +40,7 @@ func TestSweepProvesBelowWindow(t *testing.T) {
 	for i := range fwd {
 		fwd[i], rev[i] = i, bits-1-i
 	}
-	res, err := Miter(xorChain("a", fwd), xorChain("b", rev))
+	res, err := Miter(context.Background(), xorChain("a", fwd), xorChain("b", rev))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestSweepRefutesMidConeDifference(t *testing.T) {
 	if ha[ma] != hb[mb] {
 		t.Fatal("the seed words tell the mid-cone pair apart; the test needs a rarer difference")
 	}
-	res, err := Miter(a, b)
+	res, err := Miter(context.Background(), a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,11 +121,11 @@ func TestMiterDeterministic(t *testing.T) {
 		pairs = append(pairs, [2]*netlist.Network{n, n.Remajorize()})
 	}
 	for k, p := range pairs {
-		first, err := Miter(p[0], p[1])
+		first, err := Miter(context.Background(), p[0], p[1])
 		if err != nil {
 			t.Fatal(err)
 		}
-		second, err := Miter(p[0], p[1])
+		second, err := Miter(context.Background(), p[0], p[1])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +148,7 @@ func BenchmarkMiter(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if miterSink, err = Miter(n, r); err != nil {
+		if miterSink, err = Miter(context.Background(), n, r); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -1,6 +1,7 @@
 package sat
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -354,7 +355,7 @@ func xorNet(name string, bits int, balanced bool) *netlist.Network {
 func TestMiterEquivalent(t *testing.T) {
 	a := xorNet("a", 20, false)
 	b := xorNet("b", 20, true)
-	res, err := Miter(a, b)
+	res, err := Miter(context.Background(), a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,7 +368,7 @@ func TestMiterCounterexample(t *testing.T) {
 	a := xorNet("a", 20, false)
 	b := xorNet("b", 20, true)
 	b.Outputs[0].Sig = b.Outputs[0].Sig.Not()
-	res, err := Miter(a, b)
+	res, err := Miter(context.Background(), a, b)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,17 +9,12 @@ package bench
 // byte-identical to serial ones once times are normalized (see ZeroTimes).
 
 import (
+	"context"
 	"sync"
 
 	"repro/internal/opt"
 	"repro/logic"
 )
-
-// SetWorkers configures the process-wide worker budget parallel-safe
-// passes (window-rewrite, fraig) read when no per-context budget is set —
-// what the CLIs wire -jobs to. Sessions override it per run with
-// logic.WithWorkers.
-func SetWorkers(n int) { opt.SetWorkers(n) }
 
 // parallel3 runs three independent measurements, concurrently when on is
 // true.
@@ -43,11 +38,12 @@ func parallel3(on bool, a, b, c func()) {
 
 // RunOptRows measures Table I-top for all circuits using a pool of jobs
 // workers (jobs <= 1 = fully serial); when jobs > 1 the three optimizers of
-// a row also run concurrently. Row order matches the input order and every
+// a row also run concurrently. The passes inside each leg take their own
+// budget from cfg.Workers. Row order matches the input order and every
 // field except the wall times is deterministic.
 func RunOptRows(nets []logic.Network, cfg Config, jobs int) []OptRow {
 	rows := make([]OptRow, len(nets))
-	opt.ForEach(len(nets), jobs, func(i int) {
+	opt.ForEach(context.Background(), len(nets), jobs, func(i int) {
 		rows[i] = runOptRow(logic.Flat(nets[i]), cfg, jobs > 1)
 	})
 	return rows
@@ -57,7 +53,7 @@ func RunOptRows(nets []logic.Network, cfg Config, jobs int) []OptRow {
 // jobs workers, with the same determinism guarantees as RunOptRows.
 func RunSynthRows(nets []logic.Network, cfg Config, jobs int) []SynthRow {
 	rows := make([]SynthRow, len(nets))
-	opt.ForEach(len(nets), jobs, func(i int) {
+	opt.ForEach(context.Background(), len(nets), jobs, func(i int) {
 		rows[i] = runSynthRow(logic.Flat(nets[i]), cfg, jobs > 1)
 	})
 	return rows

@@ -24,7 +24,7 @@ func TestNPNBeatsCutRewrite(t *testing.T) {
 	if !ok {
 		t.Fatal("migscript3 strategy missing")
 	}
-	eval := ScriptEvaluator()
+	eval := ScriptEvaluator(1)
 	suite := []string{"b9", "count", "my_adder", "C1355", "alu4", "dalu", "misex3"}
 	geomeans := func(s string) (size, depth float64) {
 		var logSize, logDepth float64

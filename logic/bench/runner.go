@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"time"
@@ -29,7 +30,11 @@ type Config struct {
 	// NPN appends the exact NPN-database rewriting pass (rewrite-npn) to
 	// the canned MIG flow.
 	NPN bool
-	Lib *mapping.Library
+	// Workers is the worker budget of the parallel-safe passes
+	// (window-rewrite, rewrite-npn, fraig) in the MIG and AIG legs; 0 or
+	// 1 runs them serially. Results are byte-identical for any value.
+	Workers int
+	Lib     *mapping.Library
 }
 
 // Defaults fills zero fields.
@@ -111,7 +116,7 @@ func VerifyNetworks(n *netlist.Network, cfg Config, labels []string, nets []*net
 	opts := equiv.Options{Engine: cfg.VerifyEngine}
 	start := time.Now()
 	for i, got := range nets {
-		res, err := equiv.Check(n, got, opts)
+		res, err := equiv.Check(context.Background(), n, got, opts)
 		conflicts += res.Conflicts
 		restarts += res.Restarts
 		if err != nil {

@@ -15,6 +15,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"time"
@@ -49,6 +50,12 @@ func (c Config) flowSpec() flow.Spec {
 	return flow.Spec{Effort: c.Effort, AIGRounds: c.AIGRounds, Fraig: c.Fraig, NPN: c.NPN}
 }
 
+// passContext is the context both legs' pipelines run under: it carries
+// c.Workers as the budget of the parallel-safe passes.
+func (c Config) passContext() context.Context {
+	return opt.ContextWithWorkers(context.Background(), c.Workers)
+}
+
 // MIGOptimize runs the MIG leg on a netlist: the paper's
 // logic-optimization flow, depth optimization interlaced with size and
 // activity recovery (§V.A), with the exact NPN rewriting (cfg.NPN) and
@@ -67,7 +74,7 @@ func MIGOptimize(n *netlist.Network, cfg Config) (*mig.MIG, OptMetrics) {
 		return nil, OptMetrics{OK: false}
 	}
 	start := time.Now()
-	res, tr, err := p.Run(mig.FromNetwork(n))
+	res, tr, err := p.Run(cfg.passContext(), mig.FromNetwork(n))
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "synth: %s: MIG script failed: %v\n", n.Name, err)
 		return nil, OptMetrics{OK: false}
@@ -83,7 +90,7 @@ func AIGOptimize(n *netlist.Network, cfg Config) (*aig.AIG, OptMetrics) {
 		return nil, OptMetrics{OK: false}
 	}
 	start := time.Now()
-	res, tr, err := p.Run(aig.FromNetwork(n))
+	res, tr, err := p.Run(cfg.passContext(), aig.FromNetwork(n))
 	if err != nil {
 		return nil, OptMetrics{OK: false}
 	}
@@ -291,7 +298,7 @@ func CSTFlow(n logic.Network, lib *logic.Library) (SynthResult, *logic.MapResult
 
 func cstFlow(n *netlist.Network, lib *mapping.Library) (SynthResult, *mapping.Result) {
 	start := time.Now()
-	a, _, err := CSTOptPipeline().Run(aig.FromNetwork(n))
+	a, _, err := CSTOptPipeline().Run(context.Background(), aig.FromNetwork(n))
 	if err != nil {
 		return SynthResult{OK: false}, nil
 	}

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"crypto/sha256"
 	"fmt"
 	"testing"
@@ -34,7 +35,7 @@ func TestMIGOptimizePreservesFunction(t *testing.T) {
 		if !metrics.OK || metrics.Size <= 0 || metrics.Depth <= 0 {
 			t.Errorf("%s: bad metrics %+v", name, metrics)
 		}
-		res, err := equiv.Check(n, m.ToNetwork(), equiv.Options{})
+		res, err := equiv.Check(context.Background(), n, m.ToNetwork(), equiv.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,7 +52,7 @@ func TestAIGOptimizePreservesFunction(t *testing.T) {
 		if !metrics.OK {
 			t.Errorf("%s: AIG metrics not OK", name)
 		}
-		res, err := equiv.Check(n, a.ToNetwork(), equiv.Options{})
+		res, err := equiv.Check(context.Background(), n, a.ToNetwork(), equiv.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,7 +69,7 @@ func TestBDSOptimizePreservesFunction(t *testing.T) {
 		if !metrics.OK {
 			t.Fatalf("%s: BDS failed", name)
 		}
-		res, err := equiv.Check(n, d, equiv.Options{})
+		res, err := equiv.Check(context.Background(), n, d, equiv.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +114,7 @@ func TestWindowedBDSOnMultiplier(t *testing.T) {
 	if !metrics.OK {
 		t.Fatal("windowed BDS failed on multiplier")
 	}
-	res, err := equiv.Check(n, d, equiv.Options{})
+	res, err := equiv.Check(context.Background(), n, d, equiv.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

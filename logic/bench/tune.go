@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/mig"
 	"repro/internal/netlist"
+	"repro/internal/opt"
 	"repro/logic"
 	"repro/logic/script"
 )
@@ -18,8 +19,9 @@ import (
 // ScriptEvaluator returns a script.Evaluator backed by the benchmark
 // suite: circuit names resolve through Circuit (parsed once and cached per
 // evaluator), and scripts run as MIG pipelines under the caller's context,
-// so a tuning budget interrupts long passes promptly.
-func ScriptEvaluator() script.Evaluator {
+// so a tuning budget interrupts long passes promptly. Their parallel-safe
+// passes get a budget of workers (0 or 1 = serial).
+func ScriptEvaluator(workers int) script.Evaluator {
 	var mu sync.Mutex
 	cache := map[string]*netlist.Network{}
 	return func(ctx context.Context, name, s string) (script.Metrics, error) {
@@ -40,7 +42,7 @@ func ScriptEvaluator() script.Evaluator {
 		if err != nil {
 			return script.Metrics{}, err
 		}
-		out, _, err := p.RunContext(ctx, mig.FromNetwork(n))
+		out, _, err := p.Run(opt.ContextWithWorkers(ctx, workers), mig.FromNetwork(n))
 		if err != nil {
 			return script.Metrics{}, err
 		}

@@ -12,7 +12,7 @@ import (
 // TestScriptEvaluator proves the MCNC-backed evaluator matches a direct
 // pipeline run and surfaces circuit and script errors.
 func TestScriptEvaluator(t *testing.T) {
-	eval := ScriptEvaluator()
+	eval := ScriptEvaluator(1)
 	ctx := context.Background()
 
 	got, err := eval(ctx, "my_adder", "cleanup; eliminate")
@@ -27,7 +27,7 @@ func TestScriptEvaluator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, _, err := p.Run(mig.FromNetwork(logic.Flat(n)))
+	out, _, err := p.Run(context.Background(), mig.FromNetwork(logic.Flat(n)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestScriptEvaluator(t *testing.T) {
 func TestTuneOnMCNCSmoke(t *testing.T) {
 	res, err := script.Tune(context.Background(), script.TuneOptions{
 		Circuits:   []string{"my_adder"},
-		Eval:       ScriptEvaluator(),
+		Eval:       ScriptEvaluator(1),
 		Candidates: []string{"eliminate", "reshape-size"},
 		MaxTrials:  6,
 	})
@@ -74,7 +74,7 @@ func TestTunedStrategyBeatsFlow(t *testing.T) {
 	if !ok {
 		t.Fatal("tuned-depth strategy missing")
 	}
-	eval := ScriptEvaluator()
+	eval := ScriptEvaluator(1)
 	wins := 0
 	for _, name := range []string{"alu4", "b9", "dalu"} {
 		n, err := Circuit(name)

@@ -31,7 +31,7 @@ func TestSessionDefaultsMatchCLI(t *testing.T) {
 	net := circuit(t, "b9")
 
 	// The CLI default path, spelled out on the internal engines.
-	want, _, err := mig.FlowPipeline(3).Run(mig.FromNetwork(logic.Flat(net).Remajorize()))
+	want, _, err := mig.FlowPipeline(3).Run(context.Background(), mig.FromNetwork(logic.Flat(net).Remajorize()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,6 +153,40 @@ func TestSessionOptionErrors(t *testing.T) {
 	for _, c := range cases {
 		if _, err := logic.NewSession(c.opt); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("NewSession err = %v, want substring %q", err, c.want)
+		}
+	}
+}
+
+// TestEquivalentEngines: "" and "auto" run the layered check, and the
+// spellings that turn WithVerify off are errors here, not a check. The
+// error lists only real engines.
+func TestEquivalentEngines(t *testing.T) {
+	net := circuit(t, "b9")
+	m := logic.ToMIG(net)
+	for _, c := range []struct {
+		engine string
+		method string // "" = an error is expected
+	}{
+		{"", "bdd"},
+		{"auto", "bdd"},
+		{"true", "bdd"},
+		{"sat", "sat"},
+		{"none", ""},
+		{"off", ""},
+		{"false", ""},
+		{"maybe", ""},
+	} {
+		res, err := logic.Equivalent(context.Background(), net, m, c.engine)
+		if c.method == "" {
+			if err == nil {
+				t.Errorf("engine %q: got %+v, want an error", c.engine, res)
+			} else if strings.Contains(err.Error(), "or none") {
+				t.Errorf("engine %q: error %q offers none as an engine", c.engine, err)
+			}
+			continue
+		}
+		if err != nil || !res.Equivalent || res.Method != c.method {
+			t.Errorf("engine %q: got %+v, %v, want equivalent by %s", c.engine, res, err, c.method)
 		}
 	}
 }

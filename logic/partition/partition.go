@@ -30,8 +30,9 @@ type Config struct {
 	// Eps is the balance slack: no part exceeds (1+Eps)×(total/K) gates.
 	// Zero means the 0.10 default.
 	Eps float64
-	// Workers caps the window-parallel worker pool (0 = the process-wide
-	// budget). Results are byte-identical for any value.
+	// Workers caps the window-parallel worker pool (0 = the budget of the
+	// context Optimize is called with, 1 when it carries none). Results
+	// are byte-identical for any value.
 	Workers int
 	// Effort is the canned-flow effort of the MIG candidate (0 = 3).
 	Effort int

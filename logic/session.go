@@ -30,7 +30,7 @@ type Session struct {
 	// targets.
 	strategy     string
 	strategyKind string
-	verify       string // equivalence engine; "" = verification off
+	verify       string // canonical engine name (ParseVerify)
 	verifyOn     bool
 }
 
@@ -85,7 +85,7 @@ func WithScript(script string) Option {
 // checks use the SAT engine.
 func WithVerify(engine string) Option {
 	return func(s *Session) error {
-		eng, on, err := normalizeVerify(engine)
+		eng, on, err := ParseVerify(engine)
 		if err != nil {
 			return err
 		}
@@ -95,9 +95,10 @@ func WithVerify(engine string) Option {
 }
 
 // WithWorkers sets the worker budget for parallel-safe passes
-// (window-rewrite, fraig) on this session's runs. Results are
-// byte-identical for any value. Zero (the default) inherits the
-// process-wide budget.
+// (window-rewrite, rewrite-npn, fraig) on this session's runs. Results are
+// byte-identical for any value. Zero (the default) keeps the budget of the
+// context Optimize is called with, which is 1 (serial) when it carries
+// none.
 func WithWorkers(n int) Option {
 	return func(s *Session) error {
 		if n < 0 {
@@ -145,14 +146,17 @@ func WithActivityProbs(probs []float64) Option {
 	}
 }
 
-// normalizeVerify maps the user spelling of a verification engine to
-// (engine, enabled).
-func normalizeVerify(v string) (string, bool, error) {
+// ParseVerify maps a spelling of a verification engine to its canonical
+// name and whether verification is on. "auto" and "true" are "auto";
+// "exact", "bdd", "sim" and "sat" name themselves; "", "none", "off" and
+// "false" turn verification off and are "none". Any other spelling is an
+// error. WithVerify and migbench's -verify flag read engines through it.
+func ParseVerify(v string) (engine string, on bool, err error) {
 	switch v {
 	case "", "none", "off", "false":
-		return "", false, nil
+		return "none", false, nil
 	case "auto", "true":
-		return "", true, nil
+		return "auto", true, nil
 	case "exact", "bdd", "sim", "sat":
 		return v, true, nil
 	}
@@ -161,8 +165,8 @@ func normalizeVerify(v string) (string, bool, error) {
 
 // NewSession builds a Session from options. The zero-option session
 // matches the mighty CLI defaults: the flow defaults of internal/flow
-// (objective "flow", effort 3, AIG rounds 2), no verification, inherited
-// worker budget.
+// (objective "flow", effort 3, AIG rounds 2), no verification, and the
+// worker budget of the context Optimize is called with.
 func NewSession(opts ...Option) (*Session, error) {
 	s := &Session{}
 	for _, o := range opts {
@@ -232,7 +236,7 @@ func (s *Session) Optimize(ctx context.Context, net Network) (Network, *Result, 
 	}
 
 	if s.verifyOn {
-		check, err := equiv.CheckCtx(ctx, net.flat(), optimized.flat(), equiv.Options{Engine: s.verify})
+		check, err := equiv.Check(ctx, net.flat(), optimized.flat(), equiv.Options{Engine: s.verify})
 		if err != nil {
 			return nil, res, err
 		}
@@ -268,12 +272,12 @@ func runFlow[G opt.Graph](ctx context.Context, s *Session, kind Kind, resolve fu
 		// my_adder, dalu, cla, C1908, mm30a, C6288, clma and the meshes.
 		// Like every SAT solve, the check is bounded by ctx's deadline.
 		engine := s.verify
-		if engine == "" {
+		if engine == "auto" {
 			engine = "sat"
 		}
 		pipe.Check = opt.EquivChecker(equiv.Options{Engine: engine})
 	}
-	return pipe.RunContext(ctx, g)
+	return pipe.Run(ctx, g)
 }
 
 // EquivResult reports an equivalence check.
@@ -284,17 +288,21 @@ type EquivResult struct {
 }
 
 // Equivalent checks two Networks for functional equivalence (inputs
-// matched positionally) with the given engine ("" or "auto" layers
-// exact → BDD → SAT and reports "exact", "bdd" or "sat"; only the forced
-// "sim" engine reports "simulation"). Cancellation and the deadline, the
-// only bound, interrupt SAT-backed checks promptly with the context's
-// error.
+// matched positionally) with the given engine: "auto" (or "") layers
+// exact → BDD → SAT and reports "exact", "bdd" or "sat"; "exact", "bdd",
+// "sat" and "sim" force one engine, and only "sim" reports "simulation".
+// The spellings that turn WithVerify off ("none", "off", "false") are
+// errors here. Cancellation and the deadline, the only bound, interrupt
+// SAT-backed checks promptly with the context's error.
 func Equivalent(ctx context.Context, a, b Network, engine string) (EquivResult, error) {
-	eng, _, err := normalizeVerify(engine)
-	if err != nil {
-		return EquivResult{}, err
+	if engine == "" {
+		engine = "auto"
 	}
-	res, err := equiv.CheckCtx(ctx, a.flat(), b.flat(), equiv.Options{Engine: eng})
+	eng, on, err := ParseVerify(engine)
+	if err != nil || !on {
+		return EquivResult{}, fmt.Errorf("logic: equivalence engine %q is not one of auto, exact, bdd, sim or sat", engine)
+	}
+	res, err := equiv.Check(ctx, a.flat(), b.flat(), equiv.Options{Engine: eng})
 	if err != nil {
 		return EquivResult{}, err
 	}

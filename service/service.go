@@ -80,7 +80,7 @@ type OptimizeRequest struct {
 	Verify string `json:"verify,omitempty"`
 	// Fraig appends SAT sweeping to the canned flow.
 	Fraig bool `json:"fraig,omitempty"`
-	// Workers is the per-request parallel-pass budget (0 = server default).
+	// Workers is the per-request parallel-pass budget (0 = serial).
 	Workers int `json:"workers,omitempty"`
 	// Output selects the response network format (default: same as Format).
 	Output string `json:"output,omitempty"`

@@ -233,7 +233,7 @@ func circuits(names []string) []logic.Network {
 }
 
 func optRows(names []string, cfg bench.Config) []bench.OptRow {
-	rows := bench.RunOptRows(circuits(names), cfg, *jobs)
+	rows := bench.RunOptRows(circuits(names), cfg)
 	failed := false
 	for _, r := range rows {
 		if r.VerifyErr != "" {
@@ -251,7 +251,7 @@ func optRows(names []string, cfg bench.Config) []bench.OptRow {
 }
 
 func synthRows(names []string, cfg bench.Config) []bench.SynthRow {
-	rows := bench.RunSynthRows(circuits(names), cfg, *jobs)
+	rows := bench.RunSynthRows(circuits(names), cfg)
 	if *zeroTime {
 		bench.ZeroSynthTimes(rows)
 	}
@@ -408,7 +408,7 @@ func runFig4(names []string, cfg bench.Config) {
 }
 
 func runCompress(words int, cfg bench.Config) {
-	row, n := bench.RunCompress(words, cfg, *jobs)
+	row, n := bench.RunCompress(words, cfg)
 	if row.VerifyErr != "" {
 		fmt.Fprintf(os.Stderr, "migbench: VERIFY FAILED %s: %s\n", row.Name, row.VerifyErr)
 		os.Exit(1)

@@ -126,10 +126,12 @@
 //     the strash, and a rebuild reserves its node slice.
 //   - Every old→new remap of the topological rebuilds is a dense []Signal
 //     slice drawn from pooled slabs, and the cone traversals
-//     (replaceInCone, coneContains, local activity, truth-table walks) and
-//     the window engine's per-window remap memoize in epoch-stamped arrays
-//     owned by the graph or the worker — clearing is a counter increment,
-//     not an allocation or a graph-sized fill.
+//     (replaceInCone, relevanceReach, local activity, truth-table walks)
+//     and the window engine's per-window remap memoize in epoch-stamped
+//     arrays owned by the graph or the worker — clearing is a counter
+//     increment, not an allocation or a graph-sized fill. A MIG's live
+//     mask is one scan from its newest node down, since nodes are only
+//     ever appended after their fanins.
 //   - Cut enumeration writes into an arena-backed cut.Cache, the only way
 //     passes and baselines read cuts: all leaves in one flat array, spans
 //     per cut, offsets per node. The cache lives on the graph and is
@@ -150,6 +152,9 @@
 //     it. Each node's used flag (set on the fanins of every node Maj
 //     creates) skips the lookup of a key that cannot be in the strash.
 //     Probing modifies nothing, and a warm Ω/Ψ probe allocates nothing.
+//     An Ω/Ψ probe takes the caller's bound on added nodes and stops at
+//     the first virtual node past it, so a candidate that cannot be
+//     accepted is not built out in full.
 //
 // Window-parallel rewriting (mig.WindowRewritePass, pass name
 // "window-rewrite") partitions the live nodes into maximal fanout-free

@@ -113,9 +113,9 @@ type MIG struct {
 	// of at most six leaves (cutFuncW, synth6.go); it is the MIG's only
 	// cut-function memo.
 	wscr wordScratch
-	// synthMemo is the reusable memo of one synthesis call (synth6.go),
-	// keyed by truth-table word.
-	synthMemo map[uint64]Signal
+	// memo is the reusable memo of one synthesis call (synth6.go), keyed
+	// by truth-table word.
+	memo synthMemo
 	// dry is the reusable state of the lookup-only candidate probes
 	// (probe, opt.go).
 	dry probe
@@ -302,28 +302,20 @@ func (m *MIG) LiveMask() []bool {
 }
 
 // liveInto fills live (length len(nodes), all false) with the live mask and
-// returns it; internal callers pass pooled slices.
+// returns it; internal callers pass pooled slices. Nodes are appended after
+// their fanins, so one scan from the newest node down marks every fanin of
+// a live node before the scan reaches it.
 func (m *MIG) liveInto(live []bool) []bool {
-	sp := intSlab.Get().(*[]int)
-	stack := (*sp)[:0]
 	for _, o := range m.Outputs {
-		stack = append(stack, o.Sig.Node())
+		live[o.Sig.Node()] = true
 	}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if live[v] {
-			continue
-		}
-		live[v] = true
-		if m.nodes[v].kind == kindMaj {
-			for _, f := range m.nodes[v].fanin {
-				stack = append(stack, f.Node())
-			}
+	for i := len(m.nodes) - 1; i > 0; i-- {
+		if nd := &m.nodes[i]; live[i] && nd.kind == kindMaj {
+			live[nd.fanin[0].Node()] = true
+			live[nd.fanin[1].Node()] = true
+			live[nd.fanin[2].Node()] = true
 		}
 	}
-	*sp = stack
-	intSlab.Put(sp)
 	return live
 }
 

@@ -15,8 +15,14 @@ package mig
 // All passes are implemented as topological rebuilds: each node's
 // candidate constructions are costed by a dry build that only looks keys up
 // in the structural hash (probeCand), and the best one is built for real.
+// A probe stops as soon as its candidate adds more nodes than the pass
+// could accept, and a candidate whose outcome is already known is not
+// probed: Ψ.R when no exchange can beat the default, push-up at a node
+// without a strictly deepest majority fanin.
 // Every pass preserves functional equivalence (the rules are the paper's
 // sound Ω/Ψ transformations) — this is verified extensively in the tests.
+
+import "math"
 
 // candidate describes a probed local construction by its shape and
 // parameter signals; buildCand materializes it, for real or inside a dry
@@ -61,36 +67,55 @@ func (m *MIG) buildCand(c *candidate, p *probe) Signal {
 	panic("mig: unknown candidate shape")
 }
 
+// unbounded is the probe bound that never stops a build.
+const unbounded = math.MaxInt
+
 // probeCand fills in the candidate's cost fields — the nodes a build would
-// add and the level of its result — without modifying the MIG.
-func (m *MIG) probeCand(c *candidate) {
+// add and the level of its result — without modifying the MIG, and returns
+// the result's signal. The probe stops at the first virtual node past
+// bound: the candidate would add more nodes than the caller can accept, so
+// probeCand reports false and leaves the cost fields unset.
+func (m *MIG) probeCand(c *candidate, bound int) (Signal, bool) {
 	p := &m.dry
 	p.reset(len(m.nodes))
+	p.bound = bound
 	s := m.buildCand(c, p)
+	if p.over {
+		return 0, false
+	}
 	c.added = len(p.keys)
 	c.level = int(m.levelIn(p, s))
+	return s, true
 }
 
 // probe is a dry build: the nodes a build would append stay virtual,
 // numbered from base in creation order exactly as the build would number
 // them, so every Ω.C sort sees the same signal values and a key built
-// twice shares one node. A virtual node's fanins are its key.
+// twice shares one node. A virtual node's fanins are its key. A build that
+// would add more than bound virtual nodes stops there and sets over; every
+// later dryMaj of that build returns at once.
 type probe struct {
 	base   int
 	keys   [][3]Signal
 	levels []int32
+	bound  int
+	over   bool
 }
 
-// reset empties the probe over a graph of n nodes.
+// reset empties the probe over a graph of n nodes, without a bound.
 func (p *probe) reset(n int) {
 	p.base = n
 	p.truncate(0)
+	p.bound, p.over = unbounded, false
 }
 
 // truncate keeps the first n virtual nodes and drops the rest.
 func (p *probe) truncate(n int) {
 	p.keys, p.levels = p.keys[:n], p.levels[:n]
 }
+
+// stopped reports whether p is a probe whose build passed its bound.
+func (p *probe) stopped() bool { return p != nil && p.over }
 
 // maj is Maj when p is nil and dryMaj inside p otherwise.
 func (m *MIG) maj(p *probe, a, b, c Signal) Signal {
@@ -103,8 +128,11 @@ func (m *MIG) maj(p *probe, a, b, c Signal) Signal {
 // dryMaj is Maj inside the probe p, reading the MIG only. After majNorm,
 // the key is searched among p's virtual nodes, then in the strash when
 // every fanin is a real, used node; a miss becomes a virtual node at level
-// max(fanin levels) + 1.
+// max(fanin levels) + 1, unless it is one more than p's bound allows.
 func (m *MIG) dryMaj(p *probe, a, b, c Signal) Signal {
+	if p.over {
+		return Const0
+	}
 	a, b, c, outNeg, ok := majNorm(a, b, c)
 	if !ok {
 		return a
@@ -119,6 +147,10 @@ func (m *MIG) dryMaj(p *probe, a, b, c Signal) Signal {
 		if idx := m.lookup(a, b, c); idx != 0 {
 			return MakeSignal(int(idx), outNeg)
 		}
+	}
+	if len(p.keys) == p.bound {
+		p.over = true
+		return Const0
 	}
 	p.keys = append(p.keys, key)
 	p.levels = append(p.levels, max(m.levelIn(p, a), m.levelIn(p, b), m.levelIn(p, c))+1)
@@ -192,7 +224,7 @@ func (m *MIG) eliminate(window, depthBudget int) *MIG {
 	}
 	return m.rebuildWith(func(out *MIG, oldIdx int, a, b, c Signal) Signal {
 		def := candidate{shape: shapeMaj, sig: [5]Signal{a, b, c}}
-		out.probeCand(&def)
+		out.probeCand(&def, unbounded)
 		best := def
 		within := func(cand *candidate) bool {
 			return required == nil || cand.level <= required[oldIdx]
@@ -237,7 +269,7 @@ func (m *MIG) eliminate(window, depthBudget int) *MIG {
 					}
 					// M(x, y, M(u, v, r)).
 					cand := candidate{shape: shapeNested, sig: [5]Signal{x, y, u, v, r}}
-					out.probeCand(&cand)
+					out.probeCand(&cand, unbounded)
 					if within(&cand) && betterSize(&cand, &best) {
 						best = cand
 					}
@@ -249,16 +281,16 @@ func (m *MIG) eliminate(window, depthBudget int) *MIG {
 		tryDist(b, c, a, oldF[1], oldF[2])
 
 		// Ψ.R: M(x, y, z) = M(x, y, z_{x/y'}) — accept only when strictly
-		// fewer nodes are created than the default construction.
-		if window > 0 {
-			for _, perm := range relevanceCandidates(a, b, c) {
-				x, y, z := perm[0], perm[1], perm[2]
-				if !out.coneContains(z, x, window) {
+		// fewer nodes are created than the default construction, so only
+		// when the default adds a node, and probe no further than that.
+		if window > 0 && def.added > 0 {
+			reach := out.relevanceReach(a, b, c, window)
+			for i, perm := range relevanceCandidates(a, b, c) {
+				if !reach[i] {
 					continue
 				}
-				cand := candidate{shape: shapeRelevance, sig: [5]Signal{x, y, z}, window: window}
-				out.probeCand(&cand)
-				if within(&cand) && cand.added < def.added && betterSize(&cand, &best) {
+				cand := candidate{shape: shapeRelevance, sig: [5]Signal{perm[0], perm[1], perm[2]}, window: window}
+				if _, ok := out.probeCand(&cand, def.added-1); ok && within(&cand) && betterSize(&cand, &best) {
 					best = cand
 				}
 			}
@@ -274,107 +306,110 @@ func (m *MIG) eliminate(window, depthBudget int) *MIG {
 func (m *MIG) PushUpPass() *MIG {
 	crit := m.criticalMask()
 	return m.rebuildWith(func(out *MIG, oldIdx int, a, b, c Signal) Signal {
+		// Only a strictly deepest majority fanin g is worth pushing into:
+		// pushing a variable out of a non-critical child cannot reduce the
+		// level. At most one fanin is strictly deepest, and without one no
+		// rule applies, so the default is built unprobed.
+		fan := [3]Signal{a, b, c}
+		gi := -1
+		for i, g := range fan {
+			if out.IsMaj(g) && out.Level(g) > out.Level(fan[(i+1)%3]) && out.Level(g) > out.Level(fan[(i+2)%3]) {
+				gi = i
+				break
+			}
+		}
+		if gi < 0 {
+			return out.Maj(a, b, c)
+		}
 		def := candidate{shape: shapeMaj, sig: [5]Signal{a, b, c}}
-		out.probeCand(&def)
+		out.probeCand(&def, unbounded)
 		best := def
 
-		fan := [3]Signal{a, b, c}
-		for gi := 0; gi < 3; gi++ {
-			g := fan[gi]
-			gx, gy, gz, ok := out.majView(g)
-			if !ok {
-				continue
-			}
-			// The two remaining top-level fanins.
-			t1, t2 := fan[(gi+1)%3], fan[(gi+2)%3]
-			// Only bother when g is the (strictly) deepest fanin: pushing a
-			// variable out of a non-critical child cannot reduce the level.
-			if out.Level(g) <= out.Level(t1) || out.Level(g) <= out.Level(t2) {
-				continue
-			}
-			gf := [3]Signal{gx, gy, gz}
+		gx, gy, gz, _ := out.majView(fan[gi])
+		gf := [3]Signal{gx, gy, gz}
+		// The two remaining top-level fanins.
+		t1, t2 := fan[(gi+1)%3], fan[(gi+2)%3]
 
-			// Ω.A: M(x, u, M(y, u, z)) = M(z, u, M(y, u, x)).
-			for _, u := range []Signal{t1, t2} {
-				x := t1
-				if u == t1 {
-					x = t2
+		// Ω.A: M(x, u, M(y, u, z)) = M(z, u, M(y, u, x)).
+		for _, u := range []Signal{t1, t2} {
+			x := t1
+			if u == t1 {
+				x = t2
+			}
+			for k := 0; k < 3; k++ {
+				if gf[k] != u {
+					continue
 				}
-				for k := 0; k < 3; k++ {
-					if gf[k] != u {
+				// u is shared; the other two grandchildren may be
+				// swapped with x.
+				for zi := 0; zi < 3; zi++ {
+					if zi == k {
 						continue
 					}
-					// u is shared; the other two grandchildren may be
-					// swapped with x.
-					for zi := 0; zi < 3; zi++ {
-						if zi == k {
-							continue
-						}
-						z := gf[zi]
-						y := gf[3-k-zi]
-						// M(z, u, M(y, u, x)).
-						cand := candidate{shape: shapeNested, sig: [5]Signal{z, u, y, u, x}}
-						out.probeCand(&cand)
-						if betterDepth(&cand, &best) {
-							best = cand
-						}
-					}
-				}
-			}
-
-			// Ψ.C: M(x, u, M(y, u', z)) = M(x, u, M(y, x, z)).
-			for _, u := range []Signal{t1, t2} {
-				x := t1
-				if u == t1 {
-					x = t2
-				}
-				for k := 0; k < 3; k++ {
-					if gf[k] != u.Not() {
-						continue
-					}
-					y := gf[(k+1)%3]
-					z := gf[(k+2)%3]
-					// M(x, u, M(y, x, z)).
-					cand := candidate{shape: shapeNested, sig: [5]Signal{x, u, y, x, z}}
-					out.probeCand(&cand)
+					z := gf[zi]
+					y := gf[3-k-zi]
+					// M(z, u, M(y, u, x)).
+					cand := candidate{shape: shapeNested, sig: [5]Signal{z, u, y, u, x}}
+					out.probeCand(&cand, unbounded)
 					if betterDepth(&cand, &best) {
 						best = cand
 					}
-					// Composed Ψ.C → Ω.A: after the exchange the top node is
-					// M(x, u, M(y, x, z)) with x shared, so associativity can
-					// swap u with either remaining grandchild. This pair of
-					// moves is what shortens g = x(y+uv) in the paper's
-					// Fig. 2(c) even though Ψ.C alone is depth-neutral.
-					for _, w := range [][2]Signal{{y, z}, {z, y}} {
-						// M(w0, x, M(w1, x, u)).
-						cand2 := candidate{shape: shapeNested, sig: [5]Signal{w[0], x, w[1], x, u}}
-						out.probeCand(&cand2)
-						if betterDepth(&cand2, &best) {
-							best = cand2
-						}
+				}
+			}
+		}
+
+		// Ψ.C: M(x, u, M(y, u', z)) = M(x, u, M(y, x, z)).
+		for _, u := range []Signal{t1, t2} {
+			x := t1
+			if u == t1 {
+				x = t2
+			}
+			for k := 0; k < 3; k++ {
+				if gf[k] != u.Not() {
+					continue
+				}
+				y := gf[(k+1)%3]
+				z := gf[(k+2)%3]
+				// M(x, u, M(y, x, z)).
+				cand := candidate{shape: shapeNested, sig: [5]Signal{x, u, y, x, z}}
+				out.probeCand(&cand, unbounded)
+				if betterDepth(&cand, &best) {
+					best = cand
+				}
+				// Composed Ψ.C → Ω.A: after the exchange the top node is
+				// M(x, u, M(y, x, z)) with x shared, so associativity can
+				// swap u with either remaining grandchild. This pair of
+				// moves is what shortens g = x(y+uv) in the paper's
+				// Fig. 2(c) even though Ψ.C alone is depth-neutral.
+				for _, w := range [][2]Signal{{y, z}, {z, y}} {
+					// M(w0, x, M(w1, x, u)).
+					cand2 := candidate{shape: shapeNested, sig: [5]Signal{w[0], x, w[1], x, u}}
+					out.probeCand(&cand2, unbounded)
+					if betterDepth(&cand2, &best) {
+						best = cand2
 					}
 				}
 			}
+		}
 
-			// Ω.D L→R: M(x, y, M(u, v, z)) = M(M(x,y,u), M(x,y,v), z),
-			// pushing the critical grandchild z one level up at the price of
-			// one node. Restricted to the critical path.
-			if crit[oldIdx] {
-				// Choose the deepest grandchild as z.
-				zi := 0
-				for k := 1; k < 3; k++ {
-					if out.Level(gf[k]) > out.Level(gf[zi]) {
-						zi = k
-					}
+		// Ω.D L→R: M(x, y, M(u, v, z)) = M(M(x,y,u), M(x,y,v), z),
+		// pushing the critical grandchild z one level up at the price of
+		// one node. Restricted to the critical path.
+		if crit[oldIdx] {
+			// Choose the deepest grandchild as z.
+			zi := 0
+			for k := 1; k < 3; k++ {
+				if out.Level(gf[k]) > out.Level(gf[zi]) {
+					zi = k
 				}
-				z := gf[zi]
-				u := gf[(zi+1)%3]
-				v := gf[(zi+2)%3]
-				cand := candidate{shape: shapeDist, sig: [5]Signal{t1, t2, u, v, z}}
-				out.probeCand(&cand)
-				if cand.level < def.level && betterDepth(&cand, &best) {
-					best = cand
-				}
+			}
+			z := gf[zi]
+			u := gf[(zi+1)%3]
+			v := gf[(zi+2)%3]
+			cand := candidate{shape: shapeDist, sig: [5]Signal{t1, t2, u, v, z}}
+			out.probeCand(&cand, unbounded)
+			if cand.level < def.level && betterDepth(&cand, &best) {
+				best = cand
 			}
 		}
 		return out.buildCand(&best, nil)
@@ -387,20 +422,17 @@ func (m *MIG) PushUpPass() *MIG {
 func (m *MIG) ReshapePass(window int, aggressive bool) *MIG {
 	res := m.rebuildWith(func(out *MIG, oldIdx int, a, b, c Signal) Signal {
 		def := candidate{shape: shapeMaj, sig: [5]Signal{a, b, c}}
-		out.probeCand(&def)
+		out.probeCand(&def, unbounded)
 		best := def
-		for _, perm := range relevanceCandidates(a, b, c) {
-			x, y, z := perm[0], perm[1], perm[2]
-			if !out.coneContains(z, x, window) {
+		reach := out.relevanceReach(a, b, c, window)
+		for i, perm := range relevanceCandidates(a, b, c) {
+			if !reach[i] {
 				continue
 			}
-			cand := candidate{shape: shapeRelevance, sig: [5]Signal{x, y, z}, window: window}
-			out.probeCand(&cand)
+			cand := candidate{shape: shapeRelevance, sig: [5]Signal{perm[0], perm[1], perm[2]}, window: window}
 			// Accept sharing-increasing or level-reducing exchanges.
-			if cand.added <= def.added && (cand.added < def.added || cand.level < def.level) {
-				if betterSize(&cand, &best) {
-					best = cand
-				}
+			if _, ok := out.probeCand(&cand, def.added); ok && (cand.added < def.added || cand.level < def.level) && betterSize(&cand, &best) {
+				best = cand
 			}
 		}
 		return out.buildCand(&best, nil)
@@ -493,23 +525,16 @@ func (m *MIG) ActivityPass(inputProbs []float64) *MIG {
 	refs := m.FanoutCounts()
 	act := activity{in: inputProbs}
 	return m.rebuildWith(func(out *MIG, oldIdx int, a, b, c Signal) Signal {
-		p := &out.dry
-		evalAct := func(c *candidate) float64 {
-			p.reset(len(out.nodes))
-			s := out.buildCand(c, p)
-			c.added = len(p.keys)
-			return act.local(out, p, p.base, s)
-		}
 		def := candidate{shape: shapeMaj, sig: [5]Signal{a, b, c}}
-		defAct := evalAct(&def)
-		best, bestAct := def, defAct
+		s, _ := out.probeCand(&def, unbounded)
+		best, bestAct := def, act.local(out, &out.dry, len(out.nodes), s)
 		// The cone position of each relevance permutation, as an old fanin
 		// index (relevanceCandidates order: cone is c, c, b, b, a, a).
 		coneOldIdx := [6]int{2, 2, 1, 1, 0, 0}
 		oldF := m.nodes[oldIdx].fanin
+		reach := out.relevanceReach(a, b, c, 3)
 		for pi, perm := range relevanceCandidates(a, b, c) {
-			x, y, z := perm[0], perm[1], perm[2]
-			if !out.coneContains(z, x, 3) {
+			if !reach[pi] {
 				continue
 			}
 			// One extra created node is allowed when the replaced cone is
@@ -519,10 +544,11 @@ func (m *MIG) ActivityPass(inputProbs []float64) *MIG {
 			if m.nodes[oldCone.Node()].kind == kindMaj && refs[oldCone.Node()] == 1 {
 				allow = 1
 			}
-			cand := candidate{shape: shapeRelevance, sig: [5]Signal{x, y, z}, window: 3}
-			act := evalAct(&cand)
-			if cand.added <= def.added+allow && act < bestAct {
-				best, bestAct = cand, act
+			cand := candidate{shape: shapeRelevance, sig: [5]Signal{perm[0], perm[1], perm[2]}, window: 3}
+			if cs, ok := out.probeCand(&cand, def.added+allow); ok {
+				if ca := act.local(out, &out.dry, len(out.nodes), cs); ca < bestAct {
+					best, bestAct = cand, ca
+				}
 			}
 		}
 		return out.buildCand(&best, nil)

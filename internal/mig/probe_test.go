@@ -110,13 +110,14 @@ func randomSynth(r *rand.Rand, m *MIG, cuts *cut.Cache, majs []int) (i int, leav
 // A dry probe must cost every candidate exactly as a real build on a clone
 // does — same added nodes, same level, same result signal — and must leave
 // the MIG, its strash links and its cut cache untouched. That holds for
-// the four Ω/Ψ shapes with ActivityPass's local activity, and for
+// the four Ω/Ψ shapes with ActivityPass's local activity, under a random
+// bound (which must reject exactly the candidates that add more), and for
 // synthesized candidates (synthW, synthNPN) with the freedBy credit of
 // replacing the cut's root, probed past a prefix of earlier winners as
 // the window engine probes them.
 func TestProbeMatchesTrialBuild(t *testing.T) {
 	r := rand.New(rand.NewSource(20))
-	var created [4]int                // candidates per shape whose build adds nodes
+	var created, rejected [4]int      // candidates per shape whose build adds nodes, or passes the bound
 	var synthAdded, synthFreed [2]int // synthW, synthNPN candidates that add or free nodes
 	var fs freedScratch
 	for trial := 0; trial < 60; trial++ {
@@ -144,10 +145,21 @@ func TestProbeMatchesTrialBuild(t *testing.T) {
 			nodes, snap := len(m.nodes), links(m)
 
 			dry := c
-			m.probeCand(&dry)
+			m.probeCand(&dry, unbounded)
+			// A bounded probe rejects exactly the candidates that add more
+			// nodes than its bound and costs every other one in full.
+			bounded, bound := c, r.Intn(4)
+			_, ok := m.probeCand(&bounded, bound)
 			sameLinks(t, m, snap, "after probeCand")
 			if m.cutCache != cuts || cuts.NumNodes() != nodes {
 				t.Fatalf("trial %d: probeCand changed the cut cache", trial)
+			}
+			if ok != (dry.added <= bound) || ok && (bounded.added != dry.added || bounded.level != dry.level) {
+				t.Fatalf("trial %d: %+v: probe bounded by %d gives ok %v, added %d, level %d; unbounded added %d, level %d",
+					trial, c, bound, ok, bounded.added, bounded.level, dry.added, dry.level)
+			}
+			if !ok {
+				rejected[shape]++
 			}
 			var p probe
 			p.reset(len(m.nodes))
@@ -219,8 +231,8 @@ func TestProbeMatchesTrialBuild(t *testing.T) {
 		strashConsistent(t, m)
 	}
 	for shape, n := range created {
-		if n == 0 {
-			t.Errorf("shape %d: no candidate created a node; the test lost its coverage", shape)
+		if n == 0 || rejected[shape] == 0 {
+			t.Errorf("shape %d: %d candidates created a node, %d passed the bound; the test lost its coverage", shape, n, rejected[shape])
 		}
 	}
 	for kind, name := range []string{"synthW", "synthNPN"} {
@@ -241,10 +253,118 @@ func TestProbeCandNoAllocs(t *testing.T) {
 		var c candidate
 		for c.added == 0 {
 			c = randomCandidate(r, m, shape)
-			m.probeCand(&c)
+			m.probeCand(&c, unbounded)
 		}
-		if got := testing.AllocsPerRun(100, func() { m.probeCand(&c) }); got != 0 {
+		if got := testing.AllocsPerRun(100, func() { m.probeCand(&c, unbounded) }); got != 0 {
 			t.Errorf("shape %d: warm probeCand allocates %.1f per run, want 0", shape, got)
 		}
+	}
+}
+
+// coneContains is the one-target walk that relevanceReach answers two at a
+// time: depth-first, each node expanded once, stopping at the first visit
+// of the target.
+func coneContains(m *MIG, root, target Signal, depth int) bool {
+	seen := map[int]bool{}
+	var rec func(s Signal, d int) bool
+	rec = func(s Signal, d int) bool {
+		if s.Node() == target.Node() {
+			return true
+		}
+		if d == 0 || seen[s.Node()] {
+			return false
+		}
+		seen[s.Node()] = true
+		a, b, c, ok := m.majView(s)
+		if !ok {
+			return false
+		}
+		return rec(a, d-1) || rec(b, d-1) || rec(c, d-1)
+	}
+	return rec(root, depth)
+}
+
+// Each of relevanceReach's answers must be the one-target walk's, on
+// fanin triples with shared, equal and unrelated nodes, where the walk's
+// first-visit pruning makes the answer depend on the visiting order.
+func TestRelevanceReachMatchesOneTargetWalks(t *testing.T) {
+	r := rand.New(rand.NewSource(22))
+	var yes, no int
+	for trial := 0; trial < 40; trial++ {
+		m := randomMIG(r, 3+r.Intn(5), 10+r.Intn(120))
+		pick := func() Signal {
+			if r.Intn(4) == 0 {
+				return Const0.NotIf(r.Intn(2) == 0)
+			}
+			return MakeSignal(r.Intn(len(m.nodes)), r.Intn(2) == 0)
+		}
+		for k := 0; k < 200; k++ {
+			a, b, c := pick(), pick(), pick()
+			if r.Intn(5) == 0 {
+				// A cone node as a target.
+				x := c
+				for d := r.Intn(4); d > 0 && m.IsMaj(x); d-- {
+					x = m.nodes[x.Node()].fanin[r.Intn(3)]
+				}
+				a = x
+			}
+			if r.Intn(8) == 0 {
+				b = a.NotIf(r.Intn(2) == 0)
+			}
+			depth := r.Intn(6)
+			reach := m.relevanceReach(a, b, c, depth)
+			for i, perm := range relevanceCandidates(a, b, c) {
+				want := coneContains(m, perm[2], perm[0], depth)
+				if reach[i] != want {
+					t.Fatalf("trial %d: cone %d, target %d, depth %d: got %v, one-target walk %v", trial, perm[2], perm[0], depth, reach[i], want)
+				}
+				if want {
+					yes++
+				} else {
+					no++
+				}
+			}
+		}
+	}
+	if yes == 0 || no == 0 {
+		t.Fatalf("%d reached, %d not; the test lost its coverage", yes, no)
+	}
+}
+
+// The reverse-scan live mask must equal a depth-first walk from the
+// outputs, on random MIGs with dead nodes.
+func TestLiveMaskMatchesWalk(t *testing.T) {
+	r := rand.New(rand.NewSource(23))
+	dead := 0
+	for trial := 0; trial < 50; trial++ {
+		m := randomMIG(r, 2+r.Intn(6), r.Intn(150))
+		m.Outputs = m.Outputs[:r.Intn(len(m.Outputs)+1)]
+		want := make([]bool, len(m.nodes))
+		var walk func(n int)
+		walk = func(n int) {
+			if want[n] {
+				return
+			}
+			want[n] = true
+			if m.nodes[n].kind == kindMaj {
+				for _, f := range m.nodes[n].fanin {
+					walk(f.Node())
+				}
+			}
+		}
+		for _, o := range m.Outputs {
+			walk(o.Sig.Node())
+		}
+		if got := m.LiveMask(); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: live mask %v, walk %v", trial, got, want)
+		}
+		for i, l := range want {
+			if !l && m.nodes[i].kind == kindMaj {
+				dead++
+			}
+		}
+	}
+	if dead == 0 {
+		t.Fatal("no dead majority node; the test lost its coverage")
 	}
 }

@@ -93,7 +93,8 @@ func (m *MIG) criticalMask() []bool {
 // memoization across different residual depths can only cause fewer
 // occurrences to be replaced, which remains sound.
 //
-// A non-nil p builds the replacement inside that dry probe (see probeCand).
+// A non-nil p builds the replacement inside that dry probe (see probeCand);
+// once the probe passes its bound, the walk stops.
 func (m *MIG) replaceInCone(p *probe, root, from, to Signal, depth int) Signal {
 	return m.replaceRec(p, root, from, to, depth, m.scr.begin(len(m.nodes)))
 }
@@ -105,7 +106,7 @@ func (m *MIG) replaceRec(p *probe, root, from, to Signal, depth int, memo *scrat
 	if root == from.Not() {
 		return to.Not()
 	}
-	if depth == 0 {
+	if depth == 0 || p.stopped() {
 		return root
 	}
 	// Replacement commutes with complementation (Ω.I), so memoize on the
@@ -131,36 +132,61 @@ func (m *MIG) replaceRec(p *probe, root, from, to Signal, depth int, memo *scrat
 	return res.NotIf(root.Neg())
 }
 
-// coneContains reports whether the node of target appears in the transitive
-// fanin of root within the given majority depth.
-func (m *MIG) coneContains(root, target Signal, depth int) bool {
-	seen := m.scr.begin(len(m.nodes))
-	var rec func(s Signal, d int) bool
-	rec = func(s Signal, d int) bool {
-		if s.Node() == target.Node() {
-			return true
-		}
-		if d == 0 || seen.seen(s.Node()) {
-			return false
-		}
-		seen.mark(s.Node())
-		a, b, c, ok := m.majView(s)
-		if !ok {
-			return false
-		}
-		return rec(a, d-1) || rec(b, d-1) || rec(c, d-1)
-	}
-	return rec(root, depth)
+// relevanceReach reports, for each relevanceCandidates permutation
+// (x, y, z) of (a, b, c), whether a walk of z's cone within depth majority
+// levels reaches x's node, so that Ψ.R has an occurrence to replace. The
+// walk is depth-first, expands each node once and stops at the first visit
+// of its target, so it can miss a target that a first visit saw at too
+// small a residual depth. One walk per cone answers both of its
+// permutations exactly as a walk per target would: each target's walk
+// treats the other target as an ordinary node, and so does this one.
+func (m *MIG) relevanceReach(a, b, c Signal, depth int) (reach [6]bool) {
+	reach[0], reach[1] = m.coneReaches(c, a, b, depth)
+	reach[2], reach[3] = m.coneReaches(b, a, c, depth)
+	reach[4], reach[5] = m.coneReaches(a, b, c, depth)
+	return reach
 }
 
-// Relevance applies Ψ.R at a node being built: in M(x, y, z), z is relevant
-// only when x = y', so x may be replaced by y' (and y by x') inside z's
-// cone. It returns the best construction found, preferring (in order) fewer
-// created nodes, then lower level.
-func relevanceCandidates(x, y, z Signal) [][3]Signal {
-	// Each candidate is (keepA, keepB, coneRoot) with replacement
-	// from=keepA, to=keepB.Not() applied inside coneRoot.
-	return [][3]Signal{
+// coneReaches reports whether the walk of root's cone described at
+// relevanceReach visits the node of t0 and the node of t1.
+func (m *MIG) coneReaches(root, t0, t1 Signal, depth int) (bool, bool) {
+	w := coneWalk{t: [2]int{t0.Node(), t1.Node()}, seen: m.scr.begin(len(m.nodes))}
+	m.walkCone(&w, root.Node(), depth)
+	return w.found[0], w.found[1]
+}
+
+// coneWalk is the state of one coneReaches walk.
+type coneWalk struct {
+	t     [2]int
+	found [2]bool
+	seen  *scratch
+}
+
+// walkCone visits node n with d levels left and reports whether both
+// targets have been found, which ends the walk.
+func (m *MIG) walkCone(w *coneWalk, n, d int) bool {
+	w.found[0] = w.found[0] || n == w.t[0]
+	w.found[1] = w.found[1] || n == w.t[1]
+	if w.found[0] && w.found[1] {
+		return true
+	}
+	if d == 0 || w.seen.seen(n) {
+		return false
+	}
+	w.seen.mark(n)
+	nd := &m.nodes[n]
+	if nd.kind != kindMaj {
+		return false
+	}
+	return m.walkCone(w, nd.fanin[0].Node(), d-1) || m.walkCone(w, nd.fanin[1].Node(), d-1) || m.walkCone(w, nd.fanin[2].Node(), d-1)
+}
+
+// relevanceCandidates lists the Ψ.R exchanges at a node M(x, y, z): in
+// M(x, y, z), z is relevant only when x = y', so x may be replaced by y'
+// (and y by x') inside z's cone. Each candidate is (keepA, keepB, coneRoot)
+// with replacement from=keepA, to=keepB.Not() applied inside coneRoot.
+func relevanceCandidates(x, y, z Signal) [6][3]Signal {
+	return [6][3]Signal{
 		{x, y, z},
 		{y, x, z},
 		{x, z, y},

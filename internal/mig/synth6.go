@@ -58,12 +58,49 @@ func (m *MIG) synthW(p *probe, w uint64, n int, leaves []Signal) Signal {
 	if n > 6 || n != len(leaves) {
 		panic("mig: synthW needs at most six leaves, one per variable")
 	}
-	if m.synthMemo == nil {
-		m.synthMemo = make(map[uint64]Signal, 32)
-	} else {
-		clear(m.synthMemo)
-	}
+	m.memo.reset()
 	return m.synthRec6(p, w, n, leaves)
+}
+
+// synthMemo is the memo of one synthW call, keyed by truth-table word: an
+// open-addressing table whose zero key (a constant, never stored) marks a
+// free slot, and the slots the call filled, which the next call clears.
+// Each recursion level fixes a variable, so a call stores at most 63 words
+// and the table stays at most half full.
+type synthMemo struct {
+	key  [128]uint64
+	sig  [128]Signal
+	used []uint8
+}
+
+func (t *synthMemo) reset() {
+	for _, i := range t.used {
+		t.key[i] = 0
+	}
+	t.used = t.used[:0]
+}
+
+// slot is the slot holding w, or the free slot ending its probe run.
+func (t *synthMemo) slot(w uint64) int {
+	i := int(w * 0x9E3779B97F4A7C15 >> 57)
+	for t.key[i] != 0 && t.key[i] != w {
+		i = (i + 1) & 127
+	}
+	return i
+}
+
+func (t *synthMemo) get(w uint64) (Signal, bool) {
+	i := t.slot(w)
+	return t.sig[i], t.key[i] != 0
+}
+
+func (t *synthMemo) put(w uint64, s Signal) {
+	i := t.slot(w)
+	if t.key[i] == 0 {
+		t.key[i] = w
+		t.used = append(t.used, uint8(i))
+	}
+	t.sig[i] = s
 }
 
 func (m *MIG) synthRec6(p *probe, w uint64, n int, leaves []Signal) Signal {
@@ -75,11 +112,11 @@ func (m *MIG) synthRec6(p *probe, w uint64, n int, leaves []Signal) Signal {
 	if w == mask {
 		return Const1
 	}
-	memo := m.synthMemo
-	if s, ok := memo[w]; ok {
+	memo := &m.memo
+	if s, ok := memo.get(w); ok {
 		return s
 	}
-	if s, ok := memo[^w&mask]; ok {
+	if s, ok := memo.get(^w & mask); ok {
 		return s.Not()
 	}
 
@@ -99,10 +136,10 @@ func (m *MIG) synthRec6(p *probe, w uint64, n int, leaves []Signal) Signal {
 		v := support[0]
 		s := leaves[v]
 		if w == varWord(n, v) {
-			memo[w] = s
+			memo.put(w, s)
 			return s
 		}
-		memo[w] = s.Not()
+		memo.put(w, s.Not())
 		return s.Not()
 	}
 
@@ -122,23 +159,23 @@ func (m *MIG) synthRec6(p *probe, w uint64, n int, leaves []Signal) Signal {
 				switch w {
 				case la & lb:
 					s := m.and(p, leaves[a].NotIf(pa), leaves[b].NotIf(pb))
-					memo[w] = s
+					memo.put(w, s)
 					return s
 				case la | lb:
 					s := m.or(p, leaves[a].NotIf(pa), leaves[b].NotIf(pb))
-					memo[w] = s
+					memo.put(w, s)
 					return s
 				}
 			}
 		}
 		if w == wa^wb {
 			s := m.xor(p, leaves[a], leaves[b])
-			memo[w] = s
+			memo.put(w, s)
 			return s
 		}
 		if w == ^(wa^wb)&mask {
 			s := m.xor(p, leaves[a], leaves[b]).Not()
-			memo[w] = s
+			memo.put(w, s)
 			return s
 		}
 	}
@@ -169,7 +206,7 @@ func (m *MIG) synthRec6(p *probe, w uint64, n int, leaves []Signal) Signal {
 					leaves[b].NotIf(variant&2 != 0),
 					leaves[c].NotIf(variant&4 != 0),
 				).NotIf(variant&8 != 0)
-				memo[w] = s
+				memo.put(w, s)
 				return s
 			}
 		}
@@ -177,7 +214,7 @@ func (m *MIG) synthRec6(p *probe, w uint64, n int, leaves []Signal) Signal {
 		par := varWord(n, a) ^ varWord(n, b) ^ varWord(n, c)
 		if w == par || w == ^par&mask {
 			s := m.xor(p, m.xor(p, leaves[a], leaves[b]), leaves[c]).NotIf(w == ^par&mask)
-			memo[w] = s
+			memo.put(w, s)
 			return s
 		}
 	}
@@ -209,7 +246,7 @@ func (m *MIG) synthRec6(p *probe, w uint64, n int, leaves []Signal) Signal {
 				h := m.synthRec6(p, f1, n, leaves)
 				s = m.maj(p, leaves[v].Not(), g, h)
 			}
-			memo[w] = s
+			memo.put(w, s)
 			return s
 		}
 	}
@@ -229,7 +266,7 @@ func (m *MIG) synthRec6(p *probe, w uint64, n int, leaves []Signal) Signal {
 	x := leaves[bestV]
 	// f = (x' + f1)(x + f0) = M(M(x', f1, 1), M(x, f0, 1), 0).
 	s := m.and(p, m.or(p, x.Not(), g1), m.or(p, x, g0))
-	memo[w] = s
+	memo.put(w, s)
 	return s
 }
 

@@ -208,7 +208,7 @@ func (m *MIG) windowRewrite(ctx context.Context, k, maxCuts int, npn bool) (*MIG
 // shares the input's nodes, which no worker writes, and owns the memos its
 // probes write — the probe itself (g.dry), the cone memo of freedBy
 // (g.scr), the cut-function memo (g.wscr) and the synthesis memo
-// (g.synthMemo). refs is the worker's copy of the input graph's fanout
+// (g.memo). refs is the worker's copy of the input graph's fanout
 // counts, which freedBy changes transiently (and restores exactly). remap
 // is the worker's window-local remap (see evalWindow): epoch-stamped, so it
 // is allocated once per pass and starting a window costs a counter

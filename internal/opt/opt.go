@@ -64,19 +64,6 @@ func New[G Graph](name string, fn func(G) G) Pass[G] {
 	}}
 }
 
-// Sequence composes passes into one compound pass.
-func Sequence[G Graph](name string, passes ...Pass[G]) Pass[G] {
-	return Pass[G]{Name: name, Apply: func(ctx context.Context, g G) (G, error) {
-		for _, p := range passes {
-			var err error
-			if g, err = p.Apply(ctx, g); err != nil {
-				return g, err
-			}
-		}
-		return g, nil
-	}}
-}
-
 // Best iterates rounds cycles of the passes produced by body(cycle),
 // carrying the working graph from cycle to cycle (even through worsening
 // cycles — that is what lets the algorithms escape local minima), and

@@ -155,17 +155,6 @@ func TestPipelineCheckAborts(t *testing.T) {
 	}
 }
 
-func TestSequence(t *testing.T) {
-	s := Sequence("both", shrink(2), deepen(1))
-	g, err := s.Apply(context.Background(), fake{size: 10, depth: 0})
-	if err != nil || g.size != 8 || g.depth != 1 {
-		t.Fatalf("sequence result %+v, %v", g, err)
-	}
-	if s.Name != "both" {
-		t.Fatal("sequence name")
-	}
-}
-
 func TestBestTracksIncumbentAndCarriesCurrent(t *testing.T) {
 	better := func(cand, best fake) bool { return cand.size < best.size }
 	// Cycle 0 worsens (+5), cycle 1 improves from the worsened graph (-7):

@@ -36,25 +36,24 @@ func parallel3(on bool, a, b, c func()) {
 	wg.Wait()
 }
 
-// RunOptRows measures Table I-top for all circuits using a pool of jobs
-// workers (jobs <= 1 = fully serial); when jobs > 1 the three optimizers of
-// a row also run concurrently. The passes inside each leg take their own
-// budget from cfg.Workers. Row order matches the input order and every
-// field except the wall times is deterministic.
-func RunOptRows(nets []logic.Network, cfg Config, jobs int) []OptRow {
+// RunOptRows measures Table I-top for all circuits using a pool of
+// cfg.Workers workers (<= 1 = fully serial); with more than one, the three
+// optimizers of a row also run concurrently. Row order matches the input
+// order and every field except the wall times is deterministic.
+func RunOptRows(nets []logic.Network, cfg Config) []OptRow {
 	rows := make([]OptRow, len(nets))
-	opt.ForEach(context.Background(), len(nets), jobs, func(i int) {
-		rows[i] = runOptRow(logic.Flat(nets[i]), cfg, jobs > 1)
+	opt.ForEach(context.Background(), len(nets), cfg.Workers, func(i int) {
+		rows[i] = runOptRow(logic.Flat(nets[i]), cfg, cfg.Workers > 1)
 	})
 	return rows
 }
 
 // RunSynthRows measures Table I-bottom for all circuits using a pool of
-// jobs workers, with the same determinism guarantees as RunOptRows.
-func RunSynthRows(nets []logic.Network, cfg Config, jobs int) []SynthRow {
+// cfg.Workers workers, with the same determinism guarantees as RunOptRows.
+func RunSynthRows(nets []logic.Network, cfg Config) []SynthRow {
 	rows := make([]SynthRow, len(nets))
-	opt.ForEach(context.Background(), len(nets), jobs, func(i int) {
-		rows[i] = runSynthRow(logic.Flat(nets[i]), cfg, jobs > 1)
+	opt.ForEach(context.Background(), len(nets), cfg.Workers, func(i int) {
+		rows[i] = runSynthRow(logic.Flat(nets[i]), cfg, cfg.Workers > 1)
 	})
 	return rows
 }

@@ -29,8 +29,9 @@ func TestBatchOptDeterminism(t *testing.T) {
 	nets := batchNets(t)
 	cfg := Config{Effort: 2, AIGRounds: 1}
 
-	serial := RunOptRows(nets, cfg, 1)
-	parallel := RunOptRows(nets, cfg, 4)
+	serial := RunOptRows(nets, cfg)
+	cfg.Workers = 4
+	parallel := RunOptRows(nets, cfg)
 	ZeroTimes(serial)
 	ZeroTimes(parallel)
 
@@ -53,8 +54,9 @@ func TestBatchSynthDeterminism(t *testing.T) {
 	nets := batchNets(t)[:2]
 	cfg := Config{Effort: 2, AIGRounds: 1}
 
-	serial := RunSynthRows(nets, cfg, 1)
-	parallel := RunSynthRows(nets, cfg, 3)
+	serial := RunSynthRows(nets, cfg)
+	cfg.Workers = 3
+	parallel := RunSynthRows(nets, cfg)
 	ZeroSynthTimes(serial)
 	ZeroSynthTimes(parallel)
 
@@ -70,8 +72,8 @@ func TestBatchSynthDeterminism(t *testing.T) {
 // part of each row's work item.
 func TestBatchVerifyParallel(t *testing.T) {
 	nets := batchNets(t)[:2]
-	cfg := Config{Effort: 1, AIGRounds: 1, VerifyEngine: "auto"}
-	rows := RunOptRows(nets, cfg, 2)
+	cfg := Config{Effort: 1, AIGRounds: 1, VerifyEngine: "auto", Workers: 2}
+	rows := RunOptRows(nets, cfg)
 	for _, r := range rows {
 		if r.VerifyErr != "" {
 			t.Errorf("%s: %s", r.Name, r.VerifyErr)
@@ -82,7 +84,7 @@ func TestBatchVerifyParallel(t *testing.T) {
 func TestJSONReportStable(t *testing.T) {
 	nets := batchNets(t)[:1]
 	cfg := Config{Effort: 1, AIGRounds: 1}
-	rows := RunOptRows(nets, cfg, 1)
+	rows := RunOptRows(nets, cfg)
 	ZeroTimes(rows)
 	s := SummarizeOpt(rows)
 	r := Report{Experiment: "table1top", Effort: 1, AIGRounds: 1, Jobs: 1, Opt: rows, OptSummary: &s}

@@ -13,10 +13,10 @@ import (
 )
 
 // RunCompress measures the compression-circuit experiment at the given
-// word count: the MIG and AIG flows (concurrently when jobs > 1), with
-// cfg's optional verification. The returned network is the unoptimized
-// circuit (for its stats).
-func RunCompress(words int, cfg Config, jobs int) (OptRow, *logic.Netlist) {
+// word count: the MIG and AIG flows (concurrently when cfg.Workers > 1),
+// with cfg's optional verification. The returned network is the
+// unoptimized circuit (for its stats).
+func RunCompress(words int, cfg Config) (OptRow, *logic.Netlist) {
 	cfg.Defaults()
 	wrapped := Compress(words)
 	n := logic.Flat(wrapped)
@@ -25,7 +25,7 @@ func RunCompress(words int, cfg Config, jobs int) (OptRow, *logic.Netlist) {
 	var mm, am OptMetrics
 	var mg interface{ ToNetwork() *netlist.Network }
 	var ag interface{ ToNetwork() *netlist.Network }
-	if jobs > 1 {
+	if cfg.Workers > 1 {
 		var wg sync.WaitGroup
 		wg.Add(1)
 		go func() {

@@ -30,9 +30,11 @@ type Config struct {
 	// NPN appends the exact NPN-database rewriting pass (rewrite-npn) to
 	// the canned MIG flow.
 	NPN bool
-	// Workers is the worker budget of the parallel-safe passes
-	// (window-rewrite, rewrite-npn, fraig) in the MIG and AIG legs; 0 or
-	// 1 runs them serially. Results are byte-identical for any value.
+	// Workers is the worker budget: the circuit pool of RunOptRows and
+	// RunSynthRows (more than one also runs a row's flows concurrently,
+	// as it does RunCompress's) and the budget of the parallel-safe passes
+	// (window-rewrite, rewrite-npn, fraig) in the MIG and AIG legs; 0 or 1
+	// runs everything serially. Results are byte-identical for any value.
 	Workers int
 	Lib     *mapping.Library
 }

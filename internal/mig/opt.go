@@ -114,9 +114,6 @@ func (p *probe) truncate(n int) {
 	p.keys, p.levels = p.keys[:n], p.levels[:n]
 }
 
-// stopped reports whether p is a probe whose build passed its bound.
-func (p *probe) stopped() bool { return p != nil && p.over }
-
 // maj is Maj when p is nil and dryMaj inside p otherwise.
 func (m *MIG) maj(p *probe, a, b, c Signal) Signal {
 	if p == nil {

@@ -106,7 +106,7 @@ func (m *MIG) replaceRec(p *probe, root, from, to Signal, depth int, memo *scrat
 	if root == from.Not() {
 		return to.Not()
 	}
-	if depth == 0 || p.stopped() {
+	if depth == 0 || p != nil && p.over {
 		return root
 	}
 	// Replacement commutes with complementation (Ω.I), so memoize on the
@@ -141,21 +141,15 @@ func (m *MIG) replaceRec(p *probe, root, from, to Signal, depth int, memo *scrat
 // permutations exactly as a walk per target would: each target's walk
 // treats the other target as an ordinary node, and so does this one.
 func (m *MIG) relevanceReach(a, b, c Signal, depth int) (reach [6]bool) {
-	reach[0], reach[1] = m.coneReaches(c, a, b, depth)
-	reach[2], reach[3] = m.coneReaches(b, a, c, depth)
-	reach[4], reach[5] = m.coneReaches(a, b, c, depth)
+	for i, r := range [3][3]Signal{{c, a, b}, {b, a, c}, {a, b, c}} {
+		w := coneWalk{t: [2]int{r[1].Node(), r[2].Node()}, seen: m.scr.begin(len(m.nodes))}
+		m.walkCone(&w, r[0].Node(), depth)
+		reach[2*i], reach[2*i+1] = w.found[0], w.found[1]
+	}
 	return reach
 }
 
-// coneReaches reports whether the walk of root's cone described at
-// relevanceReach visits the node of t0 and the node of t1.
-func (m *MIG) coneReaches(root, t0, t1 Signal, depth int) (bool, bool) {
-	w := coneWalk{t: [2]int{t0.Node(), t1.Node()}, seen: m.scr.begin(len(m.nodes))}
-	m.walkCone(&w, root.Node(), depth)
-	return w.found[0], w.found[1]
-}
-
-// coneWalk is the state of one coneReaches walk.
+// coneWalk is the state of one relevanceReach walk.
 type coneWalk struct {
 	t     [2]int
 	found [2]bool

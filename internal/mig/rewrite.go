@@ -139,12 +139,23 @@ func (m *MIG) replaceRec(p *probe, root, from, to Signal, depth int, memo *scrat
 // of its target, so it can miss a target that a first visit saw at too
 // small a residual depth. One walk per cone answers both of its
 // permutations exactly as a walk per target would: each target's walk
-// treats the other target as an ordinary node, and so does this one.
+// treats the other target as an ordinary node, and so does this one. A
+// cone holds only nodes of lower level than its root, so a target at the
+// root's level or above is answered without walking and is not waited for.
 func (m *MIG) relevanceReach(a, b, c Signal, depth int) (reach [6]bool) {
 	for i, r := range [3][3]Signal{{c, a, b}, {b, a, c}, {a, b, c}} {
-		w := coneWalk{t: [2]int{r[1].Node(), r[2].Node()}, seen: m.scr.begin(len(m.nodes))}
-		m.walkCone(&w, r[0].Node(), depth)
-		reach[2*i], reach[2*i+1] = w.found[0], w.found[1]
+		var w coneWalk
+		for j, t := range r[1:] {
+			w.t[j] = t.Node()
+			if w.t[j] != r[0].Node() && m.Level(t) >= m.Level(r[0]) {
+				w.t[j], w.found[j] = -1, true
+			}
+		}
+		if !w.found[0] || !w.found[1] {
+			w.seen = m.scr.begin(len(m.nodes))
+			m.walkCone(&w, r[0].Node(), depth)
+		}
+		reach[2*i], reach[2*i+1] = w.found[0] && w.t[0] >= 0, w.found[1] && w.t[1] >= 0
 	}
 	return reach
 }

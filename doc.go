@@ -227,6 +227,18 @@
 // netlist rather than the file. docs/PARTITION.md documents the
 // algorithm, the determinism contract and the measurements.
 //
+// The request I/O kernels allocate per call, not per gate. The reader
+// splits each line in place and reuses its block and cover buffers, so a
+// .names block costs one string (the net it defines) plus its gates;
+// netlist.AddGate copies fanins into a chunked per-network arena;
+// Remajorize evaluates each candidate cone once, as 8-bit truth tables
+// over reused leaf and interior buffers; and blif.Write appends names and
+// covers to one byte buffer. The writers keep port names (made unique
+// with _2, _3, ... suffixes) and generate the rest: BLIF names gate i
+// n<i>, the complement of net x x_inv and the constant nets const0 and
+// const1, Verilog names gate i's wire w<i>. A generated name a port
+// already holds takes the first free suffix, so no net is defined twice.
+//
 // # SAT subsystem
 //
 // internal/sat is a compact CDCL solver (two-watched-literal propagation,

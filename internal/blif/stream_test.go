@@ -167,3 +167,27 @@ func TestParseReaderLargeEquivalent(t *testing.T) {
 	}
 	var _ = netlist.SigConst0
 }
+
+// TestParseReaderErrors pins the reader's error for each kind of bad
+// input.
+func TestParseReaderErrors(t *testing.T) {
+	cases := []struct{ src, want string }{
+		{".model x\n.latch a b\n.end\n", "blif: unsupported construct .latch"},
+		{".model x\n11 1\n", `blif: cover line outside .names: "11 1"`},
+		{".model x\n.inputs a\n.outputs y\n.names y\n1 1\n", `blif: bad constant row "1 1"`},
+		{".model x\n.inputs a\n.outputs y\n.names a y\n1\n", `blif: bad cover row "1"`},
+		{".model x\n.inputs a b\n.outputs y\n.names a b y\n1 1\n", `blif: row "1" width 1, want 2`},
+		{".model x\n.inputs a\n.outputs y\n.names a y\nx 1\n", `blif: bad cover character 'x'`},
+		{".model x\n.inputs a b\n.outputs y\n.names a b y\n1é 1\n", `blif: row "1é" width 3, want 2`},
+		{".model x\n.inputs a b c\n.outputs y\n.names a b c y\n1é 1\n", `blif: bad cover character 'é'`},
+		{".model x\n.inputs a\n.outputs y\n.names a ghost y\n11 1\n", "blif: unresolved .names blocks (1 left)"},
+		{".model x\n.inputs a\n.outputs y z\n.names a y\n1 1\n", `blif: output "z" never defined`},
+		{".model x\n.inputs a\n.outputs y\n.names\n.names a y\n1 1\n", "blif: .names without signals"},
+	}
+	for _, tc := range cases {
+		_, err := ParseReader(strings.NewReader(tc.src))
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%q: error %v, want %s", tc.src, err, tc.want)
+		}
+	}
+}

@@ -406,16 +406,20 @@ func (m *MIG) Clone() *MIG {
 
 // Cleanup rebuilds the MIG dropping dead nodes. Returns the compacted MIG.
 func (m *MIG) Cleanup() *MIG {
-	return m.rebuildWith(func(out *MIG, _ int, a, b, c Signal) Signal { return out.Maj(a, b, c) })
+	return m.rebuildWith(nil, func(out *MIG, _ int, a, b, c Signal) Signal { return out.Maj(a, b, c) })
 }
 
 // FanoutCounts returns, for every node, the number of live references to it
 // (from live majority nodes and primary outputs).
 func (m *MIG) FanoutCounts() []int {
 	lp := takeBools(len(m.nodes))
-	live := m.liveInto(*lp)
 	defer releaseBools(lp)
-	refs := make([]int, len(m.nodes))
+	return m.fanoutsInto(make([]int, len(m.nodes)), m.liveInto(*lp))
+}
+
+// fanoutsInto fills refs (length len(nodes), all zero) with FanoutCounts
+// under the live mask live, and returns it.
+func (m *MIG) fanoutsInto(refs []int, live []bool) []int {
 	for i, nd := range m.nodes {
 		if !live[i] || nd.kind != kindMaj {
 			continue
@@ -511,11 +515,18 @@ func mapSigs(fs []netlist.Signal, ms func(netlist.Signal) Signal) []Signal {
 // become netlist.Maj gates; complement attributes are preserved on edges).
 func (m *MIG) ToNetwork() *netlist.Network {
 	n := netlist.New(m.Name)
+	live := m.LiveMask()
+	gates := 0
+	for i := range m.nodes {
+		if live[i] && m.nodes[i].kind == kindMaj {
+			gates++
+		}
+	}
+	n.Grow(len(m.inputs), gates, 3*gates, len(m.Outputs))
 	remap := make([]netlist.Signal, len(m.nodes))
 	for idx, in := range m.inputs {
 		remap[in] = n.AddInput(m.names[idx])
 	}
-	live := m.LiveMask()
 	for i, nd := range m.nodes {
 		if !live[i] || nd.kind != kindMaj {
 			continue

@@ -204,27 +204,22 @@ func (m *MIG) EliminatePassBudget(window, depthBudget int) *MIG {
 }
 
 func (m *MIG) eliminate(window, depthBudget int) *MIG {
-	refs := m.FanoutCounts()
-	// required[i] is the maximum level node i may take without pushing any
-	// output past the budget (-1 disables the gate).
-	var required []int
-	if depthBudget >= 0 {
-		rev := m.reverseLevels()
-		required = make([]int, len(m.nodes))
-		for i := range required {
-			if rev[i] < 0 {
-				required[i] = depthBudget
-			} else {
-				required[i] = depthBudget - rev[i]
-			}
-		}
-	}
-	return m.rebuildWith(func(out *MIG, oldIdx int, a, b, c Signal) Signal {
+	rp, lp, fp := takeInts(len(m.nodes)), takeBools(len(m.nodes)), takeInts(len(m.nodes))
+	defer releaseInts(rp)
+	defer releaseBools(lp)
+	defer releaseInts(fp)
+	rev, live := *rp, *lp
+	m.reverseLevels(rev, live)
+	refs := m.fanoutsInto(*fp, live)
+	return m.rebuildWith(live, func(out *MIG, oldIdx int, a, b, c Signal) Signal {
 		def := candidate{shape: shapeMaj, sig: [5]Signal{a, b, c}}
 		out.probeCand(&def, unbounded)
 		best := def
+		// A candidate is within the budget when its level leaves room for
+		// the longest path from the node to an output (a negative budget
+		// disables the gate).
 		within := func(cand *candidate) bool {
-			return required == nil || cand.level <= required[oldIdx]
+			return depthBudget < 0 || cand.level <= depthBudget-rev[oldIdx]
 		}
 
 		// Ω.D R→L: M(M(x,y,u), M(x,y,v), z) = M(x,y,M(u,v,z)) when the two
@@ -301,8 +296,13 @@ func (m *MIG) eliminate(window, depthBudget int) *MIG {
 // size), and distributivity left-to-right Ω.D (one extra node, applied on
 // the critical path only). Returns a new MIG.
 func (m *MIG) PushUpPass() *MIG {
-	crit := m.criticalMask()
-	return m.rebuildWith(func(out *MIG, oldIdx int, a, b, c Signal) Signal {
+	rp, lp := takeInts(len(m.nodes)), takeBools(len(m.nodes))
+	defer releaseInts(rp)
+	defer releaseBools(lp)
+	rev, live := *rp, *lp
+	m.reverseLevels(rev, live)
+	depth := m.Depth()
+	return m.rebuildWith(live, func(out *MIG, oldIdx int, a, b, c Signal) Signal {
 		// Only a strictly deepest majority fanin g is worth pushing into:
 		// pushing a variable out of a non-critical child cannot reduce the
 		// level. At most one fanin is strictly deepest, and without one no
@@ -391,8 +391,9 @@ func (m *MIG) PushUpPass() *MIG {
 
 		// Ω.D L→R: M(x, y, M(u, v, z)) = M(M(x,y,u), M(x,y,v), z),
 		// pushing the critical grandchild z one level up at the price of
-		// one node. Restricted to the critical path.
-		if crit[oldIdx] {
+		// one node. Restricted to the critical path: the nodes on a
+		// longest input-to-output path.
+		if int(m.nodes[oldIdx].level)+rev[oldIdx] >= depth {
 			// Choose the deepest grandchild as z.
 			zi := 0
 			for k := 1; k < 3; k++ {
@@ -417,7 +418,7 @@ func (m *MIG) PushUpPass() *MIG {
 // exchanges Ψ.R that do not create nodes (thereby increasing sharing), and,
 // when aggressive, substitution Ψ.S on small output cones.
 func (m *MIG) ReshapePass(window int, aggressive bool) *MIG {
-	res := m.rebuildWith(func(out *MIG, oldIdx int, a, b, c Signal) Signal {
+	res := m.rebuildWith(nil, func(out *MIG, oldIdx int, a, b, c Signal) Signal {
 		def := candidate{shape: shapeMaj, sig: [5]Signal{a, b, c}}
 		out.probeCand(&def, unbounded)
 		best := def
@@ -521,7 +522,7 @@ func (m *MIG) coneOf(s Signal, limit int) (int, []int) {
 func (m *MIG) ActivityPass(inputProbs []float64) *MIG {
 	refs := m.FanoutCounts()
 	act := activity{in: inputProbs}
-	return m.rebuildWith(func(out *MIG, oldIdx int, a, b, c Signal) Signal {
+	return m.rebuildWith(nil, func(out *MIG, oldIdx int, a, b, c Signal) Signal {
 		def := candidate{shape: shapeMaj, sig: [5]Signal{a, b, c}}
 		s, _ := out.probeCand(&def, unbounded)
 		best, bestAct := def, act.local(out, &out.dry, len(out.nodes), s)

@@ -103,7 +103,7 @@ func BenchmarkRebuildWith(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out := m.rebuildWith(func(out *MIG, oldIdx int, x, y, z Signal) Signal {
+		out := m.rebuildWith(nil, func(out *MIG, oldIdx int, x, y, z Signal) Signal {
 			return out.Maj(x, y, z)
 		})
 		if out.Size() == 0 {

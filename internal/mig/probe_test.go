@@ -331,8 +331,8 @@ func TestRelevanceReachMatchesOneTargetWalks(t *testing.T) {
 	}
 }
 
-// The reverse-scan live mask must equal a depth-first walk from the
-// outputs, on random MIGs with dead nodes.
+// The reverse-scan live masks (liveInto's and reverseLevels') must equal
+// a depth-first walk from the outputs, on random MIGs with dead nodes.
 func TestLiveMaskMatchesWalk(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	dead := 0
@@ -357,6 +357,11 @@ func TestLiveMaskMatchesWalk(t *testing.T) {
 		}
 		if got := m.LiveMask(); !slices.Equal(got, want) {
 			t.Fatalf("trial %d: live mask %v, walk %v", trial, got, want)
+		}
+		rev, live := make([]int, len(m.nodes)), make([]bool, len(m.nodes))
+		m.reverseLevels(rev, live)
+		if !slices.Equal(live, want) {
+			t.Fatalf("trial %d: reverseLevels' live mask %v, walk %v", trial, live, want)
 		}
 		for i, l := range want {
 			if !l && m.nodes[i].kind == kindMaj {

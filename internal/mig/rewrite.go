@@ -14,17 +14,20 @@ import "slices"
 type rebuildFunc func(out *MIG, oldIdx int, a, b, c Signal) Signal
 
 // rebuildWith reconstructs the MIG through f. Dead nodes are skipped, so
-// every rebuild is also a cleanup. The remap and liveness scratch comes from
-// the shared slabs, so a rebuild allocates only the output graph itself.
-func (m *MIG) rebuildWith(f rebuildFunc) *MIG {
+// every rebuild is also a cleanup. live is m's live mask, or nil to have
+// it computed. The remap and liveness scratch comes from the shared slabs,
+// so a rebuild allocates only the output graph itself.
+func (m *MIG) rebuildWith(live []bool, f rebuildFunc) *MIG {
 	out := New(m.Name)
 	out.nodes = slices.Grow(out.nodes, len(m.nodes))
 	rp := takeSignals(len(m.nodes), 0)
 	remap := *rp
 	defer releaseSignals(rp)
-	lp := takeBools(len(m.nodes))
-	live := m.liveInto(*lp)
-	defer releaseBools(lp)
+	if live == nil {
+		lp := takeBools(len(m.nodes))
+		live = m.liveInto(*lp)
+		defer releaseBools(lp)
+	}
 	for idx, in := range m.inputs {
 		remap[in] = out.AddInput(m.names[idx])
 	}
@@ -44,10 +47,13 @@ func (m *MIG) rebuildWith(f rebuildFunc) *MIG {
 	return out
 }
 
-// reverseLevels returns, per node, the longest path (in majority levels)
-// from the node to any primary output it feeds. Dead nodes get -1.
-func (m *MIG) reverseLevels() []int {
-	rev := make([]int, len(m.nodes))
+// reverseLevels fills rev with, per node, the longest path (in majority
+// levels) from the node to any primary output it feeds, or -1 for a dead
+// node, and live with the live mask, which is rev[i] >= 0. Both have
+// length len(nodes); internal callers pass pooled slices. Nodes are
+// appended after their fanins, so one scan from the newest node down
+// settles every reader of a node before it reaches the node.
+func (m *MIG) reverseLevels(rev []int, live []bool) {
 	for i := range rev {
 		rev[i] = -1
 	}
@@ -55,7 +61,7 @@ func (m *MIG) reverseLevels() []int {
 		rev[o.Sig.Node()] = 0
 	}
 	for i := len(m.nodes) - 1; i >= 0; i-- {
-		if rev[i] < 0 || m.nodes[i].kind != kindMaj {
+		if live[i] = rev[i] >= 0; !live[i] || m.nodes[i].kind != kindMaj {
 			continue
 		}
 		for _, f := range m.nodes[i].fanin {
@@ -64,20 +70,6 @@ func (m *MIG) reverseLevels() []int {
 			}
 		}
 	}
-	return rev
-}
-
-// criticalMask marks nodes on a longest input-to-output path.
-func (m *MIG) criticalMask() []bool {
-	depth := m.Depth()
-	rev := m.reverseLevels()
-	crit := make([]bool, len(m.nodes))
-	for i := range m.nodes {
-		if rev[i] >= 0 && int(m.nodes[i].level)+rev[i] >= depth {
-			crit[i] = true
-		}
-	}
-	return crit
 }
 
 // replaceInCone rebuilds the cone of root with occurrences of the signal

@@ -63,11 +63,10 @@ type windowChoice struct {
 // cones, each in topological (index) order, ordered by first member. This
 // is the unit of work of the window-parallel passes.
 func (m *MIG) Windows() [][]int {
-	refs := m.FanoutCounts()
 	lp := takeBools(len(m.nodes))
 	live := m.liveInto(*lp)
 	defer releaseBools(lp)
-	return m.windows(live, refs)
+	return m.windows(live, m.fanoutsInto(make([]int, len(m.nodes)), live))
 }
 
 func (m *MIG) windows(live []bool, refs []int) [][]int {
@@ -127,10 +126,10 @@ func (m *MIG) WindowRewritePass(ctx context.Context, k, maxCuts int) (*MIG, erro
 // implementation of every (at most 4-input) cut.
 func (m *MIG) windowRewrite(ctx context.Context, k, maxCuts int, npn bool) (*MIG, error) {
 	cuts := m.CutSet(k, maxCuts)
-	refs := m.FanoutCounts()
 	lp := takeBools(len(m.nodes))
 	live := m.liveInto(*lp)
 	defer releaseBools(lp)
+	refs := m.fanoutsInto(make([]int, len(m.nodes)), live)
 	windows := m.windows(live, refs)
 
 	// Phase 1: evaluate windows, every worker probing the shared input

@@ -7,6 +7,7 @@ package netlist
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -100,7 +101,19 @@ type Network struct {
 	Nodes   []Node
 	Inputs  []int // node indices of primary inputs, in declaration order
 	Outputs []Output
+
+	// arena is the chunk AddGate copies fanins into, filled up to its
+	// length. Each node gets a capped subslice of a chunk, so appending to
+	// one node's fanins reallocates instead of overwriting its neighbour's.
+	arena []Signal
 }
+
+// Arena chunks start small, so tiny networks stay tiny, and double up to
+// maxArenaChunk signals.
+const (
+	minArenaChunk = 64
+	maxArenaChunk = 1 << 16
+)
 
 // New creates an empty network containing only the constant-0 node.
 func New(name string) *Network {
@@ -115,17 +128,49 @@ func (n *Network) NumNodes() int { return len(n.Nodes) }
 
 // Clone returns a deep copy of the network (fanin slices included).
 func (n *Network) Clone() *Network {
+	fanins := 0
+	for i := range n.Nodes {
+		fanins += len(n.Nodes[i].Fanins)
+	}
 	out := &Network{
 		Name:    n.Name,
 		Nodes:   make([]Node, len(n.Nodes)),
 		Inputs:  append([]int(nil), n.Inputs...),
 		Outputs: append([]Output(nil), n.Outputs...),
+		arena:   make([]Signal, 0, fanins),
 	}
 	copy(out.Nodes, n.Nodes)
 	for i := range out.Nodes {
-		out.Nodes[i].Fanins = append([]Signal(nil), n.Nodes[i].Fanins...)
+		out.Nodes[i].Fanins = out.alloc(n.Nodes[i].Fanins)
 	}
 	return out
+}
+
+// Grow reserves room for inputs more inputs, gates more gates over
+// fanins fanin signals in all, and outputs more outputs, so a builder
+// that knows its size appends without regrowing.
+func (n *Network) Grow(inputs, gates, fanins, outputs int) {
+	n.Nodes = slices.Grow(n.Nodes, inputs+gates)
+	n.Inputs = slices.Grow(n.Inputs, inputs)
+	n.Outputs = slices.Grow(n.Outputs, outputs)
+	if cap(n.arena)-len(n.arena) < fanins {
+		n.arena = make([]Signal, 0, fanins)
+	}
+}
+
+// alloc copies fs into the arena and returns the copy, capped at its
+// length. A nil or empty fs yields nil.
+func (n *Network) alloc(fs []Signal) []Signal {
+	if len(fs) == 0 {
+		return nil
+	}
+	if cap(n.arena)-len(n.arena) < len(fs) {
+		size := min(max(2*cap(n.arena), minArenaChunk), maxArenaChunk)
+		n.arena = make([]Signal, 0, max(size, len(fs)))
+	}
+	start := len(n.arena)
+	n.arena = append(n.arena, fs...)
+	return n.arena[start:len(n.arena):len(n.arena)]
 }
 
 // NumGates returns the number of logic gates (excluding const, inputs,
@@ -176,7 +221,7 @@ func (n *Network) AddGate(op Op, fanins ...Signal) Signal {
 		}
 	}
 	idx := len(n.Nodes)
-	n.Nodes = append(n.Nodes, Node{Op: op, Fanins: append([]Signal(nil), fanins...)})
+	n.Nodes = append(n.Nodes, Node{Op: op, Fanins: n.alloc(fanins)})
 	return MakeSignal(idx, false)
 }
 
@@ -355,22 +400,19 @@ func (n *Network) Depth() int {
 }
 
 // LiveNodes returns a mark per node of whether it is in the transitive fanin
-// of some primary output.
+// of some primary output. Fanins precede their gates (Validate), so one
+// scan from the newest node down marks every fanin of a live node before
+// the scan reaches it.
 func (n *Network) LiveNodes() []bool {
 	live := make([]bool, len(n.Nodes))
-	var stack []int
 	for _, o := range n.Outputs {
-		stack = append(stack, o.Sig.Node())
+		live[o.Sig.Node()] = true
 	}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if live[v] {
-			continue
-		}
-		live[v] = true
-		for _, f := range n.Nodes[v].Fanins {
-			stack = append(stack, f.Node())
+	for i := len(n.Nodes) - 1; i > 0; i-- {
+		if live[i] {
+			for _, f := range n.Nodes[i].Fanins {
+				live[f.Node()] = true
+			}
 		}
 	}
 	return live
@@ -381,6 +423,18 @@ func (n *Network) LiveNodes() []bool {
 func (n *Network) Clean() *Network {
 	live := n.LiveNodes()
 	out := New(n.Name)
+	gates, fanins := 0, 0
+	for i, nd := range n.Nodes {
+		switch nd.Op {
+		case Const0, Input, Buf, Not:
+		default:
+			if live[i] {
+				gates++
+				fanins += len(nd.Fanins)
+			}
+		}
+	}
+	out.Grow(len(n.Inputs), gates, fanins, len(n.Outputs))
 	remap := make([]Signal, len(n.Nodes))
 	remap[0] = SigConst0
 	ms := func(s Signal) Signal { return remap[s.Node()].NotIf(s.Neg()) }
@@ -388,6 +442,7 @@ func (n *Network) Clean() *Network {
 		// Inputs are always kept to preserve the interface.
 		remap[in] = out.AddInput(n.Nodes[in].Name)
 	}
+	var fs []Signal
 	for i, nd := range n.Nodes {
 		if !live[i] {
 			continue
@@ -399,9 +454,9 @@ func (n *Network) Clean() *Network {
 		case Not:
 			remap[i] = ms(nd.Fanins[0]).Not()
 		default:
-			fs := make([]Signal, len(nd.Fanins))
-			for k, f := range nd.Fanins {
-				fs[k] = ms(f)
+			fs = fs[:0]
+			for _, f := range nd.Fanins {
+				fs = append(fs, ms(f))
 			}
 			remap[i] = out.AddGate(nd.Op, fs...)
 		}

@@ -7,20 +7,24 @@ package netlist
 // otherwise come back as three AND and two OR gates; this pass restores the
 // majority structure that MIG construction wants to see.
 func (n *Network) Remajorize() *Network {
-	refs := make([]int, len(n.Nodes))
+	m := majMatcher{n: n, refs: make([]int, len(n.Nodes)), tt: make([]uint8, len(n.Nodes))}
+	fanins := 0
 	for _, nd := range n.Nodes {
+		fanins += len(nd.Fanins)
 		for _, f := range nd.Fanins {
-			refs[f.Node()]++
+			m.refs[f.Node()]++
 		}
 	}
 	for _, o := range n.Outputs {
-		refs[o.Sig.Node()]++
+		m.refs[o.Sig.Node()]++
 	}
 
 	out := New(n.Name)
+	out.Grow(len(n.Inputs), len(n.Nodes), fanins, len(n.Outputs))
 	remap := make([]Signal, len(n.Nodes))
 	ms := func(s Signal) Signal { return remap[s.Node()].NotIf(s.Neg()) }
 
+	var fs []Signal
 	for i, nd := range n.Nodes {
 		switch nd.Op {
 		case Const0:
@@ -30,20 +34,20 @@ func (n *Network) Remajorize() *Network {
 			remap[i] = out.AddInput(nd.Name)
 			continue
 		}
-		if leaves, neg, ok := n.matchMaj(i, refs); ok {
+		if leaves, neg, ok := m.match(i); ok {
 			remap[i] = out.AddGate(Maj, ms(leaves[0]), ms(leaves[1]), ms(leaves[2])).NotIf(neg)
 			continue
 		}
-		fs := make([]Signal, len(nd.Fanins))
-		for k, f := range nd.Fanins {
-			fs[k] = ms(f)
-		}
 		switch nd.Op {
 		case Not:
-			remap[i] = fs[0].Not()
+			remap[i] = ms(nd.Fanins[0]).Not()
 		case Buf:
-			remap[i] = fs[0]
+			remap[i] = ms(nd.Fanins[0])
 		default:
+			fs = fs[:0]
+			for _, f := range nd.Fanins {
+				fs = append(fs, ms(f))
+			}
 			remap[i] = out.AddGate(nd.Op, fs...)
 		}
 	}
@@ -53,129 +57,130 @@ func (n *Network) Remajorize() *Network {
 	return out.Clean()
 }
 
-// matchMaj reports whether the cone rooted at node i computes a majority of
-// three leaf signals. The cone may descend through single-fanout And/Or/Not
-// interior nodes up to depth 3.
-func (n *Network) matchMaj(root int, refs []int) ([3]Signal, bool, bool) {
-	// Collect leaves: nodes outside the cone.
-	var leaves []int
-	leafSet := map[int]bool{}
-	interior := map[int]bool{}
-	ok := true
-	var collect func(idx, depth int, isRoot bool)
-	collect = func(idx, depth int, isRoot bool) {
-		if !ok {
-			return
+// majVariants[v] is the truth table, over leaves 0xAA, 0xCC and 0xF0, of
+// maj3 with leaf k complemented when bit k of v is set and the output
+// complemented when bit 3 is. Complementing everything leaves maj3
+// unchanged, so v and v^15 share a table and the first match decides.
+var majVariants = func() (t [16]uint8) {
+	for v := range t {
+		a, b, c := uint8(0xAA), uint8(0xCC), uint8(0xF0)
+		if v&1 != 0 {
+			a = ^a
 		}
-		nd := &n.Nodes[idx]
-		expandable := nd.Op == And || nd.Op == Or || nd.Op == Not || nd.Op == Buf || nd.Op == Maj || nd.Op == Mux
-		if !isRoot && (!expandable || refs[idx] != 1 || depth == 0) {
-			if !leafSet[idx] {
-				if len(leaves) == 3 {
-					ok = false
-					return
-				}
-				leafSet[idx] = true
-				leaves = append(leaves, idx)
+		if v&2 != 0 {
+			b = ^b
+		}
+		if v&4 != 0 {
+			c = ^c
+		}
+		t[v] = a&b | a&c | b&c
+		if v&8 != 0 {
+			t[v] = ^t[v]
+		}
+	}
+	return t
+}()
+
+// majMatcher finds the majority cones of one network. Its leaf and
+// interior buffers and its per-node truth tables are reused from cone to
+// cone, so matching allocates nothing per node.
+type majMatcher struct {
+	n      *Network
+	refs   []int   // references per node, from every gate and output
+	tt     []uint8 // truth table per node over the current cone's leaves
+	leaves [3]int  // the current cone's leaves, in discovery order
+	nl     int     // leaves found so far
+	post   []int   // the current cone's interior, fanins before readers
+}
+
+// match reports whether the cone rooted at node root computes a majority
+// of three leaf signals, and returns them with the output polarity. The
+// cone may descend through single-fanout And/Or/Not/Buf/Maj/Mux interior
+// nodes up to depth 3 below an And or Or root.
+func (m *majMatcher) match(root int) (leaves [3]Signal, neg, ok bool) {
+	if op := m.n.Nodes[root].Op; op != And && op != Or {
+		return leaves, false, false
+	}
+	m.nl, m.post = 0, m.post[:0]
+	if !m.collect(root, 3, true) || m.nl != 3 {
+		return leaves, false, false
+	}
+	m.tt[m.leaves[0]], m.tt[m.leaves[1]], m.tt[m.leaves[2]] = 0xAA, 0xCC, 0xF0
+	for _, i := range m.post {
+		m.tt[i] = m.eval(&m.n.Nodes[i])
+	}
+	for v, want := range majVariants {
+		if m.tt[root] == want {
+			for k := range leaves {
+				leaves[k] = MakeSignal(m.leaves[k], v&(1<<k) != 0)
 			}
-			return
+			return leaves, v&8 != 0, true
 		}
-		if !expandable {
-			ok = false
-			return
+	}
+	return leaves, false, false
+}
+
+// collect adds the cone below idx, which sits depth levels above the
+// deepest allowed leaf, to leaves and post. A node outside the cone (not
+// expandable, shared, or at depth 0) is a leaf. It reports false when an
+// interior node reads the constant or a fourth leaf turns up.
+func (m *majMatcher) collect(idx, depth int, isRoot bool) bool {
+	nd := &m.n.Nodes[idx]
+	switch nd.Op {
+	case And, Or, Not, Buf, Maj, Mux:
+		if isRoot || (m.refs[idx] == 1 && depth > 0) {
+			for _, f := range nd.Fanins {
+				if f.Node() == 0 || !m.collect(f.Node(), depth-1, false) {
+					return false
+				}
+			}
+			m.post = append(m.post, idx)
+			return true
 		}
-		interior[idx] = true
+	}
+	for _, l := range m.leaves[:m.nl] {
+		if l == idx {
+			return true
+		}
+	}
+	if m.nl == 3 {
+		return false
+	}
+	m.leaves[m.nl] = idx
+	m.nl++
+	return true
+}
+
+// eval returns the truth table of interior node nd from its fanins'.
+func (m *majMatcher) eval(nd *Node) uint8 {
+	get := func(s Signal) uint8 {
+		if s.Neg() {
+			return ^m.tt[s.Node()]
+		}
+		return m.tt[s.Node()]
+	}
+	switch nd.Op {
+	case And:
+		v := uint8(0xFF)
 		for _, f := range nd.Fanins {
-			if f.Node() == 0 {
-				// Constant leaf disqualifies a clean majority match.
-				ok = false
-				return
-			}
-			collect(f.Node(), depth-1, false)
+			v &= get(f)
 		}
+		return v
+	case Or:
+		v := uint8(0)
+		for _, f := range nd.Fanins {
+			v |= get(f)
+		}
+		return v
+	case Not:
+		return ^get(nd.Fanins[0])
+	case Buf:
+		return get(nd.Fanins[0])
+	case Maj:
+		a, b, c := get(nd.Fanins[0]), get(nd.Fanins[1]), get(nd.Fanins[2])
+		return a&b | a&c | b&c
+	default: // Mux
+		s, hi, lo := get(nd.Fanins[0]), get(nd.Fanins[1]), get(nd.Fanins[2])
+		return s&hi | ^s&lo
 	}
-	nd := &n.Nodes[root]
-	if nd.Op != And && nd.Op != Or {
-		return [3]Signal{}, false, false
-	}
-	collect(root, 3, true)
-	if !ok || len(leaves) != 3 {
-		return [3]Signal{}, false, false
-	}
-
-	// Evaluate the cone over the 8 leaf minterms.
-	var ttv uint8
-	for m := 0; m < 8; m++ {
-		val := map[int]bool{}
-		for k, l := range leaves {
-			val[l] = m&(1<<uint(k)) != 0
-		}
-		var eval func(s Signal) bool
-		bad := false
-		eval = func(s Signal) bool {
-			if v, okv := val[s.Node()]; okv {
-				return v != s.Neg()
-			}
-			cnd := &n.Nodes[s.Node()]
-			var v bool
-			switch cnd.Op {
-			case And:
-				v = true
-				for _, f := range cnd.Fanins {
-					v = v && eval(f)
-				}
-			case Or:
-				v = false
-				for _, f := range cnd.Fanins {
-					v = v || eval(f)
-				}
-			case Not:
-				v = !eval(cnd.Fanins[0])
-			case Buf:
-				v = eval(cnd.Fanins[0])
-			case Maj:
-				a, b := eval(cnd.Fanins[0]), eval(cnd.Fanins[1])
-				c := eval(cnd.Fanins[2])
-				v = (a && b) || (a && c) || (b && c)
-			case Mux:
-				if eval(cnd.Fanins[0]) {
-					v = eval(cnd.Fanins[1])
-				} else {
-					v = eval(cnd.Fanins[2])
-				}
-			default:
-				bad = true
-			}
-			return v != s.Neg()
-		}
-		r := eval(MakeSignal(root, false))
-		if bad {
-			return [3]Signal{}, false, false
-		}
-		if r {
-			ttv |= 1 << uint(m)
-		}
-	}
-
-	// Compare against all polarity variants of maj3 (tt 0xE8).
-	for variant := 0; variant < 16; variant++ {
-		want := uint8(0)
-		for m := 0; m < 8; m++ {
-			a := (m&1 != 0) != (variant&1 != 0)
-			b := (m&2 != 0) != (variant&2 != 0)
-			c := (m&4 != 0) != (variant&4 != 0)
-			v := (a && b) || (a && c) || (b && c)
-			if v != (variant&8 != 0) {
-				want |= 1 << uint(m)
-			}
-		}
-		if ttv == want {
-			var sigs [3]Signal
-			for k, l := range leaves {
-				sigs[k] = MakeSignal(l, variant&(1<<uint(k)) != 0)
-			}
-			return sigs, variant&8 != 0, true
-		}
-	}
-	return [3]Signal{}, false, false
 }

@@ -18,12 +18,15 @@ package verilog
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/netlist"
 )
 
-// Write renders the network as structural Verilog.
+// Write renders the network as structural Verilog. Ports keep their
+// sanitized names, made unique with a _2, _3, ... suffix; gate i drives
+// wire w<i>, or the first free suffix of it when a port holds that name.
 func Write(n *netlist.Network) string {
 	var sb strings.Builder
 	name := n.Name
@@ -71,7 +74,11 @@ func Write(n *netlist.Network) string {
 		switch nd.Op {
 		case netlist.Const0, netlist.Input:
 		default:
-			wire[i] = fmt.Sprintf("w%d", i)
+			// Gate i is w<i>, unless a port holds that name.
+			wire[i] = "w" + strconv.Itoa(i)
+			if used[wire[i]] {
+				wire[i] = uniquify(wire[i], used)
+			}
 			wireDecls = append(wireDecls, wire[i])
 		}
 	}

@@ -288,3 +288,23 @@ func TestCollapseTooBig(t *testing.T) {
 		t.Error("CollapseTT accepted 20 inputs")
 	}
 }
+
+// TestFaninsIsolated checks that gates built into one fanin arena, and
+// their clones, do not share storage one can grow into: appending to a
+// node's fanins must leave its neighbour's alone.
+func TestFaninsIsolated(t *testing.T) {
+	n := New("iso")
+	a, b := n.AddInput("a"), n.AddInput("b")
+	g := n.AddGate(And, a, b)
+	h := n.AddGate(Or, a.Not(), b)
+	for _, net := range []*Network{n, n.Clone()} {
+		nd := &net.Nodes[g.Node()]
+		nd.Fanins = append(nd.Fanins, b.Not())
+		if got := net.Nodes[h.Node()].Fanins; len(got) != 2 || got[0] != a.Not() || got[1] != b {
+			t.Fatalf("appending to node %d changed node %d's fanins to %v", g.Node(), h.Node(), got)
+		}
+	}
+	if got := n.Nodes[g.Node()].Fanins; len(got) != 3 {
+		t.Fatalf("append lost: %v", got)
+	}
+}

@@ -162,9 +162,6 @@ func (p *parser) parseLine(raw []byte) error {
 		if err := p.flush(); err != nil {
 			return err
 		}
-		if len(fields) == 1 {
-			return fmt.Errorf("blif: .names without signals")
-		}
 		b := &p.cur
 		b.reset()
 		for _, f := range fields[1:] {
@@ -200,12 +197,17 @@ func (p *parser) parseLine(raw []byte) error {
 	return nil
 }
 
-// flush builds (or parks) the block being read, if any.
+// flush builds (or parks) the block being read, if any. A block without
+// signals is reported here, where it is first used, so an error on a
+// line before the flush still comes first.
 func (p *parser) flush() error {
 	if !p.open {
 		return nil
 	}
 	p.open = false
+	if p.cur.numSignals() == 0 {
+		return fmt.Errorf("blif: .names without signals")
+	}
 	return p.tryBuild(&p.cur)
 }
 

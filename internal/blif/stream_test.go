@@ -183,6 +183,7 @@ func TestParseReaderErrors(t *testing.T) {
 		{".model x\n.inputs a\n.outputs y\n.names a ghost y\n11 1\n", "blif: unresolved .names blocks (1 left)"},
 		{".model x\n.inputs a\n.outputs y z\n.names a y\n1 1\n", `blif: output "z" never defined`},
 		{".model x\n.inputs a\n.outputs y\n.names\n.names a y\n1 1\n", "blif: .names without signals"},
+		{".model x\n.names\n.latch a b\n", "blif: unsupported construct .latch"},
 	}
 	for _, tc := range cases {
 		_, err := ParseReader(strings.NewReader(tc.src))

@@ -147,8 +147,8 @@ func (n *Network) Clone() *Network {
 }
 
 // Grow reserves room for inputs more inputs, gates more gates over
-// fanins fanin signals in all, and outputs more outputs, so a builder
-// that knows its size appends without regrowing.
+// fanins fanin signals in all, and outputs more outputs, so code that
+// knows the final size of a network appends without regrowing.
 func (n *Network) Grow(inputs, gates, fanins, outputs int) {
 	n.Nodes = slices.Grow(n.Nodes, inputs+gates)
 	n.Inputs = slices.Grow(n.Inputs, inputs)

@@ -62,16 +62,9 @@ func Write(n *netlist.Network) string {
 	w.buf = append(w.buf, '\n')
 
 	// Move generated names off the port names, and note which inverters
-	// and constants the body reads. Only a port named like a gate (n and
-	// digits) or an inverter (an _inv suffix) can hold one, so most
-	// networks skip the lookups.
-	var gateLike, invLike bool
-	for nm := range used {
-		gateLike = gateLike || len(nm) > 1 && nm[0] == 'n' && strings.Trim(nm[1:], "0123456789") == ""
-		invLike = invLike || strings.HasSuffix(nm, "_inv")
-	}
+	// and constants the body reads.
 	for i := range n.Nodes {
-		if gateLike && w.isGate(i) {
+		if w.isGate(i) {
 			if w.tmp = w.appendName(w.tmp[:0], i); used[string(w.tmp)] {
 				w.names[i] = uniquify(string(w.tmp), used)
 			}
@@ -84,9 +77,6 @@ func Write(n *netlist.Network) string {
 			usesConst[s&1] = true
 		case s.Neg() && !w.inv[i]:
 			w.inv[i] = true
-			if !invLike {
-				break
-			}
 			if w.tmp = w.appendInv(w.tmp[:0], i); used[string(w.tmp)] {
 				if w.invNames == nil {
 					w.invNames = map[int]string{}

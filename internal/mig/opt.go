@@ -520,9 +520,13 @@ func (m *MIG) coneOf(s Signal, limit int) (int, []int) {
 // replaces is single-fanout in the old graph (the old cone dies, so the
 // live size is unchanged). Candidates are costed by dry builds.
 func (m *MIG) ActivityPass(inputProbs []float64) *MIG {
-	refs := m.FanoutCounts()
+	lp, fp := takeBools(len(m.nodes)), takeInts(len(m.nodes))
+	defer releaseBools(lp)
+	defer releaseInts(fp)
+	live := m.liveInto(*lp)
+	refs := m.fanoutsInto(*fp, live)
 	act := activity{in: inputProbs}
-	return m.rebuildWith(nil, func(out *MIG, oldIdx int, a, b, c Signal) Signal {
+	return m.rebuildWith(live, func(out *MIG, oldIdx int, a, b, c Signal) Signal {
 		def := candidate{shape: shapeMaj, sig: [5]Signal{a, b, c}}
 		s, _ := out.probeCand(&def, unbounded)
 		best, bestAct := def, act.local(out, &out.dry, len(out.nodes), s)

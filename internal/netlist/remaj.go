@@ -8,11 +8,20 @@ package netlist
 // majority structure that MIG construction wants to see.
 func (n *Network) Remajorize() *Network {
 	m := majMatcher{n: n, refs: make([]int, len(n.Nodes)), tt: make([]uint8, len(n.Nodes))}
-	fanins := 0
+	// Every node but the constant, the inputs and Not/Buf adds at most one
+	// gate: its own, or a Maj that reads one fanin more than a two-input
+	// And/Or root.
+	gates, fanins := 0, 0
 	for _, nd := range n.Nodes {
-		fanins += len(nd.Fanins)
 		for _, f := range nd.Fanins {
 			m.refs[f.Node()]++
+		}
+		switch nd.Op {
+		case Const0, Input, Not, Buf:
+		case And, Or:
+			gates, fanins = gates+1, fanins+max(len(nd.Fanins), 3)
+		default:
+			gates, fanins = gates+1, fanins+len(nd.Fanins)
 		}
 	}
 	for _, o := range n.Outputs {
@@ -20,7 +29,7 @@ func (n *Network) Remajorize() *Network {
 	}
 
 	out := New(n.Name)
-	out.Grow(len(n.Inputs), len(n.Nodes), fanins, len(n.Outputs))
+	out.Grow(len(n.Inputs), gates, fanins, len(n.Outputs))
 	remap := make([]Signal, len(n.Nodes))
 	ms := func(s Signal) Signal { return remap[s.Node()].NotIf(s.Neg()) }
 

@@ -377,16 +377,26 @@ func FromNetwork(n *netlist.Network) *AIG {
 	a := New(n.Name)
 	remap := make([]Signal, len(n.Nodes))
 	ms := func(s netlist.Signal) Signal { return remap[s.Node()].NotIf(s.Neg()) }
-	reduce := func(sigs []Signal, op func(x, y Signal) Signal) Signal {
+	// reduce combines a gate's fanins with op as a balanced tree, pairing
+	// neighbours level by level in one buffer that every gate reuses.
+	var buf []Signal
+	reduce := func(fs []netlist.Signal, op func(x, y Signal) Signal) Signal {
+		sigs := buf[:0]
+		for _, f := range fs {
+			sigs = append(sigs, ms(f))
+		}
+		buf = sigs
 		for len(sigs) > 1 {
-			var next []Signal
+			k := 0
 			for i := 0; i+1 < len(sigs); i += 2 {
-				next = append(next, op(sigs[i], sigs[i+1]))
+				sigs[k] = op(sigs[i], sigs[i+1])
+				k++
 			}
 			if len(sigs)%2 == 1 {
-				next = append(next, sigs[len(sigs)-1])
+				sigs[k] = sigs[len(sigs)-1]
+				k++
 			}
-			sigs = next
+			sigs = sigs[:k]
 		}
 		return sigs[0]
 	}
@@ -407,13 +417,13 @@ func FromNetwork(n *netlist.Network) *AIG {
 		case netlist.Buf:
 			remap[i] = ms(nd.Fanins[0])
 		case netlist.And, netlist.Nand:
-			v := reduce(mapSigs(nd.Fanins, ms), a.And)
+			v := reduce(nd.Fanins, a.And)
 			remap[i] = v.NotIf(nd.Op == netlist.Nand)
 		case netlist.Or, netlist.Nor:
-			v := reduce(mapSigs(nd.Fanins, ms), a.Or)
+			v := reduce(nd.Fanins, a.Or)
 			remap[i] = v.NotIf(nd.Op == netlist.Nor)
 		case netlist.Xor, netlist.Xnor:
-			v := reduce(mapSigs(nd.Fanins, ms), a.Xor)
+			v := reduce(nd.Fanins, a.Xor)
 			remap[i] = v.NotIf(nd.Op == netlist.Xnor)
 		case netlist.Maj:
 			remap[i] = a.Maj(ms(nd.Fanins[0]), ms(nd.Fanins[1]), ms(nd.Fanins[2]))
@@ -427,14 +437,6 @@ func FromNetwork(n *netlist.Network) *AIG {
 		a.AddOutput(o.Name, ms(o.Sig))
 	}
 	return a
-}
-
-func mapSigs(fs []netlist.Signal, ms func(netlist.Signal) Signal) []Signal {
-	out := make([]Signal, len(fs))
-	for i, f := range fs {
-		out[i] = ms(f)
-	}
-	return out
 }
 
 // ToNetwork converts the AIG into the generic netlist IR.

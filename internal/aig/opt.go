@@ -1,8 +1,8 @@
 package aig
 
 import (
+	"cmp"
 	"slices"
-	"sort"
 
 	"repro/internal/sop"
 	"repro/internal/tt"
@@ -44,15 +44,16 @@ func (a *AIG) Balance() *AIG {
 	live := a.LiveMask()
 
 	// Collect the leaves of the conjunction tree rooted at old node i.
-	var collect func(s Signal, root bool, leaves *[]Signal)
-	collect = func(s Signal, root bool, leaves *[]Signal) {
+	var leaves []Signal
+	var collect func(s Signal, root bool)
+	collect = func(s Signal, root bool) {
 		nd := &a.nodes[s.Node()]
 		if nd.kind == kindAnd && !s.Neg() && (root || refs[s.Node()] == 1) {
-			collect(nd.fanin[0], false, leaves)
-			collect(nd.fanin[1], false, leaves)
+			collect(nd.fanin[0], false)
+			collect(nd.fanin[1], false)
 			return
 		}
-		*leaves = append(*leaves, s)
+		leaves = append(leaves, s)
 	}
 
 	for i := range a.nodes {
@@ -60,22 +61,13 @@ func (a *AIG) Balance() *AIG {
 		if !live[i] || nd.kind != kindAnd {
 			continue
 		}
-		var oldLeaves []Signal
-		collect(MakeSignal(i, false), true, &oldLeaves)
+		leaves = leaves[:0]
+		collect(MakeSignal(i, false), true)
 		// Map leaves into the new graph.
-		newLeaves := make([]Signal, len(oldLeaves))
-		for k, l := range oldLeaves {
-			newLeaves[k] = remap[l.Node()].NotIf(l.Neg())
+		for k, l := range leaves {
+			leaves[k] = remap[l.Node()].NotIf(l.Neg())
 		}
-		// Combine the two shallowest leaves repeatedly.
-		for len(newLeaves) > 1 {
-			sort.Slice(newLeaves, func(x, y int) bool {
-				return out.Level(newLeaves[x]) < out.Level(newLeaves[y])
-			})
-			n := out.And(newLeaves[0], newLeaves[1])
-			newLeaves = append([]Signal{n}, newLeaves[2:]...)
-		}
-		remap[i] = newLeaves[0]
+		remap[i] = out.pairShallowest(leaves)
 	}
 	for _, o := range a.Outputs {
 		out.AddOutput(o.Name, remap[o.Sig.Node()].NotIf(o.Sig.Neg()))
@@ -83,9 +75,26 @@ func (a *AIG) Balance() *AIG {
 	return out
 }
 
+// pairShallowest ANDs sigs into one signal, each step sorting the operands
+// by level and replacing the two shallowest with their AND at the front.
+// It reorders and overwrites sigs. The sort is the one sort.Slice runs
+// (the same pattern-defeating quicksort, insertion sort below 13
+// elements), so the pairing order, ties included, is the one Balance and
+// synthExpr have always built.
+func (a *AIG) pairShallowest(sigs []Signal) Signal {
+	for len(sigs) > 1 {
+		slices.SortFunc(sigs, func(x, y Signal) int { return cmp.Compare(a.Level(x), a.Level(y)) })
+		n := a.And(sigs[0], sigs[1])
+		sigs = sigs[1:]
+		sigs[0] = n
+	}
+	return sigs[0]
+}
+
 // synthExpr builds an expression tree in the AIG over the given leaf
-// signals, pairing shallow operands first.
-func synthExpr(out *AIG, e *sop.Expr, leaves []Signal) Signal {
+// signals, pairing shallow operands first. Each And/Or node's operands
+// take the top of *stack while they are paired.
+func synthExpr(out *AIG, e *sop.Expr, leaves []Signal, stack *[]Signal) Signal {
 	switch e.Kind {
 	case sop.ExprConst:
 		if e.Val {
@@ -95,24 +104,14 @@ func synthExpr(out *AIG, e *sop.Expr, leaves []Signal) Signal {
 	case sop.ExprLit:
 		return leaves[e.Var].NotIf(e.Neg)
 	case sop.ExprAnd, sop.ExprOr:
-		sigs := make([]Signal, len(e.Kids))
-		for i, k := range e.Kids {
-			s := synthExpr(out, k, leaves)
-			if e.Kind == sop.ExprOr {
-				s = s.Not()
-			}
-			sigs[i] = s
+		base := len(*stack)
+		for _, k := range e.Kids {
+			s := synthExpr(out, k, leaves, stack)
+			*stack = append(*stack, s.NotIf(e.Kind == sop.ExprOr))
 		}
-		for len(sigs) > 1 {
-			sort.Slice(sigs, func(x, y int) bool {
-				return out.Level(sigs[x]) < out.Level(sigs[y])
-			})
-			sigs = append([]Signal{out.And(sigs[0], sigs[1])}, sigs[2:]...)
-		}
-		if e.Kind == sop.ExprOr {
-			return sigs[0].Not()
-		}
-		return sigs[0]
+		s := out.pairShallowest((*stack)[base:])
+		*stack = (*stack)[:base]
+		return s.NotIf(e.Kind == sop.ExprOr)
 	}
 	panic("aig: bad expression kind")
 }
@@ -135,27 +134,36 @@ type factored struct {
 
 // factorMemo caches sop.FactorTT per cut function for one pass. FactorTT
 // is a pure function of the table and synthExpr only reads the tree, so a
-// cached expression builds exactly the structure a fresh one would. Each
-// factoring runs espresso on f and f', and cut functions repeat heavily:
-// over the MCNC circuits, 99% of a resyn2 flow's calls ask for a function
-// the same pass has already factored. Functions of more than six variables
-// are factored directly.
-type factorMemo map[factorKey]factored
+// cached expression builds exactly the structure a fresh one would. Cut
+// functions repeat heavily: over the MCNC circuits, 99% of a resyn2 flow's
+// calls ask for a function the same pass has already factored. A miss
+// runs espresso on f and f' in the memo's word scratch (fs), reused by
+// every miss of the pass, and allocates only the expression it keeps.
+// Functions of more than six variables are factored directly. stack holds
+// synthExpr's operands.
+type factorMemo struct {
+	m     map[factorKey]factored
+	fs    sop.Factorer
+	stack []Signal
+}
 
 // synth builds f over the leaf signals via minimized, factored SOP.
-func (m factorMemo) synth(out *AIG, f tt.TT, leaves []Signal) Signal {
+func (m *factorMemo) synth(out *AIG, f tt.TT, leaves []Signal) Signal {
 	var r factored
 	if n := f.NumVars(); n <= 6 {
 		k := factorKey{n, f.Word(0)}
 		var ok bool
-		if r, ok = m[k]; !ok {
-			r.e, r.neg = sop.FactorTT(f)
-			m[k] = r
+		if r, ok = m.m[k]; !ok {
+			r.e, r.neg = m.fs.FactorTT(f)
+			if m.m == nil {
+				m.m = map[factorKey]factored{}
+			}
+			m.m[k] = r
 		}
 	} else {
-		r.e, r.neg = sop.FactorTT(f)
+		r.e, r.neg = m.fs.FactorTT(f)
 	}
-	return synthExpr(out, r.e, leaves).NotIf(r.neg)
+	return synthExpr(out, r.e, leaves, &m.stack).NotIf(r.neg)
 }
 
 // Rewrite performs DAG-aware cut rewriting with 4-input cuts, the analogue

@@ -73,8 +73,10 @@ func TestAIGScriptErrors(t *testing.T) {
 
 // The AIG baseline's output bytes are pinned: the BLIF of resyn2 over two
 // rounds plus a final balance (the Table I AIG flow) on the Table I
-// circuits the repository benchmark runs. A digest may change only with an
-// intended change of what balance, rewrite or refactor build.
+// circuits the repository benchmark runs, then on the other MCNC stand-ins
+// whose flow takes well under a second (clma and s38417 take longer). A
+// digest may change only with an intended change of what balance, rewrite
+// or refactor build.
 func TestResyn2OutputPinned(t *testing.T) {
 	pins := []struct{ name, sha256 string }{
 		{"C1355", "e5548a623b62bb53b8026217e40493cfc74a1f4ee4a50d08fdaca0e74317aa2a"},
@@ -84,6 +86,11 @@ func TestResyn2OutputPinned(t *testing.T) {
 		{"b9", "3589cb464d3015e6e80d7a3ee3dfb74e951dac21a4d663c693df2f8e8ded7e5d"},
 		{"count", "b8bf5c0397eb571b1b294888ed12683f66565da8f304cafee91d5eac9d509819"},
 		{"alu4", "7d6fd26da05c2347f2d4d52fec2a38b64678e53d0e99a717ad9b5e18d45ebe03"},
+		{"C1908", "69140dd1569d65aee948bd35b2fd69691ad499e49097e6756fd802ceb248c765"},
+		{"C6288", "f4800cf1450aaea4d62dcd6c4491b9bb56f0e35e6941739a81da0c4ca24ec44d"},
+		{"bigkey", "9ab457ba2b5968b43a885afde8d31f4ff18e8ac8fe9f18a487f0b4f4aeb6ea08"},
+		{"misex3", "decab69acfa8b0d371b8b215bb80d3af035283659f2672e7759503129f829326"},
+		{"mm30a", "064f1319610773b4824a3b9399244176197cfbdfac900dd439af6e65ad7134f3"},
 	}
 	for _, pin := range pins {
 		n, err := mcnc.Generate(pin.name)

@@ -19,6 +19,7 @@ package mig
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/cut"
 	"repro/internal/netlist"
@@ -443,20 +444,30 @@ func (m *MIG) Stats() string {
 // decomposed into balanced trees of two-input operations to keep depth low.
 func FromNetwork(n *netlist.Network) *MIG {
 	m := New(n.Name)
+	m.nodes = slices.Grow(m.nodes, len(n.Nodes))
 	remap := make([]Signal, len(n.Nodes))
 	ms := func(s netlist.Signal) Signal { return remap[s.Node()].NotIf(s.Neg()) }
 
-	// balanced reduction of a list with a binary operator
-	reduce := func(sigs []Signal, op func(a, b Signal) Signal) Signal {
+	// reduce combines a gate's fanins with op as a balanced tree, pairing
+	// neighbours level by level in one buffer that every gate reuses.
+	var buf []Signal
+	reduce := func(fs []netlist.Signal, op func(x, y Signal) Signal) Signal {
+		sigs := buf[:0]
+		for _, f := range fs {
+			sigs = append(sigs, ms(f))
+		}
+		buf = sigs
 		for len(sigs) > 1 {
-			var next []Signal
+			k := 0
 			for i := 0; i+1 < len(sigs); i += 2 {
-				next = append(next, op(sigs[i], sigs[i+1]))
+				sigs[k] = op(sigs[i], sigs[i+1])
+				k++
 			}
 			if len(sigs)%2 == 1 {
-				next = append(next, sigs[len(sigs)-1])
+				sigs[k] = sigs[len(sigs)-1]
+				k++
 			}
-			sigs = next
+			sigs = sigs[:k]
 		}
 		return sigs[0]
 	}
@@ -478,16 +489,13 @@ func FromNetwork(n *netlist.Network) *MIG {
 		case netlist.Buf:
 			remap[i] = ms(nd.Fanins[0])
 		case netlist.And, netlist.Nand:
-			fs := mapSigs(nd.Fanins, ms)
-			v := reduce(fs, m.And)
+			v := reduce(nd.Fanins, m.And)
 			remap[i] = v.NotIf(nd.Op == netlist.Nand)
 		case netlist.Or, netlist.Nor:
-			fs := mapSigs(nd.Fanins, ms)
-			v := reduce(fs, m.Or)
+			v := reduce(nd.Fanins, m.Or)
 			remap[i] = v.NotIf(nd.Op == netlist.Nor)
 		case netlist.Xor, netlist.Xnor:
-			fs := mapSigs(nd.Fanins, ms)
-			v := reduce(fs, m.Xor)
+			v := reduce(nd.Fanins, m.Xor)
 			remap[i] = v.NotIf(nd.Op == netlist.Xnor)
 		case netlist.Maj:
 			remap[i] = m.Maj(ms(nd.Fanins[0]), ms(nd.Fanins[1]), ms(nd.Fanins[2]))
@@ -501,14 +509,6 @@ func FromNetwork(n *netlist.Network) *MIG {
 		m.AddOutput(o.Name, ms(o.Sig))
 	}
 	return m
-}
-
-func mapSigs(fs []netlist.Signal, ms func(netlist.Signal) Signal) []Signal {
-	out := make([]Signal, len(fs))
-	for i, f := range fs {
-		out[i] = ms(f)
-	}
-	return out
 }
 
 // ToNetwork converts the MIG into the generic netlist IR (majority nodes

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/mcnc"
 	"repro/internal/netlist"
 	"repro/internal/opt"
 	"repro/internal/tt"
@@ -620,5 +621,24 @@ func TestStatsString(t *testing.T) {
 	m.AddOutput("o", m.And(x, y))
 	if s := m.Stats(); s == "" {
 		t.Error("empty stats")
+	}
+}
+
+// TestFromNetworkAllocsFlat pins that converting a remajorized netlist
+// allocates per conversion, not per gate: clma (4340 gates) may take only
+// a few more allocations than b9 (163), for its longer port lists.
+func TestFromNetworkAllocsFlat(t *testing.T) {
+	allocs := map[string]float64{}
+	for _, name := range []string{"b9", "clma"} {
+		n, err := mcnc.Generate(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := n.Remajorize()
+		allocs[name] = testing.AllocsPerRun(5, func() { FromNetwork(r) })
+		t.Logf("%s: %d gates, %.0f allocations per FromNetwork", name, r.NumGates(), allocs[name])
+	}
+	if allocs["clma"] > allocs["b9"]+16 {
+		t.Errorf("FromNetwork allocates %.0f times on clma against %.0f on b9: per-gate allocation is back", allocs["clma"], allocs["b9"])
 	}
 }

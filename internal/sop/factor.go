@@ -2,7 +2,7 @@ package sop
 
 import (
 	"fmt"
-	"sort"
+	"math/bits"
 	"strings"
 
 	"repro/internal/tt"
@@ -116,115 +116,198 @@ func (e *Expr) String() string {
 // f = l·Q + R, where Q is the quotient of the cubes containing l and R the
 // remainder.
 func Factor(c Cover) *Expr {
-	if len(c.Cubes) == 0 {
-		return ConstExpr(false)
-	}
-	if len(c.Cubes) == 1 && c.Cubes[0].Mask == 0 {
-		return ConstExpr(true)
-	}
-	return factorRec(c.NumVars, c.Cubes)
-}
-
-func factorRec(numVars int, cubes []tt.Cube) *Expr {
-	if len(cubes) == 0 {
-		return ConstExpr(false)
-	}
-	if len(cubes) == 1 {
-		return cubeExpr(numVars, cubes[0])
-	}
-	// Count literal frequencies.
-	type lit struct {
-		v   int
-		neg bool
-	}
-	count := map[lit]int{}
-	for _, c := range cubes {
-		for v := 0; v < numVars; v++ {
-			if c.HasVar(v) {
-				count[lit{v, !c.VarPhase(v)}]++
-			}
-		}
-	}
-	bestLit, bestCount := lit{}, 0
-	// Deterministic iteration order.
-	var keys []lit
-	for k := range count {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].v != keys[j].v {
-			return keys[i].v < keys[j].v
-		}
-		return !keys[i].neg && keys[j].neg
-	})
-	for _, k := range keys {
-		if count[k] > bestCount {
-			bestLit, bestCount = k, count[k]
-		}
-	}
-	if bestCount <= 1 {
-		// No shared literal: plain sum of cube expressions.
-		kids := make([]*Expr, len(cubes))
-		for i, c := range cubes {
-			kids[i] = cubeExpr(numVars, c)
-		}
-		return &Expr{Kind: ExprOr, Kids: kids}
-	}
-	// Divide by the literal.
-	var quotient, remainder []tt.Cube
-	for _, c := range cubes {
-		if c.HasVar(bestLit.v) && c.VarPhase(bestLit.v) == !bestLit.neg {
-			q := c
-			q.Mask &^= 1 << uint(bestLit.v)
-			q.Polarity &^= 1 << uint(bestLit.v)
-			quotient = append(quotient, q)
-		} else {
-			remainder = append(remainder, c)
-		}
-	}
-	qe := factorRec(numVars, quotient)
-	le := Lit(bestLit.v, bestLit.neg)
-	var prod *Expr
-	if qe.Kind == ExprConst && qe.Val {
-		prod = le
-	} else {
-		prod = &Expr{Kind: ExprAnd, Kids: []*Expr{le, qe}}
-	}
-	if len(remainder) == 0 {
-		return prod
-	}
-	re := factorRec(numVars, remainder)
-	if re.Kind == ExprOr {
-		return &Expr{Kind: ExprOr, Kids: append([]*Expr{prod}, re.Kids...)}
-	}
-	return &Expr{Kind: ExprOr, Kids: []*Expr{prod, re}}
-}
-
-func cubeExpr(numVars int, c tt.Cube) *Expr {
-	var kids []*Expr
-	for v := 0; v < numVars; v++ {
-		if c.HasVar(v) {
-			kids = append(kids, Lit(v, !c.VarPhase(v)))
-		}
-	}
-	switch len(kids) {
-	case 0:
-		return ConstExpr(true)
-	case 1:
-		return kids[0]
-	default:
-		return &Expr{Kind: ExprAnd, Kids: kids}
-	}
+	var s Factorer
+	r, _ := s.factorRec(append([]tt.Cube(nil), c.Cubes...))
+	return s.expr(r)
 }
 
 // FactorTT minimizes f and factors the result, choosing the cheaper of f
 // and f' (complementing the root when f' factors better). The second return
 // value reports whether the expression computes f' instead of f.
 func FactorTT(f tt.TT) (*Expr, bool) {
-	pos := Factor(MinimizeTT(f))
-	neg := Factor(MinimizeTT(f.Not()))
-	if neg.NumLits() < pos.NumLits() {
-		return neg, true
+	var s Factorer
+	return s.FactorTT(f)
+}
+
+// FactorTT is the package's FactorTT on s's scratch: once warm, it
+// allocates only the returned expression, whatever the size of the
+// covers.
+func (s *Factorer) FactorTT(f tt.TT) (*Expr, bool) {
+	s.load(f.NumVars())
+	for i := range s.on {
+		s.on[i] = f.Word(i)
 	}
-	return pos, false
+	copy(s.care, s.on)
+	s.nodes = s.nodes[:0]
+	pos, posLits := s.factorRec(s.minimize())
+	for i := range s.on {
+		s.on[i] = ^s.on[i] & s.full
+	}
+	copy(s.care, s.on)
+	neg, negLits := s.factorRec(s.minimize())
+	if negLits < posLits {
+		return s.expr(neg), true
+	}
+	return s.expr(pos), false
+}
+
+// node is an expression node in a Factorer's scratch. The kids of an And
+// or Or start at kid and are linked through next; -1 ends a list.
+type node struct {
+	kind      ExprKind
+	val, neg  bool
+	v         uint8
+	kid, next int32
+}
+
+func (s *Factorer) add(nd node) int32 {
+	nd.next = -1
+	s.nodes = append(s.nodes, nd)
+	return int32(len(s.nodes) - 1)
+}
+
+// link appends node k to the list from *first to *last; *last < 0 starts
+// a new list.
+func (s *Factorer) link(first, last *int32, k int32) {
+	if *last < 0 {
+		*first = k
+	} else {
+		s.nodes[*last].next = k
+	}
+	*last = k
+}
+
+// factorRec factors cubes, which it reorders and rewrites in place, and
+// returns the expression's root node and literal count.
+func (s *Factorer) factorRec(cubes []tt.Cube) (int32, int) {
+	switch len(cubes) {
+	case 0:
+		return s.add(node{kind: ExprConst}), 0
+	case 1:
+		return s.cubeExpr(cubes[0])
+	}
+	// Literal frequencies: variable v's positive literal counts at 2v, its
+	// negative literal at 2v+1, so the first maximum in index order is the
+	// lowest variable's, positive before negative.
+	var count [2 * tt.MaxVars]int
+	for _, c := range cubes {
+		for m := c.Mask; m != 0; m &= m - 1 {
+			v := bits.TrailingZeros32(m)
+			count[2*v+int(^c.Polarity>>v&1)]++
+		}
+	}
+	best, bestCount := 0, 0
+	for l, k := range count {
+		if k > bestCount {
+			best, bestCount = l, k
+		}
+	}
+	if bestCount <= 1 {
+		// No shared literal: plain sum of cube expressions.
+		first, last, lits := int32(-1), int32(-1), 0
+		for _, c := range cubes {
+			k, n := s.cubeExpr(c)
+			s.link(&first, &last, k)
+			lits += n
+		}
+		return s.add(node{kind: ExprOr, kid: first}), lits
+	}
+	// Divide by the literal: the quotient's cubes, without it, move to the
+	// front and the remainder's behind them, each in order.
+	v, pos := best/2, best%2 == 0
+	bit := uint32(1) << v
+	q := 0
+	s.spare = s.spare[:0]
+	for _, c := range cubes {
+		if c.Mask&bit != 0 && (c.Polarity&bit != 0) == pos {
+			cubes[q] = tt.Cube{Mask: c.Mask &^ bit, Polarity: c.Polarity &^ bit}
+			q++
+		} else {
+			s.spare = append(s.spare, c)
+		}
+	}
+	copy(cubes[q:], s.spare)
+	qe, lits := s.factorRec(cubes[:q])
+	prod := s.add(node{kind: ExprLit, v: uint8(v), neg: !pos})
+	lits++
+	if nd := s.nodes[qe]; nd.kind != ExprConst || !nd.val {
+		s.nodes[prod].next = qe
+		prod = s.add(node{kind: ExprAnd, kid: prod})
+	}
+	if q == len(cubes) {
+		return prod, lits
+	}
+	re, rlits := s.factorRec(cubes[q:])
+	if s.nodes[re].kind == ExprOr {
+		re = s.nodes[re].kid
+	}
+	s.nodes[prod].next = re
+	return s.add(node{kind: ExprOr, kid: prod}), lits + rlits
+}
+
+// cubeExpr returns the product of c's literals and their count.
+func (s *Factorer) cubeExpr(c tt.Cube) (int32, int) {
+	first, last := int32(-1), int32(-1)
+	for m := c.Mask; m != 0; m &= m - 1 {
+		v := bits.TrailingZeros32(m)
+		s.link(&first, &last, s.add(node{kind: ExprLit, v: uint8(v), neg: c.Polarity>>v&1 == 0}))
+	}
+	switch n := bits.OnesCount32(c.Mask); n {
+	case 0:
+		return s.add(node{kind: ExprConst, val: true}), 0
+	case 1:
+		return first, 1
+	default:
+		return s.add(node{kind: ExprAnd, kid: first}), n
+	}
+}
+
+// expr copies the tree rooted at node r into Exprs carved from two
+// allocations, one for the nodes and one for all their Kids.
+func (s *Factorer) expr(r int32) *Expr {
+	nodes, kids := s.size(r)
+	b := slabs{exprs: make([]Expr, nodes)}
+	if kids > 0 {
+		b.kids = make([]*Expr, kids)
+	}
+	return b.build(s.nodes, r)
+}
+
+// size returns the number of nodes of the tree rooted at r and the number
+// of their kids.
+func (s *Factorer) size(r int32) (nodes, kids int) {
+	nodes = 1
+	if k := s.nodes[r].kind; k == ExprAnd || k == ExprOr {
+		for c := s.nodes[r].kid; c >= 0; c = s.nodes[c].next {
+			n, k := s.size(c)
+			nodes, kids = nodes+n, kids+k+1
+		}
+	}
+	return nodes, kids
+}
+
+// slabs holds the unused parts of expr's two allocations.
+type slabs struct {
+	exprs []Expr
+	kids  []*Expr
+}
+
+func (b *slabs) build(nodes []node, r int32) *Expr {
+	nd := nodes[r]
+	e := &b.exprs[0]
+	b.exprs = b.exprs[1:]
+	*e = Expr{Kind: nd.kind, Val: nd.val, Var: int(nd.v), Neg: nd.neg}
+	if nd.kind == ExprAnd || nd.kind == ExprOr {
+		n := 0
+		for c := nd.kid; c >= 0; c = nodes[c].next {
+			n++
+		}
+		e.Kids, b.kids = b.kids[:n:n], b.kids[n:]
+		i := 0
+		for c := nd.kid; c >= 0; c = nodes[c].next {
+			e.Kids[i] = b.build(nodes, c)
+			i++
+		}
+	}
+	return e
 }

@@ -28,6 +28,10 @@ var varMasks = [6]uint64{
 	0xFFFFFFFF00000000,
 }
 
+// VarWord returns the 64-bit pattern of variable i < 6, the value of every
+// word of Var(n, i) for n ≥ 6.
+func VarWord(i int) uint64 { return varMasks[i] }
+
 // TT is a truth table over a fixed number of variables.
 type TT struct {
 	nVars int
@@ -391,31 +395,6 @@ func (t TT) Permute(perm []int) TT {
 			}
 		}
 		r.words[pm>>6] |= 1 << (uint(pm) & 63)
-	}
-	return r
-}
-
-// Expand returns t re-expressed over m >= NumVars variables (the new
-// variables are don't-cares the function does not depend on).
-func (t TT) Expand(m int) TT {
-	if m < t.nVars {
-		panic("tt: Expand to fewer variables")
-	}
-	if m == t.nVars {
-		return t.Clone()
-	}
-	r := New(m)
-	src := t.words
-	if t.nVars < 6 {
-		// Replicate the low 2^n bits across the word.
-		w := src[0] & usedMask(t.nVars)
-		for s := 1 << uint(t.nVars); s < 64; s *= 2 {
-			w |= w << uint(s)
-		}
-		src = []uint64{w}
-	}
-	for i := range r.words {
-		r.words[i] = src[i%len(src)]
 	}
 	return r
 }

@@ -273,26 +273,6 @@ func TestSupport(t *testing.T) {
 	}
 }
 
-func TestExpand(t *testing.T) {
-	r := rand.New(rand.NewSource(14))
-	for n := 1; n <= 6; n++ {
-		f := randTT(r, n)
-		for m := n; m <= n+3; m++ {
-			g := f.Expand(m)
-			for i := n; i < m; i++ {
-				if g.DependsOn(i) {
-					t.Fatalf("expand(%d->%d) depends on new var %d", n, m, i)
-				}
-			}
-			for mt := 0; mt < 1<<uint(n); mt++ {
-				if g.Bit(mt) != f.Bit(mt) {
-					t.Fatalf("expand changed low minterm %d", mt)
-				}
-			}
-		}
-	}
-}
-
 func TestMuxDefinition(t *testing.T) {
 	r := rand.New(rand.NewSource(15))
 	n := 7

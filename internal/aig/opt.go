@@ -77,10 +77,10 @@ func (a *AIG) Balance() *AIG {
 
 // pairShallowest ANDs sigs into one signal, each step sorting the operands
 // by level and replacing the two shallowest with their AND at the front.
-// It reorders and overwrites sigs. The sort is the one sort.Slice runs
-// (the same pattern-defeating quicksort, insertion sort below 13
-// elements), so the pairing order, ties included, is the one Balance and
-// synthExpr have always built.
+// It reorders and overwrites sigs. The sort is not stable, and the pinned
+// outputs depend on how it orders operands of equal level: it must stay
+// the pattern-defeating quicksort that slices.SortFunc and sort.Slice
+// share.
 func (a *AIG) pairShallowest(sigs []Signal) Signal {
 	for len(sigs) > 1 {
 		slices.SortFunc(sigs, func(x, y Signal) int { return cmp.Compare(a.Level(x), a.Level(y)) })
@@ -187,11 +187,13 @@ const badSignal = ^Signal(0)
 
 // cutResynth rebuilds the AIG, resynthesizing each node from the best of
 // its k-feasible cuts via minimized factored SOP, factoring each distinct
-// cut function once per pass (factorMemo). A candidate is accepted
-// when it creates fewer nodes than the default reconstruction (exploiting
-// sharing found by structural hashing), or the same number at lower level.
-// Cuts come from the AIG's arena-backed cache; the remap is a dense pooled
-// slice rather than a map.
+// cut function once per pass (factorMemo, whose word scratch every miss
+// of the pass reuses). A candidate is accepted when it creates fewer
+// nodes than the default reconstruction (exploiting sharing found by
+// structural hashing), or the same number at lower level. Each candidate
+// is built for real, then rolled back; its And/Or operands are paired on
+// the memo's stack. Cuts come from the AIG's arena-backed cache; the
+// remap is a dense pooled slice rather than a map.
 func (a *AIG) cutResynth(k, maxCuts int) *AIG {
 	cuts := a.CutSet(k, maxCuts)
 	out := New(a.Name)

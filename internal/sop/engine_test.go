@@ -185,6 +185,8 @@ func BenchmarkFactorTT(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		s.FactorTT(fs[i%len(fs)])
+		benchExpr, _ = s.FactorTT(fs[i%len(fs)])
 	}
 }
+
+var benchExpr *Expr

@@ -125,3 +125,22 @@ func TestWriteNameCollisions(t *testing.T) {
 		})
 	}
 }
+
+// TestWriteAllocsFlat pins that Write allocates per network, not per
+// gate: on the remajorized clma (4340 gates, mostly majorities) it may
+// take only a few more allocations than on b9 (163 gates).
+func TestWriteAllocsFlat(t *testing.T) {
+	allocs := map[string]float64{}
+	for _, name := range []string{"b9", "clma"} {
+		n, err := mcnc.Generate(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := n.Remajorize()
+		allocs[name] = testing.AllocsPerRun(5, func() { Write(r) })
+		t.Logf("%s: %d gates, %.0f allocations per Write", name, r.NumGates(), allocs[name])
+	}
+	if allocs["clma"] > allocs["b9"]+8 {
+		t.Errorf("Write allocates %.0f times on clma against %.0f on b9: per-gate allocation is back", allocs["clma"], allocs["b9"])
+	}
+}

@@ -138,9 +138,10 @@ type factored struct {
 // functions repeat heavily: over the MCNC circuits, 99% of a resyn2 flow's
 // calls ask for a function the same pass has already factored. A miss
 // runs espresso on f and f' in the memo's word scratch (fs), reused by
-// every miss of the pass, and allocates only the expression it keeps.
-// Functions of more than six variables are factored directly. stack holds
-// synthExpr's operands.
+// every miss of the pass, and allocates only the expression it keeps:
+// about 7–10 µs and two allocations for a 4-variable function on a 2-core
+// container (sop's BenchmarkFactorTT). Functions of more than six
+// variables are factored directly. stack holds synthExpr's operands.
 type factorMemo struct {
 	m     map[factorKey]factored
 	fs    sop.Factorer

@@ -47,11 +47,7 @@ func TestFactorTTMatchesReferenceSmall(t *testing.T) {
 
 func TestFactorTTMatchesReferenceFourVars(t *testing.T) {
 	var s Factorer
-	stride := uint64(61)
-	if testing.Short() {
-		stride = 509
-	}
-	for w := uint64(0); w < 1<<16; w += stride {
+	for w := uint64(0); w < 1<<16; w += 61 {
 		sameFactoring(t, &s, tt.FromWords(4, []uint64{w}))
 	}
 }

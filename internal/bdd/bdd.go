@@ -22,8 +22,8 @@
 // which the node limit trips are those an exact cache would give.
 //
 // The manager enforces a node limit; building a BDD past the limit returns
-// ErrLimit, which the experiment harness reports as "N.A." — reproducing the
-// BDS failures the paper observed on clma and the compression circuit.
+// ErrLimit. The BDS baseline then keeps its windowed (per-cone)
+// decomposition, and the equivalence checker's auto engine moves on to SAT.
 package bdd
 
 import (
@@ -91,8 +91,8 @@ func NewManager(numVars, limit int) *Manager {
 	}
 }
 
-// reset empties m for another build, keeping its storage.
-func (m *Manager) reset() {
+// Reset empties m for another build, keeping its storage and its limit.
+func (m *Manager) Reset() {
 	m.nodes = m.nodes[:2]
 	clear(m.buckets)
 	clear(m.ite)
@@ -268,28 +268,57 @@ func (m *Manager) Maj(f, g, h Ref) (Ref, error) {
 
 // FromTT builds the BDD of a truth table (Shannon expansion from the top
 // variable down). Intended for small functions (windowed decomposition).
-func (m *Manager) FromTT(f tt.TT) (Ref, error) {
-	if f.NumVars() > m.numVars {
-		return False, fmt.Errorf("bdd: FromTT over %d vars in %d-var manager", f.NumVars(), m.numVars)
+// The cofactors are read from f's words in place: a table over variables
+// 0..v with v ≥ 6 is a run of words whose halves are its two cofactors by
+// v, and one over variables 0..5 is a single word.
+func (m *Manager) FromTT(f tt.TT) (r Ref, err error) {
+	n := f.NumVars()
+	if n > m.numVars {
+		return False, fmt.Errorf("bdd: FromTT over %d vars in %d-var manager", n, m.numVars)
 	}
-	return m.guard(func() Ref { return m.fromTTRec(f, f.NumVars()-1) })
+	defer catchLimit(&err)
+	return m.fromTTRec(f, 0, n-1), nil
 }
 
-func (m *Manager) fromTTRec(f tt.TT, top int) Ref {
-	if f.IsConst0() {
-		return False
+// fromTTRec builds the function over variables 0..top whose table starts
+// at f's word w. Below six variables the word is read replicated, so the
+// constants are 0 and all ones.
+func (m *Manager) fromTTRec(f tt.TT, w, top int) Ref {
+	for ; top >= 6; top-- {
+		half := 1 << (top - 6)
+		for k := w; k < w+half; k++ {
+			if f.Word(k) != f.Word(k+half) {
+				lo := m.fromTTRec(f, w, top-1)
+				hi := m.fromTTRec(f, w+half, top-1)
+				return m.mk(int32(top), lo, hi)
+			}
+		}
 	}
-	if f.IsConst1() {
+	x := f.Word(w)
+	for s := 1 << (top + 1); s < 64; s <<= 1 {
+		x |= x << s
+	}
+	return m.fromWordRec(x, top)
+}
+
+// fromWordRec builds the function over variables 0..top ≤ 5 whose table is
+// the replicated word x.
+func (m *Manager) fromWordRec(x uint64, top int) Ref {
+	switch x {
+	case 0:
+		return False
+	case ^uint64(0):
 		return True
 	}
-	// Find the highest variable the function depends on.
 	v := top
-	for v >= 0 && !f.DependsOn(v) {
-		v--
+	for (x^x>>(1<<v))&^tt.VarWord(v) == 0 {
+		v-- // x is not constant, so it depends on some v ≤ top
 	}
-	lo := m.fromTTRec(f.Cofactor0(v), v-1)
-	hi := m.fromTTRec(f.Cofactor1(v), v-1)
-	return m.mk(int32(v), lo, hi)
+	mask, s := tt.VarWord(v), 1<<v
+	lo, hi := x&^mask, x&mask
+	r0 := m.fromWordRec(lo|lo<<s, v-1)
+	r1 := m.fromWordRec(hi|hi>>s, v-1)
+	return m.mk(int32(v), r0, r1)
 }
 
 // Eval evaluates f under the given variable assignment.

@@ -330,6 +330,98 @@ func TestEvalAgainstTT(t *testing.T) {
 	}
 }
 
+// fromTTShannon is FromTT as it was first written, one cofactor table
+// per Shannon step: the reference for the word-level build.
+func fromTTShannon(m *Manager, f tt.TT, top int) Ref {
+	if f.IsConst0() {
+		return False
+	}
+	if f.IsConst1() {
+		return True
+	}
+	v := top
+	for v >= 0 && !f.DependsOn(v) {
+		v--
+	}
+	lo := fromTTShannon(m, f.Cofactor0(v), v-1)
+	hi := fromTTShannon(m, f.Cofactor1(v), v-1)
+	return m.mk(int32(v), lo, hi)
+}
+
+// TestFromTTMatchesShannon checks that FromTT allocates the nodes of the
+// cofactor-table build in the same order, so every Ref is the same: on
+// random tables of 0 to 10 variables, on tables that ignore some of their
+// variables, and in a manager reused across builds.
+func TestFromTTMatchesShannon(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	reused := NewManager(10, 0)
+	for trial := 0; trial < 400; trial++ {
+		n := trial % 11
+		words := make([]uint64, max(1, 1<<max(0, n-6)))
+		for i := range words {
+			words[i] = r.Uint64()
+		}
+		f := tt.FromWords(n, words)
+		// Every third table ignores a random subset of its variables,
+		// and every seventh is constant.
+		if trial%3 == 0 && n > 0 {
+			for v := 0; v < n; v++ {
+				if r.Intn(2) == 0 {
+					f = f.Cofactor0(v)
+				}
+			}
+		}
+		if trial%7 == 0 {
+			f = tt.Const(n, trial%2 == 0)
+		}
+		want := NewManager(10, 0)
+		wantRoot := fromTTShannon(want, f, n-1)
+		reused.Reset()
+		for _, m := range []*Manager{NewManager(10, 0), reused} {
+			root, err := m.FromTT(f)
+			if err != nil || root != wantRoot || storeDigest(m) != storeDigest(want) {
+				t.Fatalf("trial %d (%d vars): FromTT gave root %d, err %v, store %s; want root %d, store %s",
+					trial, n, root, err, storeDigest(m), wantRoot, storeDigest(want))
+			}
+		}
+	}
+	// Under a limit FromTT stops where the reference does.
+	f := tt.FromWords(8, []uint64{r.Uint64(), r.Uint64(), r.Uint64(), r.Uint64()})
+	want := NewManager(8, 20)
+	func() {
+		defer func() { recover() }()
+		fromTTShannon(want, f, 7)
+	}()
+	m := NewManager(8, 20)
+	if _, err := m.FromTT(f); err != ErrLimit || m.NumNodes() != 20 || storeDigest(m) != storeDigest(want) {
+		t.Errorf("FromTT under a 20-node limit: %v with %d nodes, want ErrLimit with the reference's 20", err, m.NumNodes())
+	}
+}
+
+// TestFromTTAllocsFlat pins that FromTT into a reset manager allocates
+// nothing once the manager's tables have grown to the function's size.
+func TestFromTTAllocsFlat(t *testing.T) {
+	r := rand.New(rand.NewSource(8))
+	for _, n := range []int{6, 8} {
+		words := make([]uint64, max(1, 1<<max(0, n-6)))
+		for i := range words {
+			words[i] = r.Uint64()
+		}
+		f := tt.FromWords(n, words)
+		m := NewManager(n, 0)
+		if _, err := m.FromTT(f); err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			m.Reset()
+			m.FromTT(f)
+		})
+		if allocs != 0 {
+			t.Errorf("FromTT of a random %d-variable function allocates %.0f times in a warm manager, want 0", n, allocs)
+		}
+	}
+}
+
 // storeDigest hashes the node store in allocation order, so equal digests
 // mean every Ref names the same node.
 func storeDigest(m *Manager) string {
@@ -344,9 +436,10 @@ func storeDigest(m *Manager) string {
 	return fmt.Sprintf("%x", h.Sum(nil))[:16]
 }
 
-// TestBuildLimitPinned pins, for every MCNC circuit, the builds the two
-// callers make: BuildNetwork under the equivalence checker's default limit
-// and BuildNetworkOrdered under BDS's limit with the static order. Each pin
+// TestBuildLimitPinned pins, for every MCNC circuit, BuildNetwork under
+// the equivalence checker's default limit and BuildNetworkOrdered with the
+// static order under 1<<18, the cap BDS puts on its global builds' budget
+// (the budget itself is usually far smaller; see bench.BDSOptimize). Each pin
 // holds the error, NumNodes, CountNodes of the roots and a digest of the
 // node store, which fixes every Ref and, on ErrLimit, the point where the
 // limit tripped. The lossy computed table may change how long a build
@@ -410,7 +503,7 @@ func TestBuildLimitPinned(t *testing.T) {
 				if err != nil || !slices.Equal(again, roots) || m.NumNodes() != got.Nodes {
 					t.Errorf("%s: rebuild gave %v with %d nodes, want the same roots with %d", what, err, m.NumNodes(), got.Nodes)
 				}
-				m.reset()
+				m.Reset()
 				again, err = m.build(n, level, make([]Ref, len(n.Nodes)))
 				if err != nil || !slices.Equal(again, roots) || storeDigest(m) != got.Store {
 					t.Errorf("%s: build after reset gave %v and a different store", what, err)
@@ -435,9 +528,9 @@ func TestBuildLimitPinned(t *testing.T) {
 	}
 }
 
-// BenchmarkBuildNetwork measures whole-network builds under BDS's limit:
-// dalu with the static order, which succeeds, and my_adder with the
-// declaration order, which trips the limit.
+// BenchmarkBuildNetwork measures whole-network builds under a 1<<18-node
+// limit: dalu with the static order, which succeeds, and my_adder with
+// the declaration order, which trips the limit.
 func BenchmarkBuildNetwork(b *testing.B) {
 	for _, c := range []struct {
 		name    string

@@ -140,10 +140,10 @@ func (m *Manager) DecomposeInto(n *netlist.Network, roots []Ref, vars []netlist.
 	return out, nil
 }
 
-// DecomposeNetwork is the full BDS-style flow: build BDDs for a netlist and
-// decompose them back into a (usually restructured) netlist. The limit
-// bounds BDD construction; ErrLimit reproduces the BDS failures reported in
-// the paper on BDD-hostile circuits.
+// DecomposeNetwork is the global BDS-style flow: build BDDs for a netlist
+// and decompose them back into a (usually restructured) netlist. The limit
+// bounds the manager's nodes, those the decomposition adds included; past
+// it the result is ErrLimit, as on BDD-hostile circuits such as clma.
 func DecomposeNetwork(n *netlist.Network, limit int) (*netlist.Network, error) {
 	m, roots, err := BuildNetwork(n, limit)
 	if err != nil {

@@ -69,7 +69,7 @@ func SiftOrder(n *netlist.Network, limit, maxVars int) []int {
 		for k, v := range ord {
 			level[v] = k
 		}
-		m.reset()
+		m.Reset()
 		roots, err := m.build(n, level, vals)
 		if err != nil {
 			return 1 << 30

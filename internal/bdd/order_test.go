@@ -180,10 +180,11 @@ func TestSiftOrderSkipsLargeCircuits(t *testing.T) {
 	}
 }
 
-// TestSiftOrderPinned pins the order sifting picks, and the shared size it
-// reaches, on the MCNC circuits BDS sifts (at most 16 inputs). Every trial
-// rebuilds into one manager reset in between, so anything a reset leaves
-// behind moves them.
+// TestSiftOrderPinned pins the order sifting picks under a 1<<18-node
+// limit, and the shared size it reaches, on the MCNC circuits of at most 16
+// inputs. (BDS sifts them under a smaller budget, where trials overflow and
+// the orders differ.) Every trial rebuilds into one manager reset in
+// between, so anything a reset leaves behind moves them.
 func TestSiftOrderPinned(t *testing.T) {
 	pins := []struct {
 		name   string

@@ -18,7 +18,6 @@ import (
 type Config struct {
 	Effort    int // MIG optimization effort (Alg. 1/2 cycles)
 	AIGRounds int // resyn2 iterations
-	BDDLimit  int // global BDD node budget before windowed fallback
 	// VerifyEngine checks the functional equivalence of every optimized
 	// result with the given engine: auto (the layered check), exact,
 	// bdd, sim or sat (see equiv.Options.Engine). Empty turns
@@ -46,9 +45,6 @@ func (c *Config) Defaults() {
 	}
 	if c.AIGRounds == 0 {
 		c.AIGRounds = 2
-	}
-	if c.BDDLimit == 0 {
-		c.BDDLimit = 1 << 18
 	}
 	if c.Lib == nil {
 		c.Lib = mapping.Default22nm()
@@ -89,7 +85,7 @@ func runOptRow(n *netlist.Network, cfg Config, concurrent bool) OptRow {
 	parallel3(concurrent,
 		func() { m, row.MIG = MIGOptimize(n, cfg) },
 		func() { a, row.AIG = AIGOptimize(n, cfg) },
-		func() { d, row.BDS = BDSOptimize(n, cfg.BDDLimit) },
+		func() { d, row.BDS = BDSOptimize(n, bdsLimit) },
 	)
 
 	if cfg.VerifyEngine != "" {

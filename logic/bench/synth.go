@@ -37,7 +37,7 @@ type OptMetrics struct {
 	Depth    int     `json:"depth"`
 	Activity float64 `json:"activity"`
 	Seconds  float64 `json:"seconds"`
-	OK       bool    `json:"ok"` // false = N.A. (tool failure, like BDS on clma)
+	OK       bool    `json:"ok"` // false = N.A.: the leg failed (a MIG script error, or every BDS candidate)
 	// Trace is the MIG or AIG leg's per-pass record (nil for BDS). It
 	// stays out of the JSON, so checked-in baselines stay byte-compatible.
 	Trace logic.Trace `json:"-"`
@@ -110,40 +110,57 @@ func legMetrics(g opt.Graph, tr logic.Trace, start time.Time) OptMetrics {
 	}
 }
 
-// BDSOptimize runs the BDS-style baseline: global BDD construction (with
-// the static DFS variable order, falling back to the declaration order) and
-// dominator decomposition, then windowed (cone-partitioned) decomposition
-// when the global BDDs exceed the node limit. A windowed failure returns
-// OK=false (reported as N.A., as the paper does for BDS on clma and the
-// compression circuit).
+// bdsBudgetFactor scales the windowed candidate's gate count W into the
+// node budget of BDSOptimize's global builds. On the MCNC stand-ins the two
+// global winners' BDDs need 1.9·W (bigkey) and 1.6·W (count) nodes before
+// their decomposition adds more, and every losing build needs at least
+// 2.8·W or overflows.
+const bdsBudgetFactor = 4
+
+// bdsLimit is Table I's cap on the global BDD node budget.
+const bdsLimit = 1 << 18
+
+// BDSOptimize runs the BDS-style baseline and keeps the smallest of three
+// candidates. The windowed (cone-partitioned) decomposition runs first, and
+// its cleaned gate count W sets the node budget of the two global
+// candidates, min(globalLimit, 4·W + 2 + NumInputs): the last terms are the
+// two leaves and one projection node per input that a build holds before
+// it has any gate. The global candidates build BDDs in the static DFS order
+// (sifted up to 16 inputs) and in the declaration order and decompose them
+// at dominators, all within the budget, so a global BDD that needs more
+// nodes than the budget cannot win even when it fits under globalLimit.
+// The declaration order replaces the DFS order only when it has strictly
+// fewer gates, and the windowed result replaces a global one only when it
+// is strictly smaller after cleanup. If the windowed decomposition fails,
+// the global builds get all of globalLimit; if every candidate fails, the
+// result is OK=false (N.A.).
 func BDSOptimize(n *netlist.Network, globalLimit int) (*netlist.Network, OptMetrics) {
 	start := time.Now()
-	// Candidate 1: global BDDs with the static DFS order, upgraded to a
-	// sifted order on small-input circuits (PLAs are where reordering
-	// matters most).
+	limit := globalLimit
+	win, winErr := windowedBDS(n, 8)
+	if winErr == nil {
+		win = win.Clean()
+		limit = min(limit, bdsBudgetFactor*win.NumGates()+2+n.NumInputs())
+	}
 	var order []int
 	if n.NumInputs() <= 16 {
-		order = bdd.SiftOrder(n, globalLimit, 16)
+		order = bdd.SiftOrder(n, limit, 16)
 	}
-	dec, err := bdd.DecomposeNetworkOrdered(n, globalLimit, order)
-	// Candidate 2: global BDDs with the declaration order.
-	if plain, err2 := bdd.DecomposeNetwork(n, globalLimit); err2 == nil {
+	dec, err := bdd.DecomposeNetworkOrdered(n, limit, order)
+	if plain, err2 := bdd.DecomposeNetwork(n, limit); err2 == nil {
 		if err != nil || plain.NumGates() < dec.NumGates() {
 			dec, err = plain, nil
 		}
 	}
-	// Candidate 3: partitioned (windowed) decomposition — what BDS-class
-	// tools do on functions whose monolithic BDDs are too large or too
-	// MUX-chain shaped.
-	if win, err2 := windowedBDS(n, 8); err2 == nil {
-		if err != nil || win.Clean().NumGates() < dec.Clean().NumGates() {
-			dec, err = win, nil
-		}
+	if err == nil {
+		dec = dec.Clean()
+	}
+	if winErr == nil && (err != nil || win.NumGates() < dec.NumGates()) {
+		dec, err = win, nil
 	}
 	if err != nil {
 		return nil, OptMetrics{OK: false}
 	}
-	dec = dec.Clean()
 	return dec, OptMetrics{
 		Size:     dec.NumGates(),
 		Depth:    dec.Depth(),
@@ -161,9 +178,17 @@ func windowedBDS(n *netlist.Network, k int) (*netlist.Network, error) {
 	a := aig.FromNetwork(n)
 	cuts := a.CutSet(k, 4)
 	out := netlist.New(n.Name)
+	// One manager serves every cone, reset in between: a cone has at most
+	// k variables.
+	man := bdd.NewManager(k, 1<<16)
 
-	// Map from AIG node to the signal of its decomposed implementation.
-	mapped := make(map[int]netlist.Signal)
+	// mapped[i] is the signal of AIG node i's decomposed implementation,
+	// or unmapped until it is built.
+	const unmapped = ^netlist.Signal(0)
+	mapped := make([]netlist.Signal, a.NumNodes())
+	for i := range mapped {
+		mapped[i] = unmapped
+	}
 	mapped[0] = netlist.SigConst0
 	for i := 0; i < a.NumInputs(); i++ {
 		mapped[a.Input(i).Node()] = out.AddInput(a.InputName(i))
@@ -187,7 +212,7 @@ func windowedBDS(n *netlist.Network, k int) (*netlist.Network, error) {
 
 	var build func(node int) (netlist.Signal, error)
 	build = func(node int) (netlist.Signal, error) {
-		if s, ok := mapped[node]; ok {
+		if s := mapped[node]; s != unmapped {
 			return s, nil
 		}
 		cut := chooseCut(node)
@@ -215,9 +240,8 @@ func windowedBDS(n *netlist.Network, k int) (*netlist.Network, error) {
 			}
 			leafSigs[i] = s
 		}
-		f := a.CutFunction(node, cut)
-		man := bdd.NewManager(len(cut), 1<<16)
-		root, err := man.FromTT(f)
+		man.Reset()
+		root, err := man.FromTT(a.CutFunction(node, cut))
 		if err != nil {
 			return 0, err
 		}

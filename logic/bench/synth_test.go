@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/equiv"
@@ -65,7 +66,7 @@ func TestAIGOptimizePreservesFunction(t *testing.T) {
 func TestBDSOptimizePreservesFunction(t *testing.T) {
 	for _, name := range []string{"b9", "count", "misex3"} {
 		n := getBench(t, name)
-		d, metrics := BDSOptimize(n, 1<<18)
+		d, metrics := BDSOptimize(n, bdsLimit)
 		if !metrics.OK {
 			t.Fatalf("%s: BDS failed", name)
 		}
@@ -79,9 +80,15 @@ func TestBDSOptimizePreservesFunction(t *testing.T) {
 	}
 }
 
-// TestBDSOutputPinned pins the BLIF bytes BDS writes for table1's seven
-// circuits, misex3 (rebuild-based sifting) and C1908 (the declaration-order
-// build trips the limit).
+// TestBDSOutputPinned pins the BLIF bytes BDS writes for the 14 MCNC
+// stand-ins and for degenerate networks. Among them are misex3 (rebuild-based
+// sifting), bigkey (the declaration-order build wins), count (the DFS-order
+// build wins), C1908, C6288, clma and mm30a (both global builds overflow
+// the cap) and s38417 (the largest windowed result). The degenerate
+// networks have no windowed gate (outputs wired to inputs, complemented
+// inputs and constants, where a global build holds only its leaves and
+// projections) or a single AND, XOR, MUX or MAJ gate, on which the
+// candidates tie.
 func TestBDSOutputPinned(t *testing.T) {
 	pins := []struct{ name, sha256 string }{
 		{"C1355", "0986a6c18c7e8585bbaa4b45887cad0531bf9a00e7a484c5bd5c369e8172a967"},
@@ -93,15 +100,115 @@ func TestBDSOutputPinned(t *testing.T) {
 		{"alu4", "579ec85685da1fbeb493b974539f45b97161963895af72be50070caf50bca2ef"},
 		{"misex3", "163cae9f0f6cb0575f70b0838487c6339463bd8da2d71dc072099e822af6de41"},
 		{"C1908", "3d915d307546cef720f35d270bdfafad9cc57ce9be297ae3c3a61570f0a96893"},
+		{"bigkey", "364a160c86961d8634745d01b88c6d850510317c283dd452f3f089d8ad68de3d"},
+		{"C6288", "0e968b94ae2628d2e16e5ded8fbebf5c04e4d5a577f59ce2bbf29bdf4ffd5498"},
+		{"clma", "e8de46afba7de7fda97b1433f2079ba0d5892eeccd1f51afd1a4749898765667"},
+		{"mm30a", "5a1dee779d4425b199279bdf088084a95ef709b4795aa4f16163c9ea7e210261"},
+		{"s38417", "059b0a343676cde17924d63eebceddcf7e626b07ffac079d7e205ff4727d746d"},
+		{"wires", "35b94d7441f34fd27911bd0faecff86f660d8f84f145bc7d68a3902dfb5e737b"},
+		{"inverters", "6baef63719689f570227b59b74731ff401a01cfc595bd2d7695bcc20befa55d9"},
+		{"constants", "7bb19461e3660691ee046dec1fcca5f16e47a7897cea0f891ad35bd52c3d2192"},
+		{"and", "d3447cc8fc608506379016f9af2e999910e33cb451b2019256f535b355db0174"},
+		{"xor", "962194e4a56fa9a78b0dfa8126f38c3119b95020faa6d83e320d1ed44ba649da"},
+		{"mux", "2e5e9f7f77d325aad3a9bc2ee1bdc88ba12477f54b3b14b3f2b23ef56281a16f"},
+		{"mux-wide", "722b9fd909ae33a96a99e23835d8395e33f92efc00d9744d78eaf470dce9bfa0"},
+		{"maj", "6322560b14f957e650b231d2694bdc42f6aa366617996e0002a9308449c81a4b"},
 	}
 	for _, pin := range pins {
-		d, metrics := BDSOptimize(getBench(t, pin.name), 1<<18)
+		n := degenerateNet(pin.name)
+		if n == nil {
+			n = getBench(t, pin.name)
+		}
+		d, metrics := BDSOptimize(n, bdsLimit)
 		if !metrics.OK {
 			t.Errorf("%s: BDS failed", pin.name)
 			continue
 		}
 		if got := fmt.Sprintf("%x", sha256.Sum256([]byte(logic.FromNetlist(d).EncodeBLIF()))); got != pin.sha256 {
 			t.Errorf("%s: BDS BLIF sha256 %s, want %s", pin.name, got, pin.sha256)
+		}
+	}
+}
+
+// degenerateNet returns the named network of TestBDSOutputPinned, or nil
+// for any other name. The single gates read their inputs out of
+// declaration order, so the DFS and declaration orders differ and tie;
+// "mux-wide" is "mux" with nine unused inputs more, whose projection nodes
+// the budget's floor covers.
+func degenerateNet(name string) *netlist.Network {
+	n := netlist.New(name)
+	a, b, c := n.AddInput("a"), n.AddInput("b"), n.AddInput("c")
+	switch name {
+	case "wires":
+		n.AddOutput("x", a)
+		n.AddOutput("y", c)
+		n.AddOutput("z", a)
+	case "inverters":
+		n.AddOutput("x", a.Not())
+		n.AddOutput("y", b.Not())
+		n.AddOutput("z", b)
+	case "constants":
+		n.AddOutput("x", netlist.SigConst0)
+		n.AddOutput("y", netlist.SigConst1)
+	case "and":
+		n.AddOutput("x", n.AddGate(netlist.And, c, a.Not()))
+	case "xor":
+		n.AddOutput("x", n.AddGate(netlist.Xor, c, b))
+	case "mux", "mux-wide":
+		n.AddOutput("x", n.AddGate(netlist.Mux, c, a, b))
+		if name == "mux-wide" {
+			for i := 0; i < 9; i++ {
+				n.AddInput(fmt.Sprintf("u%d", i))
+			}
+		}
+	case "maj":
+		n.AddOutput("x", n.AddGate(netlist.Maj, b, c.Not(), a))
+	default:
+		return nil
+	}
+	return n
+}
+
+// TestBDSAllocBounded bounds the bytes one BDSOptimize allocates on dalu
+// and my_adder, whose declaration-order global BDDs overflow the cap: a
+// global build that runs past the windowed candidate's budget allocates
+// tens of megabytes before it fails.
+func TestBDSAllocBounded(t *testing.T) {
+	const maxBytes = 8 << 20
+	for _, name := range []string{"dalu", "my_adder"} {
+		n := getBench(t, name)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, metrics := BDSOptimize(n, bdsLimit)
+		runtime.ReadMemStats(&after)
+		if !metrics.OK {
+			t.Fatalf("%s: BDS failed", name)
+		}
+		got := after.TotalAlloc - before.TotalAlloc
+		t.Logf("%s: %.2f MB allocated", name, float64(got)/(1<<20))
+		if got > maxBytes {
+			t.Errorf("%s: BDSOptimize allocated %.1f MB, want at most %d MB", name, float64(got)/(1<<20), maxBytes>>20)
+		}
+	}
+}
+
+// BenchmarkBDSOptimize runs the BDS baseline over the seven circuits of
+// the benchmark's table1 workload, once each per iteration.
+func BenchmarkBDSOptimize(b *testing.B) {
+	var nets []*netlist.Network
+	for _, name := range []string{"C1355", "my_adder", "cla", "dalu", "b9", "count", "alu4"} {
+		n, err := Circuit(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		nets = append(nets, logic.Flat(n))
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for _, n := range nets {
+			if _, m := BDSOptimize(n, bdsLimit); !m.OK {
+				b.Fatalf("%s: BDS failed", n.Name)
+			}
 		}
 	}
 }

@@ -37,7 +37,7 @@ type OptMetrics struct {
 	Depth    int     `json:"depth"`
 	Activity float64 `json:"activity"`
 	Seconds  float64 `json:"seconds"`
-	OK       bool    `json:"ok"` // false = N.A.: the leg failed (a MIG script error, or every BDS candidate)
+	OK       bool    `json:"ok"` // false = N.A.: the leg failed (BDS only when every candidate does)
 	// Trace is the MIG or AIG leg's per-pass record (nil for BDS). It
 	// stays out of the JSON, so checked-in baselines stay byte-compatible.
 	Trace logic.Trace `json:"-"`
@@ -112,9 +112,9 @@ func legMetrics(g opt.Graph, tr logic.Trace, start time.Time) OptMetrics {
 
 // bdsBudgetFactor scales the windowed candidate's gate count W into the
 // node budget of BDSOptimize's global builds. On the MCNC stand-ins the two
-// global winners' BDDs need 1.9·W (bigkey) and 1.6·W (count) nodes before
-// their decomposition adds more, and every losing build needs at least
-// 2.8·W or overflows.
+// global winners' BDDs need 1.9·W (bigkey) and 1.6·W (count) nodes, and
+// count's decomposition adds enough complement nodes to overflow 2·W;
+// every losing build needs at least 2.8·W or overflows.
 const bdsBudgetFactor = 4
 
 // bdsLimit is Table I's cap on the global BDD node budget.

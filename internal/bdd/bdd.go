@@ -71,6 +71,10 @@ type Manager struct {
 	// bucket (leaves are never hashed); its length is a power of two.
 	buckets []Ref
 	ite     []iteEntry // computed table, as long as buckets
+	// memo and neg are DecomposeInto's scratch, indexed by Ref: a node's
+	// decomposed signal and its complement.
+	memo []netlist.Signal
+	neg  []Ref
 }
 
 // NewManager creates a manager for numVars variables with the given node

@@ -1,6 +1,8 @@
 package bdd
 
 import (
+	"slices"
+
 	"repro/internal/netlist"
 )
 
@@ -49,95 +51,78 @@ func (m *Manager) Decompose(roots []Ref, inputNames, outputNames []string) (*net
 // DecomposeInto decomposes the BDD roots into gates appended to an existing
 // network, reading BDD variable i from vars[i]. It returns one signal per
 // root. This is the building block of the windowed (partitioned) BDS flow.
-func (m *Manager) DecomposeInto(n *netlist.Network, roots []Ref, vars []netlist.Signal) ([]netlist.Signal, error) {
-	memo := make(map[Ref]netlist.Signal)
-	memo[False] = netlist.SigConst0
-	memo[True] = netlist.SigConst1
-
-	// Complement cache for XOR detection.
-	notCache := make(map[Ref]Ref)
-	complement := func(f Ref) (Ref, error) {
-		if r, ok := notCache[f]; ok {
-			return r, nil
-		}
-		r, err := m.Not(f)
-		if err != nil {
-			return False, err
-		}
-		notCache[f] = r
-		notCache[r] = f
-		return r, nil
+// The complements it builds for XOR detection count against m's limit;
+// past it the result is ErrLimit.
+func (m *Manager) DecomposeInto(n *netlist.Network, roots []Ref, vars []netlist.Signal) (_ []netlist.Signal, err error) {
+	defer catchLimit(&err)
+	// The walk reads only nodes below the roots, so memo needs a slot per
+	// node m holds now; neg grows with the complements it adds.
+	m.memo = slices.Grow(m.memo[:0], len(m.nodes))[:len(m.nodes)]
+	for i := range m.memo {
+		m.memo[i] = noSignal
 	}
-
-	var rec func(f Ref) (netlist.Signal, error)
-	rec = func(f Ref) (netlist.Signal, error) {
-		if s, ok := memo[f]; ok {
-			return s, nil
-		}
-		nd := m.nodes[f]
-		x := vars[nd.varIdx]
-		var sig netlist.Signal
-		switch {
-		case nd.lo == False:
-			h, err := rec(nd.hi)
-			if err != nil {
-				return 0, err
-			}
-			sig = n.AddGate(netlist.And, x, h)
-		case nd.hi == False:
-			l, err := rec(nd.lo)
-			if err != nil {
-				return 0, err
-			}
-			sig = n.AddGate(netlist.And, x.Not(), l)
-		case nd.lo == True:
-			h, err := rec(nd.hi)
-			if err != nil {
-				return 0, err
-			}
-			sig = n.AddGate(netlist.Or, x.Not(), h)
-		case nd.hi == True:
-			l, err := rec(nd.lo)
-			if err != nil {
-				return 0, err
-			}
-			sig = n.AddGate(netlist.Or, x, l)
-		default:
-			nlo, err := complement(nd.lo)
-			if err != nil {
-				return 0, err
-			}
-			if nd.hi == nlo {
-				l, err := rec(nd.lo)
-				if err != nil {
-					return 0, err
-				}
-				sig = n.AddGate(netlist.Xor, x, l)
-			} else {
-				h, err := rec(nd.hi)
-				if err != nil {
-					return 0, err
-				}
-				l, err := rec(nd.lo)
-				if err != nil {
-					return 0, err
-				}
-				sig = n.AddGate(netlist.Mux, x, h, l)
-			}
-		}
-		memo[f] = sig
-		return sig, nil
-	}
-
+	m.memo[False], m.memo[True] = netlist.SigConst0, netlist.SigConst1
+	m.neg = slices.Grow(m.neg[:0], len(m.nodes))[:len(m.nodes)]
+	clear(m.neg)
+	d := decomposer{m: m, n: n, vars: vars}
 	out := make([]netlist.Signal, len(roots))
 	for i, root := range roots {
-		s, err := rec(root)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = s
+		out[i] = d.rec(root)
 	}
 	return out, nil
+}
+
+// noSignal marks a node DecomposeInto has not decomposed yet.
+const noSignal = ^netlist.Signal(0)
+
+// decomposer is one DecomposeInto walk over m, appending gates to n.
+type decomposer struct {
+	m    *Manager
+	n    *netlist.Network
+	vars []netlist.Signal
+}
+
+// rec returns the signal of node f, decomposing it on first visit.
+func (d *decomposer) rec(f Ref) netlist.Signal {
+	m := d.m
+	if s := m.memo[f]; s != noSignal {
+		return s
+	}
+	nd := m.nodes[f]
+	x := d.vars[nd.varIdx]
+	var sig netlist.Signal
+	switch {
+	case nd.lo == False:
+		sig = d.n.AddGate(netlist.And, x, d.rec(nd.hi))
+	case nd.hi == False:
+		sig = d.n.AddGate(netlist.And, x.Not(), d.rec(nd.lo))
+	case nd.lo == True:
+		sig = d.n.AddGate(netlist.Or, x.Not(), d.rec(nd.hi))
+	case nd.hi == True:
+		sig = d.n.AddGate(netlist.Or, x, d.rec(nd.lo))
+	case nd.hi == d.complement(nd.lo):
+		sig = d.n.AddGate(netlist.Xor, x, d.rec(nd.lo))
+	default:
+		sig = d.n.AddGate(netlist.Mux, x, d.rec(nd.hi), d.rec(nd.lo))
+	}
+	m.memo[f] = sig
+	return sig
+}
+
+// complement returns the complement of the non-constant node f, building
+// it on first use and remembering the pair both ways (a complement is
+// never a leaf, so False marks an unknown one).
+func (d *decomposer) complement(f Ref) Ref {
+	m := d.m
+	if r := m.neg[f]; r != False {
+		return r
+	}
+	r := m.not(f)
+	if int(r) >= len(m.neg) {
+		m.neg = append(m.neg, make([]Ref, len(m.nodes)-len(m.neg))...)
+	}
+	m.neg[f], m.neg[r] = r, f
+	return r
 }
 
 // DecomposeNetwork is the global BDS-style flow: build BDDs for a netlist

@@ -132,6 +132,49 @@ func TestSATDefaultForLarge(t *testing.T) {
 	}
 }
 
+// TestAutoBDDBudget checks the auto engine's node budget per BDD build:
+// the floor for small pairs, bddNodesPerGate per gate above it, and the
+// limit, the 200k default or a caller's smaller one, over both.
+func TestAutoBDDBudget(t *testing.T) {
+	for _, c := range []struct{ gates, limit, want int }{
+		{0, 200_000, 1 << 16},
+		{84, 200_000, 1 << 16},     // the 12-bit adder pair
+		{8192, 200_000, 1 << 16},   // the per-gate term reaches the floor
+		{8193, 200_000, 65_544},    // and passes it
+		{18_843, 200_000, 150_744}, // clma's pair
+		{25_000, 200_000, 200_000}, // the default limit caps it
+		{31_239, 200_000, 200_000}, // s38417's pair
+		{84, 8, 8},                 // a caller's limit below the floor wins
+		{20_000, 100_000, 100_000}, // and one below the per-gate term
+		{20_000, 1 << 20, 160_000}, // a larger limit leaves the per-gate term
+	} {
+		if got := autoBDDBudget(c.gates, c.limit); got != c.want {
+			t.Errorf("autoBDDBudget(%d, %d) = %d, want %d", c.gates, c.limit, got, c.want)
+		}
+	}
+}
+
+// TestAutoBDDBudgetSparesForcedEngine: the 13-bit adder pair's first
+// build needs ~123k nodes in declaration order, past the auto budget of
+// its 91 gates (the floor) and under the default limit. Auto moves on to
+// SAT; the forced BDD engine gets the whole limit and decides.
+func TestAutoBDDBudgetSparesForcedEngine(t *testing.T) {
+	a := adder(13, "a")
+	b := adderExpanded(13)
+	for _, c := range []struct {
+		engine string
+		want   Method
+	}{{"auto", MethodSAT}, {"bdd", MethodBDD}} {
+		res, err := Check(context.Background(), a, b, Options{MaxExactInputs: 8, Engine: c.engine})
+		if err != nil {
+			t.Fatalf("engine %s: %v", c.engine, err)
+		}
+		if !res.Equivalent || res.Method != c.want {
+			t.Errorf("engine %s: got %+v, want an equivalence by %s", c.engine, res, c.want)
+		}
+	}
+}
+
 // verifyCex extracts the bit string from a Detail, evaluates both networks
 // on it and confirms it genuinely distinguishes them.
 func verifyCex(t *testing.T, detail string, a, b *netlist.Network) {

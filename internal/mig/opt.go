@@ -22,7 +22,10 @@ package mig
 // Every pass preserves functional equivalence (the rules are the paper's
 // sound Ω/Ψ transformations) — this is verified extensively in the tests.
 
-import "math"
+import (
+	"math"
+	"slices"
+)
 
 // candidate describes a probed local construction by its shape and
 // parameter signals; buildCand materializes it, for real or inside a dry
@@ -447,66 +450,64 @@ func (m *MIG) ReshapePass(window int, aggressive bool) *MIG {
 // majority nodes, substituting the two most frequent cone leaves.
 func (m *MIG) substitutionReshape(maxCone int) *MIG {
 	out := m.Clone()
+	var leaves []coneLeaf
 	for oi, o := range out.Outputs {
-		nodes, leaves := out.coneOf(o.Sig, maxCone)
+		var nodes int
+		nodes, leaves = out.coneOf(o.Sig, maxCone, leaves)
 		if nodes == 0 || len(leaves) < 2 {
 			continue
 		}
-		v, u := leaves[0], leaves[1]
+		v, u := leaves[0].node, leaves[1].node
 		ns := out.SubstituteVar(o.Sig, MakeSignal(v, false), MakeSignal(u, false), 64)
 		out.Outputs[oi].Sig = ns
 	}
 	return out.Cleanup()
 }
 
+// coneLeaf is a leaf (PI) of a cone and its number of occurrences in it.
+type coneLeaf struct{ node, count int }
+
 // coneOf returns the number of majority nodes in the cone of s (up to limit;
-// 0 is returned when the cone exceeds the limit) and the cone's leaf nodes
-// (PIs) ordered by number of occurrences.
-func (m *MIG) coneOf(s Signal, limit int) (int, []int) {
-	seen := map[int]bool{}
-	leafCount := map[int]int{}
-	var stack []int
-	stack = append(stack, s.Node())
+// 0 is returned when the cone exceeds the limit) and the cone's leaves,
+// appended to leaves[:0] by number of occurrences, most first, then by node
+// id. A PI occurs once per fanin of a cone node that reads it, and once
+// more when it is s itself.
+func (m *MIG) coneOf(s Signal, limit int, leaves []coneLeaf) (int, []coneLeaf) {
+	// A majority node's stamp marks it visited. A PI's marks that it has
+	// an entry in leaves, and its memo slot holds the entry's index.
+	scr := m.scr.begin(len(m.nodes))
+	leaves = leaves[:0]
+	var buf [256]int // holds the walk of a 64-node cone without allocating
+	stack := append(buf[:0], s.Node())
 	count := 0
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if seen[v] {
-			continue
-		}
-		seen[v] = true
-		switch m.nodes[v].kind {
-		case kindPI:
-			leafCount[v]++
-		case kindMaj:
+		switch nd := &m.nodes[v]; {
+		case nd.kind == kindPI:
+			if i, ok := scr.get(v); ok {
+				leaves[i].count++
+			} else {
+				scr.put(v, Signal(len(leaves)))
+				leaves = append(leaves, coneLeaf{node: v, count: 1})
+			}
+		case nd.kind == kindMaj && !scr.seen(v):
+			scr.mark(v)
 			count++
 			if count > limit {
-				return 0, nil
+				return 0, leaves[:0]
 			}
-			for _, f := range m.nodes[v].fanin {
-				if m.nodes[f.Node()].kind == kindPI {
-					leafCount[f.Node()]++
-				} else {
-					stack = append(stack, f.Node())
-				}
+			for _, f := range nd.fanin {
+				stack = append(stack, f.Node())
 			}
 		}
 	}
-	leaves := make([]int, 0, len(leafCount))
-	for l := range leafCount {
-		leaves = append(leaves, l)
-	}
-	// Order by occurrence count (descending), then node id for determinism.
-	for i := 1; i < len(leaves); i++ {
-		for j := i; j > 0; j-- {
-			a, b := leaves[j-1], leaves[j]
-			if leafCount[b] > leafCount[a] || (leafCount[b] == leafCount[a] && b < a) {
-				leaves[j-1], leaves[j] = b, a
-			} else {
-				break
-			}
+	slices.SortFunc(leaves, func(a, b coneLeaf) int {
+		if a.count != b.count {
+			return b.count - a.count
 		}
-	}
+		return a.node - b.node
+	})
 	return count, leaves
 }
 

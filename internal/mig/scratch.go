@@ -22,7 +22,7 @@ import "sync"
 // scratch holds the epoch-stamped traversal state of one MIG.
 type scratch struct {
 	stamp []uint32
-	sig   []Signal // memo payload for replaceInCone
+	sig   []Signal // memo payload: replaceInCone's signals, coneOf's leaf indices
 	epoch uint32
 }
 

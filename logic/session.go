@@ -267,10 +267,16 @@ func runFlow[G opt.Graph](ctx context.Context, s *Session, kind Kind, resolve fu
 		// Each pass is proved against the one before it. For the default
 		// engine that is a job for the SAT miter, not the auto ladder:
 		// consecutive networks are the case its internal-point sweep
-		// proves with about one cheap query per node, while the ladder's
-		// BDD attempt overflows its 200k nodes at ~80–150 ms per pass on
-		// my_adder, dalu, cla, C1908, mm30a, C6288, clma and the meshes.
-		// Like every SAT solve, the check is bounded by ctx's deadline.
+		// proves with about one cheap query per node, while the ladder
+		// first spends its budgeted BDD attempt on every pass. Measured
+		// with migscript3 (-jobs 2, 2 cores, median wall of 3 runs), the
+		// ladder would win where its BDD decides (s38417 0.83 s against
+		// 1.38 s, bigkey 0.06 s against 0.22 s) and lose on the seven
+		// MCNC stand-ins where the attempt overflows (clma +120 ms, C6288
+		// +87, mm30a +62, C1908 +59, cla +44, my_adder +37, dalu +24).
+		// With the trade mixed, the checks stay with the sweep, whose cost
+		// does not hinge on a variable order. Like every SAT solve, the
+		// check is bounded by ctx's deadline.
 		engine := s.verify
 		if engine == "auto" {
 			engine = "sat"
